@@ -31,7 +31,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .operators import binom, frobenius, hermitize, rotate_sites
+from .operators import binom, frobenius, rotate_sites, state_covariance
 
 # Internal consistency of the constructed basis (orthonormality, the
 # symplectic normal form) is asserted at this tolerance.
@@ -85,10 +85,8 @@ class CCRBasis:
     d: int
     eigenvalues: np.ndarray = field(repr=False)
     rotation: np.ndarray = field(repr=False)
-    classical_gens: tuple  # d-1 diagonal matrices, Gram matrix = classical_cov
     classical_cov: np.ndarray = field(repr=False)
     oscillator_pairs: tuple
-    basis_list: tuple  # classical then oscillator generators, unnormalized
     symbols: tuple  # normalized variables (classical then q, p per pair)
     two_point: np.ndarray = field(repr=False)  # C[a,b] = <ab> + i sigma(a,b)
 
@@ -142,10 +140,6 @@ def build_ccr_basis(rho, gap_tol=1e-10):
             )
         )
 
-    basis_list = tuple(classical) + tuple(
-        m for pair in pairs for m in (pair.q_gen, pair.p_gen)
-    )
-
     symbols = []
     if d > 1:
         chol = np.linalg.cholesky(cov)
@@ -187,10 +181,8 @@ def build_ccr_basis(rho, gap_tol=1e-10):
         d=d,
         eigenvalues=mu,
         rotation=u,
-        classical_gens=tuple(classical),
         classical_cov=cov,
         oscillator_pairs=tuple(pairs),
-        basis_list=basis_list,
         symbols=tuple(symbols),
         two_point=two_point,
     )
@@ -205,11 +197,7 @@ def _two_point_matrix(symbols, mu):
     out = np.zeros((k, k), dtype=complex)
     for a in range(k):
         for b in range(k):
-            ab = np.trace(rho @ symbols[a].matrix @ symbols[b].matrix)
-            ba = np.trace(rho @ symbols[b].matrix @ symbols[a].matrix)
-            sym = 0.5 * (ab + ba)  # (a, b)_rho, real for selfadjoint operands
-            skew = 0.5j * (ab - ba)  # sigma(a, b) = (i/2) Tr(rho [a, b])
-            out[a, b] = sym.real + 1j * skew.real
+            out[a, b] = complex(*state_covariance(symbols[a].matrix, symbols[b].matrix, rho))
     return out
 
 
@@ -484,7 +472,6 @@ class FockRep:
         a = np.zeros((trunc, trunc), dtype=complex)
         for k in range(1, trunc):
             a[k - 1, k] = math.sqrt(k)
-        self.lowering = a
         self.Q = (a + a.conj().T) / math.sqrt(2.0)
         self.P = (a - a.conj().T) / (1j * math.sqrt(2.0))
         self.Nop = a.conj().T @ a

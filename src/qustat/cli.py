@@ -328,6 +328,12 @@ def _limit_setup(config, state, kernel):
 
 
 def _cmd_moments(config):
+    result, tables, _ = _moments(config)
+    return result, tables
+
+
+def _moments(config):
+    """The moments result and table, and the (state, kernel, report) behind them."""
     from .ccr import limit_moment
     from .ustat import centered_moment
 
@@ -358,7 +364,7 @@ def _cmd_moments(config):
         "c": report.c,
         "rows": rows,
     }
-    return result, {"moments": (header, rows)}
+    return result, {"moments": (header, rows)}, (state, kernel, report)
 
 
 def _cmd_limit(config):
@@ -382,14 +388,11 @@ def _cmd_limit(config):
 
 def _cmd_convergence(config):
     from .errors import ToleranceError
-    from .hoeffding import kernel_components, variance_formula
+    from .hoeffding import variance_formula
     from .ustat import assemble_direct, variance_exact
 
-    result, tables = _cmd_moments(config)
-    state = _load_state(config["state"])
-    kernel = _load_kernel(config["kernel"], state)
+    result, tables, (state, kernel, report) = _moments(config)
     budget = config.get("dim_budget")
-    report = kernel_components(kernel, state)
     variance_rows = []
     for n in sorted(set(config["n_list"])):
         stat = assemble_direct(kernel, n, budget=budget)

@@ -8,6 +8,10 @@ re-embeds the result with identities.  The projections
 
 are mutually orthogonal in L^2(rho^{\\otimes n}) across distinct subsets
 and sum to the identity map over all subsets.
+
+The order-l component of an order-r kernel never leaves d^l sites: the
+kernel is first contracted against rho on sites l+1..r, and P_{1..l} is
+taken of that reduced operator on l sites.
 """
 
 import itertools
@@ -23,10 +27,8 @@ from .operators import (
     _embedded_add,
     binom,
     check_dim_budget,
-    eigenframe,
     hermitize,
-    rotate_sites,
-    tensor_weights,
+    weighted_trace,
 )
 
 # A component counts as vanishing when its Frobenius norm falls below
@@ -152,10 +154,13 @@ def kernel_components(kernel, rho, tol=None):
     """Decompose a kernel into its orthogonal components K_0, ..., K_r.
 
     K_l is P_{{1..l}}(K) restricted to the first l sites; K_0 is the mean
-    theta times the trivial kernel.  The degeneracy order c is the
-    smallest l >= 1 whose component has Frobenius norm at least
-    tol (default DEGENERACY_RTOL times the kernel norm).  c is None when
-    all of them vanish, i.e. the kernel is a multiple of the identity.
+    theta times the trivial kernel.  Each K_l is built on d^l sites: by
+    the tower property E(K | B) = E(E(K | {1..l}) | B) for B inside
+    {1..l}, so K_l is P_{{1..l}} of K with sites l+1..r contracted
+    against rho.  The degeneracy order c is the smallest l >= 1 whose
+    component has Frobenius norm at least tol (default DEGENERACY_RTOL
+    times the kernel norm).  c is None when all of them vanish, i.e. the
+    kernel is a multiple of the identity.
     """
     d, r = kernel.d, kernel.r
     if rho.d != d:
@@ -166,39 +171,15 @@ def kernel_components(kernel, rho, tol=None):
     theta = None
     c = None
     for l in range(r + 1):
-        proj = hoeffding_project(kernel.op, SiteSubset(r, tuple(range(1, l + 1))), rho, n=r, d=d)
-        reduced = _restrict_identity_block(proj.entries, r, d, l)
-        comp_kernel = Kernel(d, l, hermitize(reduced))
-        norm_sq = _weighted_norm_sq(comp_kernel.op.entries, rho, l)
+        reduced = _reduce_to_sites(kernel.op.entries, r, d, range(l), rho)
+        comp_kernel = Kernel(d, l, hoeffding_project(reduced, range(1, l + 1), rho, n=l, d=d))
+        norm_sq = weighted_trace(comp_kernel.op.entries, rho, l, 2)
         if l == 0:
             theta = float(comp_kernel.op.entries[0, 0].real)
-        elif c is None and np.linalg.norm(reduced) >= tol:
+        elif c is None and comp_kernel.op.frobenius_norm() >= tol:
             c = l
         components.append(HoeffdingComponent(l=l, kernel=comp_kernel, norm_sq=norm_sq))
     return DegeneracyReport(theta=theta, c=c, components=tuple(components))
-
-
-def _restrict_identity_block(matrix, r, d, l):
-    """Extract R from matrix == R tensor identity on the last r - l sites."""
-    if l == r:
-        return matrix.copy()
-    t = matrix.reshape((d,) * (2 * r))
-    # partial trace over the trailing sites, divided by their dimension
-    for s in range(r - 1, l - 1, -1):
-        k = s + 1  # sites currently present
-        t = np.trace(t, axis1=s, axis2=k + s)
-    return np.ascontiguousarray(t).reshape(d ** l, d ** l) / d ** (r - l)
-
-
-def _weighted_norm_sq(matrix, rho, l):
-    """Tr(rho^{otimes l} matrix^2) for a matrix on l sites."""
-    if l == 0:
-        return float((matrix[0, 0] ** 2).real)
-    w1, u = eigenframe(rho)
-    m = matrix if u is None else rotate_sites(matrix, l, rho.d, u)
-    w = tensor_weights(w1, l)
-    val = np.einsum("i,ij,ji->", w, m, m)
-    return float(val.real)
 
 
 def variance_formula(report, n):

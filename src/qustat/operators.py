@@ -441,11 +441,28 @@ def tensor_power_state(rho, n, budget=None):
     return out
 
 
-def product_trace(weights, left, right=None):
-    """Tr(diag(weights) . left . right) without forming the product matrix."""
-    if right is None:
-        return complex(np.einsum("i,ii->", weights, left))
-    return complex(np.einsum("i,ij,ji->", weights, left, right))
+def _weighted_power_trace(w, m, p):
+    """Tr(diag(w) m^p) using one split; no product larger than m itself."""
+    if p == 1:
+        return complex(np.einsum("i,ii->", w, m))
+    a, b = p // 2, p - p // 2
+    x = m
+    for _ in range(a - 1):
+        x = x @ m
+    y = x if b == a else x @ m
+    return complex(np.einsum("i,ij,ji->", w, x, y))
+
+
+def weighted_trace(matrix, rho, n, p=1):
+    """Tr(rho^{\\otimes n} matrix^p) for a matrix on n sites.
+
+    The matrix is rotated into the eigenframe of rho only when rho is not
+    diagonal; the trace of the power is then weighted by the product
+    eigenvalues.
+    """
+    w1, u = eigenframe(rho)
+    m = matrix if u is None else rotate_sites(matrix, n, rho.d, u)
+    return float(_weighted_power_trace(tensor_weights(w1, n), m, p).real)
 
 
 def binom(n, k):

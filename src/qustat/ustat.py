@@ -18,19 +18,19 @@ from .operators import (
     HermitianOperator,
     Kernel,
     _embedded_add,
+    _weighted_power_trace,
     binom,
     check_dim_budget,
     eigenframe,
     frobenius,
     hermitize,
-    site_transpose,
     symmetrize,
     symmetrize_kernel,
     tensor_weights,
+    weighted_trace,
 )
 
 CENTERING_TOL = 1e-10
-SYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -40,26 +40,6 @@ class UStatistic:
     n: int
     kernel: Kernel
     op: HermitianOperator
-
-    def validate(self, rho=None, tol=SYMMETRY_TOL):
-        """Check permutation symmetry and, given a state, unbiasedness."""
-        d, n = self.kernel.d, self.n
-        scale = max(1.0, self.op.frobenius_norm())
-        for i in range(n - 1):
-            gap = frobenius(self.op.entries - site_transpose(self.op.entries, n, d, i))
-            if gap > tol * scale:
-                raise ValidationError(
-                    "statistic not symmetric under swap of sites %d,%d (gap %.3e)"
-                    % (i + 1, i + 2, gap)
-                )
-        if rho is not None:
-            mean = expectation(self.op.entries, rho, n)
-            theta = expectation(self.kernel.op.entries, rho, self.kernel.r)
-            if abs(mean - theta) > tol * scale:
-                raise ValidationError(
-                    "statistic mean %.12g != kernel mean %.12g" % (mean, theta)
-                )
-        return self
 
 
 def assemble_direct(kernel, n, budget=None):
@@ -86,46 +66,10 @@ def _assemble_diagonal(diag, d, r, n):
     return out.reshape(-1) / binom(n, r)
 
 
-def expectation(matrix, rho, n):
-    """Tr(rho^{otimes n} matrix) for a matrix on n sites."""
-    w1, u = eigenframe(rho)
-    if u is None:
-        m = matrix
-    else:
-        from .operators import rotate_sites
-
-        m = rotate_sites(matrix, n, rho.d, u)
-    w = tensor_weights(w1, n)
-    val = np.einsum("i,ii->", w, m)
-    return float(val.real)
-
-
-def _weighted_power_trace(w, m, p):
-    """Tr(diag(w) m^p) using one split; no product larger than m itself."""
-    if p == 1:
-        return complex(np.einsum("i,ii->", w, m))
-    a, b = p // 2, p - p // 2
-    x = m
-    for _ in range(a - 1):
-        x = x @ m
-    y = x if b == a else x @ m
-    return complex(np.einsum("i,ij,ji->", w, x, y))
-
-
 def variance_exact(ustat, rho):
     """Var(U_n) = Tr(rho^n U^2) - theta^2 from the dense operator."""
-    n, d = ustat.n, ustat.kernel.d
-    w1, u = eigenframe(rho)
-    if u is None:
-        m = ustat.op.entries
-    else:
-        from .operators import rotate_sites
-
-        m = rotate_sites(ustat.op.entries, n, d, u)
-    w = tensor_weights(w1, n)
-    theta = float(np.einsum("i,ii->", w, m).real)
-    second = float(_weighted_power_trace(w, m, 2).real)
-    return second - theta ** 2
+    m, n = ustat.op.entries, ustat.n
+    return weighted_trace(m, rho, n, 2) - weighted_trace(m, rho, n) ** 2
 
 
 def centered_moment(kernel, rho, n, p, exponent=None, factor=None, budget=None):
@@ -144,7 +88,7 @@ def centered_moment(kernel, rho, n, p, exponent=None, factor=None, budget=None):
     w1, u = eigenframe(rho)
     k = kernel if u is None else kernel.rotated(u)
     wr = tensor_weights(w1, r)
-    theta = float(np.einsum("i,ii->", wr, k.op.entries).real)
+    theta = float(_weighted_power_trace(wr, k.op.entries, 1).real)
     w = tensor_weights(w1, n)
     kmat = k.op.entries
     if not np.any(kmat - np.diag(np.diag(kmat))):
@@ -307,7 +251,7 @@ def _factor_matrices(factors, rho):
     mats = []
     for i, f in enumerate(factors):
         m = f.entries if isinstance(f, HermitianOperator) else np.asarray(f, dtype=complex)
-        mean = expectation(m, rho, 1)
+        mean = weighted_trace(m, rho, 1)
         if abs(mean) > CENTERING_TOL * max(1.0, frobenius(m)):
             raise ValidationError(
                 "factor %d is not centered: mean %.3e" % (i + 1, mean)

@@ -1,17 +1,21 @@
 """Command line front end: configs, outputs, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import qustat
 from qustat import ValidationError, symmetrize_kernel
 from qustat.cli import run
 from qustat.serialize import matrix_to_json
 
 STATE_75 = {"eigenvalues": [0.75, 0.25]}
+# The CLI subprocess imports the same qustat package as the tests.
+QUSTAT_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(qustat.__file__)))
 
 
 def _write_config(tmp_path, config, name="config.json"):
@@ -189,6 +193,8 @@ def _run_cli(tmp_path, config):
         [sys.executable, "-m", "qustat.cli", "--config", cfg, "--out-dir", str(out)],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [QUSTAT_ROOT, os.environ.get("PYTHONPATH")]))),
     )
 
 

@@ -13,7 +13,7 @@ from qustat import (
     symmetrize_kernel,
     variance_formula,
 )
-from qustat.operators import hermitize, tensor_power_state
+from qustat.operators import hermitize, site_permute, tensor_power_state
 from qustat.ustat import assemble_direct, variance_exact
 
 ATOL = 1e-12
@@ -116,3 +116,25 @@ def test_projection_orthogonal_to_coarser_conditioning(rho_75):
 def test_subset_site_count_mismatch_raises(rho_75):
     with pytest.raises(ValidationError):
         cond_expectation(np.eye(4, dtype=complex), (3,), rho_75, n=2, d=2)
+
+
+def test_components_on_leading_sites_are_projections_on_r_sites():
+    import itertools
+
+    rng = np.random.default_rng(5)
+    r = 3
+    for d, spectrum in ((2, [0.7, 0.3]), (3, [0.5, 0.3, 0.2])):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        u, _ = np.linalg.qr(g)
+        rho = DensityMatrix.from_eigenvalues(spectrum, rotation=u)
+        assert not rho.is_diagonal
+        g = rng.standard_normal((d ** r,) * 2) + 1j * rng.standard_normal((d ** r,) * 2)
+        h = (g + g.conj().T) / 2.0
+        perms = list(itertools.permutations(range(r)))
+        sym = sum(site_permute(h, r, d, perm) for perm in perms) / len(perms)
+        k = Kernel(d, r, hermitize(sym))
+        report = kernel_components(k, rho)
+        for l in range(r + 1):
+            lifted = np.kron(report.components[l].kernel.op.entries, np.eye(d ** (r - l)))
+            proj = hoeffding_project(k.op, tuple(range(1, l + 1)), rho, n=r, d=d)
+            np.testing.assert_allclose(lifted, proj.entries, atol=ATOL)

@@ -21,11 +21,11 @@ from qustat import (
 )
 from qustat.operators import (
     eigenframe,
-    product_trace,
     rotate_sites,
     site_permute,
     tensor_power_state,
     tensor_weights,
+    weighted_trace,
 )
 
 ATOL = 1e-12
@@ -214,9 +214,13 @@ def test_rotate_sites_matches_global_conjugation():
     )
 
 
-def test_product_trace_is_weighted_trace():
-    w = np.array([0.7, 0.3])
-    a, b = random_hermitian(2), random_hermitian(2)
-    np.testing.assert_allclose(
-        product_trace(w, a, b), np.trace(np.diag(w) @ a @ b), atol=ATOL
-    )
+def test_weighted_trace_matches_dense_power():
+    rng = np.random.default_rng(11)
+    rho = DensityMatrix.from_eigenvalues([0.5, 0.3, 0.2], rotation=random_unitary(3, rng))
+    assert not rho.is_diagonal
+    for n in (1, 2, 3):
+        m = random_hermitian(3 ** n, rng) / 3 ** n
+        state = tensor_power_state(rho, n)
+        for p in (1, 2, 3, 4):
+            want = np.trace(state @ np.linalg.matrix_power(m, p)).real
+            np.testing.assert_allclose(weighted_trace(m, rho, n, p), want, rtol=1e-10, atol=ATOL)

@@ -13,7 +13,7 @@ from qustat import (
     fluctuation_form,
     symmetrize_kernel,
 )
-from qustat.operators import hermitize, tensor_weights
+from qustat.operators import hermitize, site_transpose, tensor_weights, weighted_trace
 
 ATOL = 1e-12
 ROUTE_RTOL = 1e-9
@@ -28,7 +28,11 @@ def test_pair_statistic_spectrum_and_born_weights(rho_75, paulis):
     sx, sy, _ = paulis
     k = symmetrize_kernel([sx, sy])
     stat = assemble_direct(k, 2)
-    stat.validate(rho_75)
+    m = stat.op.entries
+    np.testing.assert_allclose(site_transpose(m, 2, 2, 0), m, atol=ATOL)
+    np.testing.assert_allclose(
+        weighted_trace(m, rho_75, 2), weighted_trace(k.op.entries, rho_75, 2), atol=ATOL
+    )
     vals, vecs = np.linalg.eigh(stat.op.entries)
     np.testing.assert_allclose(sorted(vals), [-1.0, 0.0, 0.0, 1.0], atol=ATOL)
     w = tensor_weights(np.array([0.75, 0.25]), 2)
