@@ -8,7 +8,9 @@ is zero exactly at the null, so only large values of n U_n speak against
 it: the default critical region is the upper tail beyond the (1 - alpha)
 quantile of that limit law, obtained by Monte Carlo on the exact limit
 distribution (Born sampling per oscillator, Gaussian sampling for the
-commutative block).
+commutative block).  The limit law is built once per test run and serves
+every sample size; the level and power at each n are exact Born sums over
+the spectrum of n U_n, not samples from it.
 """
 
 import itertools
@@ -139,29 +141,29 @@ def simulate_measurement(op, state, replicates, seed):
 
 @dataclass(frozen=True)
 class TestSpec:
-    """Configuration of one hypothesis-test simulation.
+    """Configuration of one goodness-of-fit test over several sample sizes.
 
-    A caller-given `interval` (a, b) is a two-sided acceptance interval:
-    the test rejects when n U_n < a or n U_n > b.  Without it `run_test`
-    rejects in the upper tail of the limit law.
+    `n_list` holds the sample sizes n (each at least 2) at which the test
+    is evaluated.  A caller-given `interval` (a, b) is a two-sided
+    acceptance interval: the test rejects when n U_n < a or n U_n > b.
+    Without it `run_test` rejects in the upper tail of the limit law.
     """
 
     __test__ = False  # not a test case, despite the name
 
     null_state: DensityMatrix
     alpha: float
-    n: int
-    mc_replicates: int
+    n_list: tuple
     seed: int
     interval: tuple = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must be in (0, 1)")
-        if self.n < 2:
-            raise ValidationError("need n >= 2 samples")
-        if self.mc_replicates < 1:
-            raise ValidationError("need at least one measurement replicate")
+        n_list = tuple(int(n) for n in self.n_list)
+        if not n_list or min(n_list) < 2:
+            raise ValidationError("need a non-empty n_list with every n >= 2")
+        object.__setattr__(self, "n_list", n_list)
         if self.interval is not None:
             a, b = self.interval
             if not a < b:
@@ -171,15 +173,19 @@ class TestSpec:
 
 @dataclass(frozen=True)
 class TestResult:
+    """Exact level and power of the test at one sample size n.
+
+    The rates are exact Born sums, so the standard errors written by
+    `to_json` are 0 (None for the power when there is no alternative).
+    """
+
     __test__ = False  # not a test case, despite the name
 
     n: int
     alpha: float
     interval: tuple
     alpha_hat: float
-    alpha_se: float
     beta_hat: object  # float or None
-    beta_se: object
     theta_true: object
     limit_moments: dict
 
@@ -189,9 +195,9 @@ class TestResult:
             "alpha": float(self.alpha),
             "interval": [float(self.interval[0]), float(self.interval[1])],
             "alpha_hat": float(self.alpha_hat),
-            "alpha_se": float(self.alpha_se),
+            "alpha_se": 0.0,
             "beta_hat": None if self.beta_hat is None else float(self.beta_hat),
-            "beta_se": None if self.beta_se is None else float(self.beta_se),
+            "beta_se": None if self.beta_hat is None else 0.0,
             "theta_true": None if self.theta_true is None else float(self.theta_true),
             "limit_moments": {k: float(v) for k, v in self.limit_moments.items()},
         }
@@ -265,94 +271,57 @@ def sample_limit_law(limit, basis, draws, seed, trunc=DEFAULT_TRUNC):
     return total
 
 
-def _display_second_moment(rho, basis):
-    """Second moment of the plain-probe form of the goodness limit.
-
-    Uses the full singular covariance of all d diagonal probes and one
-    unweighted number-type term per oscillator; recorded alongside the
-    kernel-derived moment so any gap between the two is visible.
-    """
-    lam = basis.eigenvalues
-    v_full = np.diag(lam) - np.outer(lam, lam)
-    classical = 2.0 * float(np.sum(v_full ** 2))
-    osc = 0.0
-    for pair in basis.oscillator_pairs:
-        osc += 4.0 - 1.0 / pair.sigma_sq ** 2
-    return classical + osc
-
-
 def run_test(spec, alternative=None, trunc=DEFAULT_TRUNC,
              limit_draws=DEFAULT_LIMIT_DRAWS, budget=None):
-    """Simulate the goodness-of-fit test of a reference state.
+    """Exact level and power of the goodness-of-fit test at each n of spec.n_list.
 
-    Measures n * U_n on spec.n copies and rejects outside the acceptance
-    interval.  That is spec.interval when given; otherwise the test
-    rejects when n * U_n exceeds the (1 - spec.alpha) quantile q of the
-    limit law, estimated from seeded Monte Carlo draws, and the reported
-    interval is (smallest eigenvalue of n * U_n, q), so no outcome falls
-    below it.  Returns a TestResult with rejection/acceptance rates under
-    the null and, when an alternative state is given, under the
-    alternative.
+    The null limit law is built once per call.  Without spec.interval the
+    test rejects when n * U_n exceeds the (1 - spec.alpha) quantile q of
+    that law, estimated from seeded Monte Carlo draws (the only random
+    draws made here), and the reported interval is (smallest eigenvalue
+    of n * U_n, q), so no outcome falls below it.  At each n the rejection
+    rate under the null and, when an alternative state is given, the
+    acceptance rate under it are exact Born sums over the spectrum of
+    n * U_n.  Returns one TestResult per n, in the order of spec.n_list.
     """
     rho = spec.null_state
+    if alternative is not None and not alternative.is_diagonal:
+        raise ValidationError("alternative state must be diagonal too")
     kernel = goodness_kernel(rho)
-    report = kernel_components(kernel, rho)
     basis = build_ccr_basis(rho)
-    limit = kernel_to_limit(kernel, report, basis)
-
-    seed_root = np.random.SeedSequence(spec.seed)
-    limit_seed, null_seed, alt_seed = seed_root.spawn(3)
-
-    stat = assemble_direct(kernel, spec.n, budget=budget)
-    scaled = spec.n * stat.op.entries
-    vals, vecs = np.linalg.eigh(scaled)
-
-    if spec.interval is not None:
-        interval = spec.interval
-    else:
-        draws = sample_limit_law(limit, basis, limit_draws, limit_seed, trunc=trunc)
-        interval = (float(vals[0]), float(np.quantile(draws, 1.0 - spec.alpha)))
-
-    null_w = tensor_weights(np.real(np.diag(rho.entries)), spec.n)
-    probs0 = _born_probabilities(vecs, null_w)
-    rng0 = np.random.default_rng(null_seed)
-    out0 = vals[rng0.choice(len(vals), size=spec.mc_replicates, p=probs0)]
-    reject0 = (out0 < interval[0]) | (out0 > interval[1])
-    alpha_hat = float(reject0.mean())
-    alpha_se = math.sqrt(alpha_hat * (1.0 - alpha_hat) / spec.mc_replicates)
-
-    beta_hat = beta_se = theta_true = None
-    if alternative is not None:
-        sigma = alternative
-        if not sigma.is_diagonal:
-            raise ValidationError("alternative state must be diagonal too")
-        theta_true = float(np.real(np.sum(np.abs(sigma.entries - rho.entries) ** 2)))
-        alt_w = tensor_weights(np.real(np.diag(sigma.entries)), spec.n)
-        probs1 = _born_probabilities(vecs, alt_w)
-        rng1 = np.random.default_rng(alt_seed)
-        out1 = vals[rng1.choice(len(vals), size=spec.mc_replicates, p=probs1)]
-        accept1 = (out1 >= interval[0]) & (out1 <= interval[1])
-        beta_hat = float(accept1.mean())
-        beta_se = math.sqrt(beta_hat * (1.0 - beta_hat) / spec.mc_replicates)
-
+    limit = kernel_to_limit(kernel, kernel_components(kernel, rho), basis)
     kernel_second = limit_moment(limit, basis, 2, method="wick")
-    display_second = _display_second_moment(rho, basis)
-    limit_moments = {
-        "kernel_second_moment": kernel_second,
-        "display_second_moment": display_second,
-        "second_moment_gap": abs(kernel_second - display_second),
-    }
-    return TestResult(
-        n=spec.n,
-        alpha=spec.alpha,
-        interval=interval,
-        alpha_hat=alpha_hat,
-        alpha_se=alpha_se,
-        beta_hat=beta_hat,
-        beta_se=beta_se,
-        theta_true=theta_true,
-        limit_moments=limit_moments,
-    )
+    if spec.interval is None:
+        limit_seed = np.random.SeedSequence(spec.seed).spawn(1)[0]
+        draws = sample_limit_law(limit, basis, limit_draws, limit_seed, trunc=trunc)
+        quantile = float(np.quantile(draws, 1.0 - spec.alpha))
+    theta_true = None
+    if alternative is not None:
+        theta_true = float(np.real(np.sum(np.abs(alternative.entries - rho.entries) ** 2)))
+
+    results = []
+    for n in spec.n_list:
+        # only the scaled matrix is kept, so eigh holds one d^n x d^n copy fewer
+        scaled = n * assemble_direct(kernel, n, budget=budget).op.entries
+        vals, vecs = np.linalg.eigh(scaled)
+        interval = spec.interval if spec.interval is not None else (float(vals[0]), quantile)
+        accept = (vals >= interval[0]) & (vals <= interval[1])
+        null_w = tensor_weights(np.real(np.diag(rho.entries)), n)
+        alpha_hat = float(_born_probabilities(vecs, null_w)[~accept].sum())
+        beta_hat = None
+        if alternative is not None:
+            alt_w = tensor_weights(np.real(np.diag(alternative.entries)), n)
+            beta_hat = float(_born_probabilities(vecs, alt_w)[accept].sum())
+        results.append(TestResult(
+            n=n,
+            alpha=spec.alpha,
+            interval=interval,
+            alpha_hat=alpha_hat,
+            beta_hat=beta_hat,
+            theta_true=theta_true,
+            limit_moments={"kernel_second_moment": kernel_second},
+        ))
+    return results
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,7 @@ CONFIG_SCHEMA = {
             },
         },
         "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+        # Accepted and ignored: test-sim rates are exact Born sums.
         "mc_replicates": {"type": "integer", "minimum": 1},
         "limit_draws": {"type": "integer", "minimum": 1},
         "alternative": SCHEMA_STATE,
@@ -430,30 +431,28 @@ def _cmd_convergence(config):
 def _cmd_test_sim(config):
     from .apps import TestSpec, run_test
 
-    _require(config, "state", "alpha", "n_list", "mc_replicates")
+    _require(config, "state", "alpha", "n_list")
     state = _load_state(config["state"])
     alternative = None
     if "alternative" in config:
         alternative = _load_state(config["alternative"])
-    interval = tuple(config["interval"]) if "interval" in config else None
-    results = []
-    for n in sorted(set(config["n_list"])):
-        spec = TestSpec(
-            null_state=state,
-            alpha=config["alpha"],
-            n=n,
-            mc_replicates=config["mc_replicates"],
-            seed=config["seed"],
-            interval=interval,
-        )
-        res = run_test(
+    spec = TestSpec(
+        null_state=state,
+        alpha=config["alpha"],
+        n_list=tuple(sorted(set(config["n_list"]))),
+        seed=config["seed"],
+        interval=tuple(config["interval"]) if "interval" in config else None,
+    )
+    results = [
+        res.to_json()
+        for res in run_test(
             spec,
             alternative=alternative,
             trunc=config["trunc"],
             limit_draws=config["limit_draws"],
             budget=config.get("dim_budget"),
         )
-        results.append(res.to_json())
+    ]
     rows = [
         {
             "n": r["n"],

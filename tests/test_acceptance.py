@@ -385,11 +385,8 @@ def test_criterion_09():
     alpha_hat = None
     exact_betas = []
     ns = (4, 6, 8, 10)
-    for n in ns:
-        spec = TestSpec(
-            null_state=RHO_75, alpha=0.05, n=n, mc_replicates=10 ** 4, seed=0,
-        )
-        result = run_test(spec, alternative=alternative)
+    spec = TestSpec(null_state=RHO_75, alpha=0.05, n_list=ns, seed=0)
+    for n, result in zip(ns, run_test(spec, alternative=alternative)):
         if n == 10:
             alpha_hat = result.alpha_hat
         # Exact acceptance probability under the alternative: Born weights
@@ -401,7 +398,7 @@ def test_criterion_09():
         )
         exact = float(probs[(vals >= lo) & (vals <= hi)].sum())
         exact_betas.append(exact)
-        se = max(result.beta_se, 1e-4)
+        se = max(result.to_json()["beta_se"], 1e-4)
         if not abs(result.beta_hat - exact) < 4.0 * se:
             failures.append(
                 "acceptance rate %.4f under diag(0.6, 0.4) at n=%d is more "

@@ -85,65 +85,85 @@ def test_simulate_measurement_distribution(rho_75, paulis):
 
 def test_spec_validation(rho_75):
     with pytest.raises(ValidationError):
-        TestSpec(null_state=rho_75, alpha=1.5, n=4, mc_replicates=10, seed=0)
+        TestSpec(null_state=rho_75, alpha=1.5, n_list=(4,), seed=0)
     with pytest.raises(ValidationError):
-        TestSpec(null_state=rho_75, alpha=0.05, n=1, mc_replicates=10, seed=0)
+        TestSpec(null_state=rho_75, alpha=0.05, n_list=(4, 1), seed=0)
+    with pytest.raises(ValidationError):
+        TestSpec(null_state=rho_75, alpha=0.05, n_list=(), seed=0)
     with pytest.raises(ValidationError):
         TestSpec(
-            null_state=rho_75, alpha=0.05, n=4, mc_replicates=10, seed=0,
+            null_state=rho_75, alpha=0.05, n_list=(4,), seed=0,
             interval=(2.0, 1.0),
         )
 
 
 def test_run_test_trivial_interval_never_rejects(rho_75):
     spec = TestSpec(
-        null_state=rho_75, alpha=0.05, n=4, mc_replicates=500, seed=3,
+        null_state=rho_75, alpha=0.05, n_list=(4,), seed=3,
         interval=(-1e9, 1e9),
     )
-    result = run_test(spec)
+    (result,) = run_test(spec)
     assert result.alpha_hat == 0.0
     assert result.beta_hat is None
-    moments = result.limit_moments
-    assert set(moments) == {
-        "kernel_second_moment",
-        "display_second_moment",
-        "second_moment_gap",
-    }
-    np.testing.assert_allclose(moments["kernel_second_moment"], 1.03125, rtol=1e-10)
-    np.testing.assert_allclose(moments["display_second_moment"], 3.28125, rtol=1e-10)
-    np.testing.assert_allclose(moments["second_moment_gap"], 2.25, rtol=1e-10)
+    assert result.limit_moments.keys() == {"kernel_second_moment"}
+    np.testing.assert_allclose(
+        result.limit_moments["kernel_second_moment"], 1.03125, rtol=1e-10
+    )
+
+
+def _exact_rates(n, interval, null=(0.75, 0.25), alternative=(0.9, 0.1)):
+    """Born rejection under the null and acceptance under the alternative."""
+    vals, vecs = np.linalg.eigh(n * assemble_direct(goodness_kernel(
+        DensityMatrix.from_eigenvalues(list(null))), n).op.entries)
+    accept = (vals >= interval[0]) & (vals <= interval[1])
+    rates = []
+    for weights, region in ((null, ~accept), (alternative, accept)):
+        w = tensor_weights(np.array(weights), n)
+        rates.append(float(np.einsum("i,ik->k", w, np.abs(vecs) ** 2)[region].sum()))
+    return rates
 
 
 def test_run_test_matches_exact_born_rejection(rho_75):
     n = 6
     interval = (-0.8, 2.0)
-    kernel = goodness_kernel(rho_75)
-    stat = assemble_direct(kernel, n)
-    vals, vecs = np.linalg.eigh(n * stat.op.entries)
-    w = tensor_weights(np.array([0.75, 0.25]), n)
-    probs = np.einsum("i,ik->k", w, np.abs(vecs) ** 2)
-    exact = float(probs[(vals < interval[0]) | (vals > interval[1])].sum())
+    exact, _ = _exact_rates(n, interval)
     spec = TestSpec(
-        null_state=rho_75, alpha=0.05, n=n, mc_replicates=20000, seed=14,
-        interval=interval,
+        null_state=rho_75, alpha=0.05, n_list=(n,), seed=14, interval=interval,
     )
-    result = run_test(spec)
-    se = max(result.alpha_se, 1e-4)
-    assert abs(result.alpha_hat - exact) < 4.0 * se
+    (result,) = run_test(spec)
+    np.testing.assert_allclose(result.alpha_hat, exact, rtol=0.0, atol=1e-12)
+
+
+def test_run_test_rates_match_monte_carlo_measurement(rho_75):
+    n, replicates = 6, 20000
+    alt = DensityMatrix.from_eigenvalues([0.9, 0.1])
+    spec = TestSpec(null_state=rho_75, alpha=0.05, n_list=(n,), seed=6)
+    (result,) = run_test(spec, alternative=alt)
+    lo, hi = result.interval
+    scaled = n * assemble_direct(goodness_kernel(rho_75), n).op.entries
+    for weights, seed, exact, rejects in (
+        ([0.75, 0.25], 61, result.alpha_hat, True),
+        ([0.9, 0.1], 62, result.beta_hat, False),
+    ):
+        out = simulate_measurement(
+            scaled, tensor_weights(np.array(weights), n), replicates, seed
+        )
+        inside = (out >= lo) & (out <= hi)
+        rate = float((~inside if rejects else inside).mean())
+        se = np.sqrt(exact * (1.0 - exact) / replicates)
+        assert abs(rate - exact) < 4.0 * se, (weights, rate, exact)
 
 
 def test_run_test_default_interval_is_upper_tail(rho_75):
     n, alpha = 10, 0.05
-    spec = TestSpec(
-        null_state=rho_75, alpha=alpha, n=n, mc_replicates=1000, seed=0,
-    )
-    result = run_test(spec)
+    spec = TestSpec(null_state=rho_75, alpha=alpha, n_list=(n,), seed=0)
+    (result,) = run_test(spec)
     kernel = goodness_kernel(rho_75)
     vals, vecs = np.linalg.eigh(n * assemble_direct(kernel, n).op.entries)
     np.testing.assert_allclose(result.interval[0], vals[0], rtol=0.0, atol=ATOL)
     basis = build_ccr_basis(rho_75)
     limit = kernel_to_limit(kernel, kernel_components(kernel, rho_75), basis)
-    limit_seed = np.random.SeedSequence(0).spawn(3)[0]
+    limit_seed = np.random.SeedSequence(0).spawn(1)[0]
     draws = sample_limit_law(limit, basis, DEFAULT_LIMIT_DRAWS, limit_seed)
     np.testing.assert_allclose(
         result.interval[1], np.quantile(draws, 1.0 - alpha), rtol=0.0, atol=ATOL
@@ -156,31 +176,33 @@ def test_run_test_default_interval_is_upper_tail(rho_75):
     np.testing.assert_allclose(
         probs[vals > result.interval[1]].sum(), 0.0515, atol=5e-5
     )
+    np.testing.assert_allclose(result.alpha_hat, 0.0515, atol=5e-5)
+    assert result.to_json()["alpha_se"] == 0.0
 
 
 def test_run_test_alternative_reports_power(rho_75):
     alt = DensityMatrix.from_matrix(np.diag([0.9, 0.1]))
+    interval = (-0.5, 0.5)
     spec = TestSpec(
-        null_state=rho_75, alpha=0.05, n=4, mc_replicates=2000, seed=5,
-        interval=(-0.5, 0.5),
+        null_state=rho_75, alpha=0.05, n_list=(4,), seed=5, interval=interval,
     )
-    result = run_test(spec, alternative=alt)
+    (result,) = run_test(spec, alternative=alt)
     np.testing.assert_allclose(result.theta_true, 0.045, atol=ATOL)
-    assert 0.0 <= result.beta_hat <= 1.0
-    assert result.beta_se is not None
+    np.testing.assert_allclose(
+        result.beta_hat, _exact_rates(4, interval)[1], rtol=0.0, atol=1e-12
+    )
     payload = result.to_json()
     assert payload["theta_true"] == pytest.approx(0.045)
+    assert payload["beta_se"] == 0.0
     assert isinstance(payload["limit_moments"], dict)
 
 
 def test_run_test_seeded_runs_are_identical(rho_75):
-    spec = TestSpec(
-        null_state=rho_75, alpha=0.1, n=4, mc_replicates=1000, seed=21,
-    )
+    spec = TestSpec(null_state=rho_75, alpha=0.1, n_list=(4, 6), seed=21)
     first = run_test(spec, limit_draws=20000)
     second = run_test(spec, limit_draws=20000)
-    assert first.interval == second.interval
-    assert first.alpha_hat == second.alpha_hat
+    assert [r.n for r in first] == [4, 6]
+    assert first == second
 
 
 def test_sample_limit_law_moments(rho_75):

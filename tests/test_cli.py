@@ -119,10 +119,59 @@ def test_test_sim_with_fixed_interval(tmp_path):
     }
     out, result, _ = _run(tmp_path, config)
     assert result["alpha_hat"] == 0.0
-    assert result["limit_moments"]["second_moment_gap"] == pytest.approx(2.25, rel=1e-9)
+    assert result["alpha_se"] == 0.0
+    assert result["limit_moments"] == {
+        "kernel_second_moment": pytest.approx(1.03125, rel=1e-10)
+    }
     csv = (out / "tables" / "test.csv").read_text(encoding="utf-8")
     header = csv.splitlines()[0]
     assert header == "n,alpha_hat,alpha_se,beta_hat,beta_se,interval_lo,interval_hi"
+
+
+def test_test_sim_builds_the_limit_law_once(tmp_path, monkeypatch):
+    import qustat.apps
+
+    calls = {"sample_limit_law": 0, "kernel_components": 0}
+    for name in calls:
+        original = getattr(qustat.apps, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(qustat.apps, name, counted)
+    config = {
+        "command": "test-sim",
+        "state": STATE_75,
+        "alpha": 0.05,
+        "n_list": [10, 4, 8, 6, 4],
+        "limit_draws": 10000,
+    }
+    _, result, _ = _run(tmp_path, config)
+    assert calls == {"sample_limit_law": 1, "kernel_components": 1}
+    rows = result["results"]
+    assert [r["n"] for r in rows] == [4, 6, 8, 10]
+    assert len({r["interval"][1] for r in rows}) == 1
+
+
+def test_test_sim_ignores_mc_replicates(tmp_path):
+    config = {
+        "command": "test-sim",
+        "state": STATE_75,
+        "alternative": {"eigenvalues": [0.6, 0.4]},
+        "alpha": 0.05,
+        "n_list": [4, 6],
+        "limit_draws": 10000,
+    }
+    outputs = []
+    for name, extra in (("without", {}), ("with", {"mc_replicates": 10 ** 4})):
+        cfg = _write_config(tmp_path, dict(config, **extra), name="%s.json" % name)
+        out = tmp_path / name
+        run(cfg, str(out))
+        outputs.append([
+            (out / rel).read_bytes() for rel in ("result.json", "tables/test.csv")
+        ])
+    assert outputs[0] == outputs[1]
 
 
 def test_metrology_from_matrix_config(tmp_path):
