@@ -1,126 +1,58 @@
-"""Quantum U-statistics: exact finite-n moments and their limit laws."""
+"""Quantum U-statistics: exact finite-n moments and their limit laws.
+
+Public names are loaded from their submodules on first access (PEP 562),
+so `import qustat.cli` does not import numpy before the CLI has set its
+BLAS thread count.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .apps import (
-    OverlapResult,
-    TestResult,
-    TestSpec,
-    goodness_kernel,
-    homogeneity_kernel,
-    metrology_overlap,
-    run_test,
-    sample_limit_law,
-    simulate_measurement,
-)
-from .ccr import (
-    CCRBasis,
-    FockRep,
-    LimitPolynomial,
-    build_ccr_basis,
-    fock_moment,
-    hermite,
-    hermite_op,
-    hermite_orthogonality_check,
-    kernel_to_limit,
-    limit_moment,
-    limit_to_poly,
-    quasifree_moment_wick,
-)
-from .errors import (
-    BudgetError,
-    ExpansionBudgetError,
-    QuStatError,
-    ToleranceError,
-    TruncationError,
-    ValidationError,
-)
-from .hoeffding import (
-    DegeneracyReport,
-    HoeffdingComponent,
-    cond_expectation,
-    hoeffding_project,
-    kernel_components,
-    variance_formula,
-)
-from .operators import (
-    DensityMatrix,
-    HermitianOperator,
-    Kernel,
-    SiteSubset,
-    embed,
-    hermitize,
-    jordan,
-    state_covariance,
-    symmetrize,
-    symmetrize_kernel,
-)
-from .serialize import matrix_from_json, matrix_to_json
-from .ustat import (
-    FluctuationForm,
-    FluctuationTerm,
-    UStatistic,
-    assemble_direct,
-    assemble_fluctuation,
-    centered_moment,
-    classical_mc_oracle,
-    fluctuation_form,
-    variance_exact,
-)
+# submodule -> the public names it defines
+_EXPORTS = {
+    "apps": (
+        "OverlapResult", "TestResult", "TestSpec", "goodness_kernel",
+        "homogeneity_kernel", "metrology_overlap", "run_test", "sample_limit_law",
+        "simulate_measurement",
+    ),
+    "ccr": (
+        "CCRBasis", "FockRep", "LimitPolynomial", "build_ccr_basis", "fock_moment",
+        "hermite", "hermite_op", "hermite_orthogonality_check", "kernel_to_limit",
+        "limit_moment", "limit_to_poly", "quasifree_moment_wick",
+    ),
+    "errors": (
+        "BudgetError", "ExpansionBudgetError", "QuStatError", "ToleranceError",
+        "TruncationError", "ValidationError",
+    ),
+    "hoeffding": (
+        "DegeneracyReport", "HoeffdingComponent", "cond_expectation",
+        "hoeffding_project", "kernel_components", "variance_formula",
+    ),
+    "operators": (
+        "DensityMatrix", "HermitianOperator", "Kernel", "SiteSubset", "embed",
+        "hermitize", "jordan", "state_covariance", "symmetrize", "symmetrize_kernel",
+    ),
+    "serialize": ("matrix_from_json", "matrix_to_json"),
+    "ustat": (
+        "FluctuationForm", "FluctuationTerm", "UStatistic", "assemble_direct",
+        "assemble_fluctuation", "centered_moment", "classical_mc_oracle",
+        "fluctuation_form", "variance_exact",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "BudgetError",
-    "CCRBasis",
-    "DegeneracyReport",
-    "DensityMatrix",
-    "ExpansionBudgetError",
-    "FluctuationForm",
-    "FluctuationTerm",
-    "FockRep",
-    "HermitianOperator",
-    "HoeffdingComponent",
-    "Kernel",
-    "LimitPolynomial",
-    "OverlapResult",
-    "QuStatError",
-    "SiteSubset",
-    "TestResult",
-    "TestSpec",
-    "ToleranceError",
-    "TruncationError",
-    "UStatistic",
-    "ValidationError",
-    "assemble_direct",
-    "assemble_fluctuation",
-    "build_ccr_basis",
-    "centered_moment",
-    "classical_mc_oracle",
-    "cond_expectation",
-    "embed",
-    "fluctuation_form",
-    "fock_moment",
-    "goodness_kernel",
-    "hermite",
-    "hermite_op",
-    "hermite_orthogonality_check",
-    "hermitize",
-    "hoeffding_project",
-    "homogeneity_kernel",
-    "jordan",
-    "kernel_components",
-    "kernel_to_limit",
-    "limit_moment",
-    "limit_to_poly",
-    "matrix_from_json",
-    "matrix_to_json",
-    "metrology_overlap",
-    "quasifree_moment_wick",
-    "run_test",
-    "sample_limit_law",
-    "simulate_measurement",
-    "state_covariance",
-    "symmetrize",
-    "symmetrize_kernel",
-    "variance_exact",
-    "variance_formula",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module("." + name, __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(importlib.import_module("." + module, __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -283,6 +283,12 @@ def run_test(spec, alternative=None, trunc=DEFAULT_TRUNC,
     rate under the null and, when an alternative state is given, the
     acceptance rate under it are exact Born sums over the spectrum of
     n * U_n.  Returns one TestResult per n, in the order of spec.n_list.
+
+    The default test is not unbiased against every alternative at small n.
+    At null diag(0.75, 0.25), alpha = 0.05 and seed 0, the purer
+    alternative diag(0.9, 0.1) is accepted with probability 0.9909, 0.9922,
+    0.9935, 0.9556 at n = 4, 6, 8, 10, above the null acceptance 0.9492,
+    0.9558, 0.9678, 0.9485.
     """
     rho = spec.null_state
     if alternative is not None and not alternative.is_diagonal:

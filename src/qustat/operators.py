@@ -21,7 +21,8 @@ ASYMMETRY_CHECK_TOL = 1e-10
 # Kernels must commute with adjacent site transpositions to within this
 # Frobenius norm.
 SYMMETRY_TOL = 1e-10
-# Largest total Hilbert space dimension any operation will materialize.
+# Largest matrix dimension any operation will materialize: d^n for a dense
+# statistic, or n + 1 for the largest spin block of a qubit statistic.
 DEFAULT_DIM_BUDGET = 2 ** 14
 
 
@@ -31,7 +32,7 @@ def check_dim_budget(dim, budget=None):
     if dim > limit:
         required = 16 * dim * dim
         raise BudgetError(
-            "total dimension %d exceeds budget %d (a dense matrix needs "
+            "matrix dimension %d exceeds budget %d (a dense matrix needs "
             "%d bytes)" % (dim, limit, required),
             required_bytes=required,
         )

@@ -4,7 +4,8 @@ The statistic averages an order-r kernel over all r-subsets of n sites.
 Two constructions are provided: the direct subset sum, and a fluctuation
 expansion that rewrites l! C(n,l) U_n / n^{l/2} for a fully degenerate
 product kernel in terms of collective fluctuation and average operators.
-Their agreement is a strong cross-check on both.
+Their agreement is a strong cross-check on both.  Exact moments of qubit
+statistics are summed over spin-j blocks instead of the dense operator.
 """
 
 import itertools
@@ -76,7 +77,9 @@ def centered_moment(kernel, rho, n, p, exponent=None, factor=None, budget=None):
     """p-th moment of scale * (U_n - theta) under rho^{otimes n}, exactly.
 
     The scale is n^(exponent/2) when `exponent` is given, or the explicit
-    `factor`.  Exactly one of the two must be provided.
+    `factor`.  Exactly one of the two must be provided.  Qubit kernels are
+    summed over spin-j blocks, so the largest matrix built has dimension
+    n + 1; for d >= 3 the statistic is assembled densely on d^n states.
     """
     if (exponent is None) == (factor is None):
         raise ValidationError("provide exactly one of exponent or factor")
@@ -84,13 +87,17 @@ def centered_moment(kernel, rho, n, p, exponent=None, factor=None, budget=None):
     if p < 1:
         raise ValidationError("moment order must be >= 1")
     d, r = kernel.d, kernel.r
-    check_dim_budget(d ** n, budget)
+    if n < r:
+        raise ValidationError("need n >= r, got n=%d for order %d" % (n, r))
+    check_dim_budget(n + 1 if d == 2 else d ** n, budget)
     w1, u = eigenframe(rho)
     k = kernel if u is None else kernel.rotated(u)
     wr = tensor_weights(w1, r)
     theta = float(_weighted_power_trace(wr, k.op.entries, 1).real)
-    w = tensor_weights(w1, n)
     kmat = k.op.entries
+    if d == 2:
+        return _spin_block_moment(kmat, r, w1, n, p, scale, theta)
+    w = tensor_weights(w1, n)
     if not np.any(kmat - np.diag(np.diag(kmat))):
         # kernel diagonal in the state's frame: the statistic is diagonal too
         uvec = _assemble_diagonal(np.diag(kmat), d, r, n)
@@ -99,6 +106,107 @@ def centered_moment(kernel, rho, n, p, exponent=None, factor=None, budget=None):
     stat = assemble_direct(k, n, budget=budget)
     m = scale * (stat.op.entries - theta * np.eye(d ** n))
     return float(_weighted_power_trace(w, m, p).real)
+
+
+# ---------------------------------------------------------------------------
+# Spin-j blocks of qubit statistics
+#
+# U_n commutes with site permutations and rho^{(x)n} is a product state, so
+# by Schur-Weyl duality both split over the spin-j irreps of SU(2), with
+# j = n/2 - k for k = 0..floor(n/2), each repeated m_j times.  On a block,
+# the collective operator J(X) = sum_s X^(s) acts by the spin-j
+# representation, and the kernel summed over pairwise distinct sites is a
+# polynomial in collective operators.  Hence
+# E f(U_n) = sum_j m_j Tr(pi_j(rho) f(A_j)) with blocks of dimension 2j + 1.
+
+
+def _spin_blocks(w1, n):
+    """[(m, weights)] per spin block: S_z eigenvalues m = j, j-1, .., -j and m_j pi_j(rho).
+
+    w1 = (lam_0, lam_1) are the state's eigenvalues in the kernel's frame;
+    the vector with S_z = m has n/2 + m sites in state 0 and n/2 - m in
+    state 1.  Weights are formed in log space, since C(n, k) and lam^n
+    leave the double range long before n = 1000.
+    """
+    out = []
+    for k in range(n // 2 + 1):
+        mult = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+        ones = k + np.arange(n - 2 * k + 1)
+        logw = math.log(mult) + _xlogy(n - ones, w1[0]) + _xlogy(ones, w1[1])
+        out.append((n / 2.0 - ones, np.exp(logw)))
+    return out
+
+
+def _xlogy(count, lam):
+    """count * log(lam), with 0 * log(0) = 0; a roundoff-negative lam counts as 0."""
+    if lam > 0:
+        return count * math.log(lam)
+    return np.where(count > 0, -np.inf, 0.0)
+
+
+def _collective(a, b, mat, n, m):
+    """J(E_ab) @ mat on the spin block with S_z eigenvalues m (descending).
+
+    J(E_00) = n/2 + S_z, J(E_11) = n/2 - S_z, J(E_01) = S_+, J(E_10) = S_-.
+    """
+    if a == b:
+        return (n / 2.0 + (m if a == 0 else -m))[:, None] * mat
+    j = m[0]
+    # S_+ |m> = sqrt((j - m)(j + m + 1)) |m + 1>, and S_- is its transpose
+    up = np.sqrt((j - m[1:]) * (j + m[1:] + 1))[:, None]
+    out = np.zeros_like(mat)
+    if a == 0:
+        out[:-1] = up * mat[1:]
+    else:
+        out[1:] = up * mat[:-1]
+    return out
+
+
+def _merge_first(t, k):
+    """The (r-1)-site operator in which site 0 multiplies site k from the left."""
+    r = t.ndim // 2
+    rows, cols = list(range(r)), list(range(r, 2 * r))
+    cols[0] = rows[k]
+    out_rows = [rows[0] if s == k else rows[s] for s in range(1, r)]
+    return np.einsum(t, rows + cols, out_rows + cols[1:])
+
+
+def _distinct_sum(t, n, m):
+    """Sum of the r-site operator t over pairwise distinct sites, on one spin block.
+
+    t has shape (2,) * 2r, row indices first.  Peeling off site 0 gives
+    D(X_1..X_r) = J(X_1) D(X_2..X_r) - sum_k D(X_2, .., X_1 X_k, .., X_r),
+    where the subtracted terms are the labellings in which site 0 lands on
+    the site of factor k.
+    """
+    r = t.ndim // 2
+    if r == 0:
+        return complex(t) * np.eye(len(m), dtype=complex)
+    out = np.zeros((len(m), len(m)), dtype=complex)
+    slices = np.moveaxis(t, r, 1)
+    for a in range(2):
+        for b in range(2):
+            if np.any(slices[a, b]):
+                out += _collective(a, b, _distinct_sum(slices[a, b], n, m), n, m)
+    for k in range(1, r):
+        merged = _merge_first(t, k)
+        if np.any(merged):
+            out -= _distinct_sum(merged, n, m)
+    return out
+
+
+def _spin_block_moment(kmat, r, w1, n, p, scale, theta):
+    """E[(scale (U_n - theta))^p] for a qubit kernel kmat in the state's eigenframe."""
+    t = kmat.reshape((2,) * (2 * r))
+    norm = math.factorial(r) * binom(n, r)
+    total = 0.0
+    for m, weights in _spin_blocks(w1, n):
+        if not np.any(weights):
+            continue
+        block = _distinct_sum(t, n, m) / norm
+        centered = scale * (block - theta * np.eye(len(m)))
+        total += _weighted_power_trace(weights, centered, p).real
+    return float(total)
 
 
 # ---------------------------------------------------------------------------

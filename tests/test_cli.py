@@ -107,6 +107,22 @@ def test_convergence_checks_variance_and_gaps(tmp_path):
     assert (out / "tables" / "moments.csv").exists()
 
 
+def test_convergence_reaches_hundreds_of_sites(tmp_path):
+    config = {
+        "command": "convergence",
+        "state": STATE_75,
+        "kernel": {"preset": "pauli-xy"},
+        "n_list": [200],
+        "p_list": [2],
+    }
+    _, result, _ = _run(tmp_path, config)
+    (row,) = result["variance_checks"]
+    assert row["rel_gap"] < 1e-9
+    # n^2 Var(U_n) = n^2 xi_2 / C(n, 2), xi_2 = 0.625 for pauli-xy at diag(0.75, 0.25)
+    (moment,) = result["rows"]
+    assert moment["moment"] == pytest.approx(200 ** 2 * 0.625 / 19900, rel=1e-10)
+
+
 def test_test_sim_with_fixed_interval(tmp_path):
     config = {
         "command": "test-sim",
@@ -247,6 +263,29 @@ def _run_cli(tmp_path, config):
     )
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    # the CLI sets BLAS thread counts before numpy loads
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qustat.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [QUSTAT_ROOT, os.environ.get("PYTHONPATH")]))),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_package_names_resolve_lazily():
+    for name in qustat.__all__:
+        assert getattr(qustat, name) is not None
+    assert qustat.ustat.centered_moment is qustat.centered_moment
+    assert set(qustat.__all__) <= set(dir(qustat))
+    with pytest.raises(AttributeError):
+        qustat.no_such_name
+
+
 def test_cli_success_exit_zero(tmp_path):
     proc = _run_cli(tmp_path, {
         "command": "decompose",
@@ -270,7 +309,8 @@ def test_cli_budget_violation_exits_two(tmp_path):
         "command": "moments",
         "state": STATE_75,
         "kernel": {"preset": "pauli-xy"},
-        "n_list": [8],
+        # the largest spin block at n = 40 has dimension 41
+        "n_list": [40],
         "p_list": [2],
         "dim_budget": 16,
     })

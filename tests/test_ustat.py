@@ -1,9 +1,12 @@
 """Statistic assembly, exact moments and the fluctuation expansion."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from qustat import (
+    DensityMatrix,
     Kernel,
     ValidationError,
     assemble_direct,
@@ -11,9 +14,17 @@ from qustat import (
     centered_moment,
     classical_mc_oracle,
     fluctuation_form,
+    goodness_kernel,
     symmetrize_kernel,
 )
-from qustat.operators import hermitize, site_transpose, tensor_weights, weighted_trace
+from qustat.operators import (
+    hermitize,
+    site_permute,
+    site_transpose,
+    tensor_weights,
+    weighted_trace,
+)
+from qustat.ustat import _spin_blocks
 
 ATOL = 1e-12
 ROUTE_RTOL = 1e-9
@@ -73,16 +84,68 @@ def test_centered_moment_factor_equals_exponent(rho_75, paulis):
     np.testing.assert_allclose(via_factor, via_exponent, rtol=1e-14)
 
 
-def test_diagonal_fast_path_matches_dense(rho_75, paulis):
-    _, _, sz = paulis
-    k = Kernel(2, 2, hermitize(np.kron(sz, sz)))
+def test_diagonal_fast_path_matches_dense(rho_d3):
+    # qubit kernels take the spin-block route, so the fast path is pitted
+    # against the dense one on a qutrit kernel
+    z3 = np.diag([1.0, 0.0, -1.0]).astype(complex)
+    k = Kernel(3, 2, hermitize(np.kron(z3, z3)))
     n = 6
-    fast = centered_moment(k, rho_75, n, 3, exponent=1)
+    fast = centered_moment(k, rho_d3, n, 3, exponent=1)
     # force the dense route by adding a numerically invisible perturbation
-    bumped = np.kron(sz, sz).astype(complex)
+    bumped = np.kron(z3, z3)
     bumped[0, 1] = bumped[1, 0] = 1e-300
-    slow = centered_moment(Kernel(2, 2, hermitize(bumped)), rho_75, n, 3, exponent=1)
+    slow = centered_moment(Kernel(3, 2, hermitize(bumped)), rho_d3, n, 3, exponent=1)
     np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-15)
+
+
+def _random_symmetric_kernel(rng, r):
+    g = rng.standard_normal((2 ** r, 2 ** r)) + 1j * rng.standard_normal((2 ** r, 2 ** r))
+    h = (g + g.conj().T) / 2.0
+    perms = list(itertools.permutations(range(r)))
+    sym = sum(site_permute(h, r, 2, perm) for perm in perms) / len(perms)
+    return Kernel(2, r, hermitize(sym))
+
+
+def test_spin_block_moments_match_dense_statistic(rho_75, paulis):
+    """Qubit moments from spin-j blocks equal the dense d^n route."""
+    sx, sy, sz = paulis
+    rng = np.random.default_rng(17)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    states = [
+        rho_75,
+        DensityMatrix.from_eigenvalues([0.7, 0.3], rotation=u),
+        DensityMatrix.from_eigenvalues([1.0, 0.0]),
+    ]
+    kernels = [_random_symmetric_kernel(rng, r) for r in (1, 2, 3)] + [
+        symmetrize_kernel([sx, sy]),
+        Kernel(2, 2, hermitize(np.kron(sz, sz))),
+        goodness_kernel(rho_75),
+    ]
+    for k in kernels:
+        for rho in states:
+            theta = weighted_trace(k.op.entries, rho, k.r)
+            for n in sorted({k.r, k.r + 1, 6, 9}):
+                centered = assemble_direct(k, n).op.entries - theta * np.eye(2 ** n)
+                for p in range(1, 6):
+                    dense = weighted_trace(centered, rho, n, p)
+                    block = centered_moment(k, rho, n, p, factor=1.0)
+                    np.testing.assert_allclose(block, dense, rtol=1e-10, atol=1e-13,
+                                               err_msg="r=%d n=%d p=%d" % (k.r, n, p))
+    with pytest.raises(ValidationError):
+        centered_moment(kernels[2], rho_75, 2, 2, factor=1.0)
+
+
+def test_spin_block_weights_stay_finite_at_large_n():
+    # C(1100, 550) overflows a double, and 0.25^1100 underflows one
+    for w1 in ([0.75, 0.25], [1.0, 0.0]):
+        blocks = _spin_blocks(np.array(w1), 1100)
+        assert len(blocks) == 551
+        total = 0.0
+        for m, weights in blocks:
+            assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
+            assert m.shape == weights.shape
+            total += weights.sum()
+        np.testing.assert_allclose(total, 1.0, rtol=1e-10)
 
 
 def test_second_moment_identity_for_degenerate_pair_kernel(rho_75, paulis):
