@@ -37,7 +37,7 @@ _EXPORTS = {
     "ustat": (
         "FluctuationForm", "FluctuationTerm", "UStatistic", "assemble_direct",
         "assemble_fluctuation", "centered_moment", "classical_mc_oracle",
-        "fluctuation_form", "variance_exact",
+        "finite_law", "fluctuation_form", "variance_exact",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -10,7 +10,8 @@ quantile of that limit law, obtained by Monte Carlo on the exact limit
 distribution (Born sampling per oscillator, Gaussian sampling for the
 commutative block).  The limit law is built once per test run and serves
 every sample size; the level and power at each n are exact Born sums over
-the spectrum of n U_n, not samples from it.
+the law of n U_n from `ustat.finite_law`, not samples from it.  The
+metrology overlap is read from the same kind of law.
 """
 
 import itertools
@@ -27,19 +28,18 @@ from .ccr import (
     limit_moment,
     limit_to_poly,
 )
-from .errors import ToleranceError, ValidationError
+from .errors import ValidationError
 from .hoeffding import kernel_components
 from .operators import (
     DensityMatrix,
     HermitianOperator,
     Kernel,
     binom,
+    eigenframe,
     hermitize,
-    tensor_weights,
 )
-from .ustat import assemble_direct
+from .ustat import _checked_probabilities, finite_law
 
-PROB_DEFICIT_TOL = 1e-10
 DEFAULT_LIMIT_DRAWS = 10 ** 6
 
 
@@ -103,22 +103,6 @@ def homogeneity_kernel(d):
     return Kernel(d * d, 2, hermitize(acc))
 
 
-def _born_probabilities(eigvectors, state_weights_or_matrix):
-    sw = state_weights_or_matrix
-    if sw.ndim == 1:
-        probs = np.einsum("i,ik->k", sw, np.abs(eigvectors) ** 2)
-    else:
-        probs = np.real(np.einsum("ik,ij,jk->k", eigvectors.conj(), sw, eigvectors))
-    deficit = abs(1.0 - probs.sum())
-    if deficit > PROB_DEFICIT_TOL or probs.min() < -PROB_DEFICIT_TOL:
-        raise ToleranceError(
-            "measurement probabilities deficient by %.3e (min %.3e)"
-            % (deficit, probs.min())
-        )
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
-
-
 def simulate_measurement(op, state, replicates, seed):
     """Sample eigenvalues of an observable under a state, Born distributed.
 
@@ -127,15 +111,14 @@ def simulate_measurement(op, state, replicates, seed):
     the returned array for any replicate count.
     """
     matrix = op.entries if isinstance(op, HermitianOperator) else np.asarray(op, dtype=complex)
-    if isinstance(state, DensityMatrix):
-        sw = state.entries
-    else:
-        sw = np.asarray(state)
-        sw = sw if sw.ndim == 1 else sw.astype(complex)
+    sw = state.entries if isinstance(state, DensityMatrix) else np.asarray(state)
     vals, vecs = np.linalg.eigh(matrix)
-    probs = _born_probabilities(vecs, sw)
+    if sw.ndim == 1:
+        probs = np.einsum("i,ik->k", sw, np.abs(vecs) ** 2)
+    else:
+        probs = np.real(np.einsum("ik,ij,jk->k", vecs.conj(), sw, vecs))
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(vals), size=int(replicates), p=probs)
+    idx = rng.choice(len(vals), size=int(replicates), p=_checked_probabilities(probs))
     return vals[idx]
 
 
@@ -265,8 +248,8 @@ def sample_limit_law(limit, basis, draws, seed, trunc=DEFAULT_TRUNC):
             op += coeff * chain
         op = hermitize(op).entries
         vals, vecs = np.linalg.eigh(op)
-        probs = _born_probabilities(vecs, rep.thermal(sigma_sq))
-        idx = rng.choice(len(vals), size=int(draws), p=probs)
+        born = np.einsum("i,ik->k", rep.thermal(sigma_sq), np.abs(vecs) ** 2)
+        idx = rng.choice(len(vals), size=int(draws), p=_checked_probabilities(born))
         total += vals[idx]
     return total
 
@@ -278,17 +261,18 @@ def run_test(spec, alternative=None, trunc=DEFAULT_TRUNC,
     The null limit law is built once per call.  Without spec.interval the
     test rejects when n * U_n exceeds the (1 - spec.alpha) quantile q of
     that law, estimated from seeded Monte Carlo draws (the only random
-    draws made here), and the reported interval is (smallest eigenvalue
-    of n * U_n, q), so no outcome falls below it.  At each n the rejection
-    rate under the null and, when an alternative state is given, the
-    acceptance rate under it are exact Born sums over the spectrum of
-    n * U_n.  Returns one TestResult per n, in the order of spec.n_list.
+    draws made here); the reported interval is (smallest atom of n * U_n,
+    q), its lower end for information only.  At each n the rejection rate
+    under the null and, when an alternative state is given, the acceptance
+    rate under it are exact Born sums over the law of n * U_n from
+    `finite_law`.  Returns one TestResult per n, in spec.n_list order.
 
-    The default test is not unbiased against every alternative at small n.
-    At null diag(0.75, 0.25), alpha = 0.05 and seed 0, the purer
-    alternative diag(0.9, 0.1) is accepted with probability 0.9909, 0.9922,
-    0.9935, 0.9556 at n = 4, 6, 8, 10, above the null acceptance 0.9492,
-    0.9558, 0.9678, 0.9485.
+    The test is biased against purer alternatives at small n.  At null
+    diag(0.75, 0.25), alpha = 0.05 and seed 0, diag(0.9, 0.1) is accepted
+    more often than the null at every n <= 17 (0.9556 against 0.9485 at
+    n = 10) and less often at every n from 18 to 200 (0.7919 against
+    0.9397 at n = 18, 0.0012 at n = 200).  diag(0.6, 0.4) is accepted less
+    often than the null at every n from 2 to 200.
     """
     rho = spec.null_state
     if alternative is not None and not alternative.is_diagonal:
@@ -301,23 +285,22 @@ def run_test(spec, alternative=None, trunc=DEFAULT_TRUNC,
         limit_seed = np.random.SeedSequence(spec.seed).spawn(1)[0]
         draws = sample_limit_law(limit, basis, limit_draws, limit_seed, trunc=trunc)
         quantile = float(np.quantile(draws, 1.0 - spec.alpha))
+    weights = [np.real(np.diag(rho.entries))]
     theta_true = None
     if alternative is not None:
         theta_true = float(np.real(np.sum(np.abs(alternative.entries - rho.entries) ** 2)))
+        weights.append(np.real(np.diag(alternative.entries)))
 
     results = []
     for n in spec.n_list:
-        # only the scaled matrix is kept, so eigh holds one d^n x d^n copy fewer
-        scaled = n * assemble_direct(kernel, n, budget=budget).op.entries
-        vals, vecs = np.linalg.eigh(scaled)
-        interval = spec.interval if spec.interval is not None else (float(vals[0]), quantile)
-        accept = (vals >= interval[0]) & (vals <= interval[1])
-        null_w = tensor_weights(np.real(np.diag(rho.entries)), n)
-        alpha_hat = float(_born_probabilities(vecs, null_w)[~accept].sum())
-        beta_hat = None
-        if alternative is not None:
-            alt_w = tensor_weights(np.real(np.diag(alternative.entries)), n)
-            beta_hat = float(_born_probabilities(vecs, alt_w)[accept].sum())
+        atoms, probs = finite_law(kernel, weights, n, budget=budget)
+        scaled = n * atoms
+        interval = spec.interval or (float(scaled.min()), quantile)
+        accept = scaled <= interval[1]
+        if spec.interval is not None:
+            accept &= scaled >= interval[0]
+        alpha_hat = float(probs[0][~accept].sum())
+        beta_hat = None if alternative is None else float(probs[1][accept].sum())
         results.append(TestResult(
             n=n,
             alpha=spec.alpha,
@@ -351,7 +334,8 @@ def metrology_overlap(kernel, rho0, t, g1, g2, n, budget=None):
     The generator is the subset sum of the kernel; parameters g1, g2
     scale it by t (g1 - g2) n^{1/2 - r}.  Requires a pure reference with
     vanishing kernel mean and a non-degenerate first component.  Returns
-    the exact overlap and its Gaussian limit
+    the exact overlap, read from `finite_law` (one spin block for qubits),
+    and its Gaussian limit
     exp(-t^2 (g1-g2)^2 xi_1 / (2 ((r-1)!)^2)).
     """
     vals = rho0.eigenvalues
@@ -368,14 +352,11 @@ def metrology_overlap(kernel, rho0, t, g1, g2, n, budget=None):
     limit = math.exp(-(t * dg) ** 2 * xi1 / (2.0 * math.factorial(r - 1) ** 2))
     if t == 0.0 or dg == 0.0:
         return OverlapResult(n=n, overlap=1.0 + 0.0j, limit=1.0)
-    stat = assemble_direct(kernel, n, budget=budget)
-    h = binom(n, r) * stat.op.entries
-    w, v = np.linalg.eigh(h)
-    psi = rho0.eigenvectors[:, 0]
-    vec = psi
-    for _ in range(n - 1):
-        vec = np.kron(vec, psi)
-    amps = v.conj().T @ vec
-    phases = np.exp(1j * t * dg * float(n) ** (0.5 - r) * w)
-    overlap = complex(np.dot(np.abs(amps) ** 2, phases))
+    # In its eigenframe the reference is the basis vector of its largest
+    # weight; exact 0/1 weights keep every other block out.
+    w1, u = eigenframe(rho0)
+    k = kernel if u is None else kernel.rotated(u)
+    atoms, (probs,) = finite_law(k, [np.eye(len(w1))[np.argmax(w1)]], n, budget=budget)
+    phases = np.exp(1j * t * dg * float(n) ** (0.5 - r) * binom(n, r) * atoms)
+    overlap = complex(np.dot(probs, phases))
     return OverlapResult(n=n, overlap=overlap, limit=limit)

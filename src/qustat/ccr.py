@@ -246,9 +246,6 @@ class LimitPolynomial:
             ],
         }
 
-    def degree(self):
-        return max((sum(m) for m, _ in self.terms), default=0)
-
 
 def kernel_to_limit(kernel, report, basis, rtol=CENTERED_RESIDUE_RTOL):
     """Read the limit polynomial off the first non-vanishing kernel component."""

@@ -130,9 +130,6 @@ class DegeneracyReport:
     def fully_degenerate(self):
         return self.c is None
 
-    def component(self, l):
-        return self.components[l]
-
     def to_json(self):
         from .serialize import matrix_to_json
 

@@ -79,10 +79,6 @@ class HermitianOperator:
         m = _as_complex_matrix(matrix)
         return cls(dim=m.shape[0], entries=m)
 
-    @classmethod
-    def identity(cls, dim):
-        return cls(dim=dim, entries=np.eye(dim, dtype=complex))
-
     def frobenius_norm(self):
         return frobenius(self.entries)
 

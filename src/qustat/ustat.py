@@ -1,11 +1,12 @@
-"""U-statistics of product states: assembly, variance, exact moments.
+"""U-statistics of product states: assembly, variance, exact finite-n laws.
 
 The statistic averages an order-r kernel over all r-subsets of n sites.
 Two constructions are provided: the direct subset sum, and a fluctuation
 expansion that rewrites l! C(n,l) U_n / n^{l/2} for a fully degenerate
 product kernel in terms of collective fluctuation and average operators.
-Their agreement is a strong cross-check on both.  Exact moments of qubit
-statistics are summed over spin-j blocks instead of the dense operator.
+Their agreement is a strong cross-check on both.  Exact moments and laws
+of U_n are read off its blocks: spin-j blocks of dimension at most n + 1
+for qubits, the dense d^n statistic as the one block for d >= 3.
 """
 
 import itertools
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ToleranceError, ValidationError
 from .operators import (
     HermitianOperator,
     Kernel,
@@ -32,6 +33,7 @@ from .operators import (
 )
 
 CENTERING_TOL = 1e-10
+PROB_DEFICIT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -56,17 +58,6 @@ def assemble_direct(kernel, n, budget=None):
     return UStatistic(n=n, kernel=kernel, op=HermitianOperator(d ** n, out))
 
 
-def _assemble_diagonal(diag, d, r, n):
-    """Diagonal of the U-statistic for a kernel with diagonal matrix."""
-    out = np.zeros((d,) * n)
-    kd = np.real(diag).reshape((d,) * r + (1,) * (n - r))
-    for beta in itertools.combinations(range(n), r):
-        rest = [s for s in range(n) if s not in set(beta)]
-        view = out.transpose([*beta, *rest])
-        view += kd
-    return out.reshape(-1) / binom(n, r)
-
-
 def variance_exact(ustat, rho):
     """Var(U_n) = Tr(rho^n U^2) - theta^2 from the dense operator."""
     m, n = ustat.op.entries, ustat.n
@@ -77,35 +68,77 @@ def centered_moment(kernel, rho, n, p, exponent=None, factor=None, budget=None):
     """p-th moment of scale * (U_n - theta) under rho^{otimes n}, exactly.
 
     The scale is n^(exponent/2) when `exponent` is given, or the explicit
-    `factor`.  Exactly one of the two must be provided.  Qubit kernels are
-    summed over spin-j blocks, so the largest matrix built has dimension
-    n + 1; for d >= 3 the statistic is assembled densely on d^n states.
+    `factor`.  Exactly one of the two must be provided.  The moment is
+    summed over the blocks of U_n (see `_blocks`), so for qubits the
+    largest matrix built has dimension n + 1.
     """
     if (exponent is None) == (factor is None):
         raise ValidationError("provide exactly one of exponent or factor")
     scale = float(n) ** (exponent / 2.0) if exponent is not None else float(factor)
     if p < 1:
         raise ValidationError("moment order must be >= 1")
+    w1, u = eigenframe(rho)
+    k = kernel if u is None else kernel.rotated(u)
+    theta = float(_weighted_power_trace(tensor_weights(w1, k.r), k.op.entries, 1).real)
+    total = 0.0
+    for block, (weights,) in _blocks(k, [w1], n, budget):
+        centered = scale * (block - theta * np.eye(len(block)))
+        total += _weighted_power_trace(weights, centered, p).real
+    return float(total)
+
+
+def finite_law(kernel, weights, n, budget=None):
+    """The exact law of U_n under each product state diag(w)^{otimes n}.
+
+    `kernel` is written in a frame where every state is diagonal, and
+    `weights` holds one vector of one-site weights per state.  Returns
+    (atoms, [probabilities per state]): the eigenvalues of U_n, unsorted
+    and possibly repeated, and the Born probability of each atom under
+    each state.  Atoms of blocks that no state weighs are left out.
+    """
+    atoms, probs = [], []
+    for block, block_weights in _blocks(kernel, weights, n, budget):
+        vals, vecs = np.linalg.eigh(block)
+        atoms.append(vals)
+        probs.append(np.array(block_weights) @ np.abs(vecs) ** 2)
+    return np.concatenate(atoms), [_checked_probabilities(p) for p in np.hstack(probs)]
+
+
+def _checked_probabilities(probs):
+    """Born probabilities that must sum to 1: checked, clipped at 0, renormalized."""
+    deficit = abs(1.0 - probs.sum())
+    if deficit > PROB_DEFICIT_TOL or probs.min() < -PROB_DEFICIT_TOL:
+        raise ToleranceError(
+            "measurement probabilities deficient by %.3e (min %.3e)"
+            % (deficit, probs.min())
+        )
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
+
+
+def _blocks(kernel, weights, n, budget=None):
+    """Yield (block of U_n, [weights of each state on the block]).
+
+    `kernel` and the one-site `weights` are as for `finite_law`.  Qubit
+    statistics split into spin-j blocks of dimension at most n + 1, and
+    blocks that every state weighs 0 are skipped; for d >= 3 the dense
+    d^n statistic is the one block.  Either way E f(U_n) under a state is
+    the sum over blocks of Tr(diag(w) f(block)).
+    """
     d, r = kernel.d, kernel.r
     if n < r:
         raise ValidationError("need n >= r, got n=%d for order %d" % (n, r))
-    check_dim_budget(n + 1 if d == 2 else d ** n, budget)
-    w1, u = eigenframe(rho)
-    k = kernel if u is None else kernel.rotated(u)
-    wr = tensor_weights(w1, r)
-    theta = float(_weighted_power_trace(wr, k.op.entries, 1).real)
-    kmat = k.op.entries
-    if d == 2:
-        return _spin_block_moment(kmat, r, w1, n, p, scale, theta)
-    w = tensor_weights(w1, n)
-    if not np.any(kmat - np.diag(np.diag(kmat))):
-        # kernel diagonal in the state's frame: the statistic is diagonal too
-        uvec = _assemble_diagonal(np.diag(kmat), d, r, n)
-        vals = scale * (uvec - theta)
-        return float(np.dot(w, vals ** p))
-    stat = assemble_direct(k, n, budget=budget)
-    m = scale * (stat.op.entries - theta * np.eye(d ** n))
-    return float(_weighted_power_trace(w, m, p).real)
+    if d != 2:
+        stat = assemble_direct(kernel, n, budget=budget)
+        yield stat.op.entries, [tensor_weights(w, n) for w in weights]
+        return
+    check_dim_budget(n + 1, budget)
+    t = kernel.op.entries.reshape((2,) * (2 * r))
+    norm = math.factorial(r) * binom(n, r)
+    for pieces in zip(*(_spin_blocks(w, n) for w in weights)):
+        block_weights = [w for _, w in pieces]
+        if any(np.any(w) for w in block_weights):
+            yield _distinct_sum(t, n, pieces[0][0]) / norm, block_weights
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +226,6 @@ def _distinct_sum(t, n, m):
         if np.any(merged):
             out -= _distinct_sum(merged, n, m)
     return out
-
-
-def _spin_block_moment(kmat, r, w1, n, p, scale, theta):
-    """E[(scale (U_n - theta))^p] for a qubit kernel kmat in the state's eigenframe."""
-    t = kmat.reshape((2,) * (2 * r))
-    norm = math.factorial(r) * binom(n, r)
-    total = 0.0
-    for m, weights in _spin_blocks(w1, n):
-        if not np.any(weights):
-            continue
-        block = _distinct_sum(t, n, m) / norm
-        centered = scale * (block - theta * np.eye(len(m)))
-        total += _weighted_power_trace(weights, centered, p).real
-    return float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -390,13 +390,14 @@ def test_criterion_09():
         if n == 10:
             alpha_hat = result.alpha_hat
         # Exact acceptance probability under the alternative: Born weights
-        # of sigma^{otimes n} on the eigenvalues of n U_n in the interval.
-        lo, hi = result.interval
+        # of sigma^{otimes n} on the eigenvalues of n U_n up to the upper end
+        # of the interval, the default region.
+        hi = result.interval[1]
         vals, vecs = np.linalg.eigh(n * assemble_direct(kernel, n).op.entries)
         probs = np.einsum(
             "i,ik->k", tensor_weights(np.array([0.6, 0.4]), n), np.abs(vecs) ** 2
         )
-        exact = float(probs[(vals >= lo) & (vals <= hi)].sum())
+        exact = float(probs[vals <= hi].sum())
         exact_betas.append(exact)
         se = max(result.to_json()["beta_se"], 1e-4)
         if not abs(result.beta_hat - exact) < 4.0 * se:

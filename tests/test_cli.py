@@ -190,6 +190,41 @@ def test_test_sim_ignores_mc_replicates(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_test_sim_reaches_hundreds_of_sites(tmp_path):
+    config = {
+        "command": "test-sim",
+        "state": STATE_75,
+        "alternative": {"eigenvalues": [0.9, 0.1]},
+        "alpha": 0.05,
+        "n_list": [200],
+    }
+    _, result, _ = _run(tmp_path, config)
+    # the smallest atom of n U_n is -0.875 - 1.875 / (n - 1) at diag(0.75, 0.25)
+    assert result["interval"][0] == pytest.approx(-0.875 - 1.875 / 199, rel=0.0, abs=1e-15)
+    assert result["alpha_hat"] == pytest.approx(0.047745, abs=5e-6)
+    assert result["beta_hat"] == pytest.approx(0.001229, abs=5e-6)
+
+
+def test_metrology_reaches_a_thousand_sites(tmp_path):
+    kernel = symmetrize_kernel([np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])])
+    config = {
+        "command": "metrology",
+        "state": {"matrix": matrix_to_json(np.array([[0.5, 0.5], [0.5, 0.5]]))},
+        "kernel": {"matrix": matrix_to_json(kernel.op.entries), "d": 2, "r": 2},
+        "n_list": [100, 1000],
+        "t": 1.0,
+        "g1": 0.5,
+        "g2": 0.0,
+    }
+    _, result, _ = _run(tmp_path, config)
+    gaps = []
+    for row in result["results"]:
+        overlap = complex(row["overlap_re"], row["overlap_im"])
+        assert abs(overlap) <= 1.0 + 1e-12
+        gaps.append(abs(overlap - row["limit"]))
+    assert gaps[1] < gaps[0] and gaps[1] < 1e-4, gaps
+
+
 def test_metrology_from_matrix_config(tmp_path):
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -263,18 +298,42 @@ def _run_cli(tmp_path, config):
     )
 
 
+def test_config_schema_is_checked_once_per_process(tmp_path, monkeypatch):
+    import jsonschema
+
+    import qustat.cli
+
+    validator_class = jsonschema.validators.validator_for(qustat.cli.CONFIG_SCHEMA)
+    original = validator_class.check_schema
+    checked = []
+
+    def counted(schema, *args, **kwargs):
+        checked.append(schema)
+        return original(schema, *args, **kwargs)
+
+    monkeypatch.setattr(validator_class, "check_schema", counted)
+    qustat.cli._config_validator.cache_clear()
+    config = {"command": "decompose", "state": STATE_75, "kernel": {"preset": "sigma-zz"}}
+    for name in ("first", "second"):
+        run(_write_config(tmp_path, config, name="%s.json" % name), str(tmp_path / name))
+    assert len(checked) == 1
+    with pytest.raises(ValidationError, match="config rejected"):
+        run(_write_config(tmp_path, {"command": "bogus"}), str(tmp_path / "bogus"))
+
+
 def test_cli_import_leaves_numpy_unloaded():
-    # the CLI sets BLAS thread counts before numpy loads
+    # the CLI sets BLAS thread counts before numpy loads, and builds its
+    # schema validator on first use
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, qustat.cli; print('numpy' in sys.modules)"],
+         "import sys, qustat.cli; print('numpy' in sys.modules, 'jsonschema' in sys.modules)"],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [QUSTAT_ROOT, os.environ.get("PYTHONPATH")]))),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_package_names_resolve_lazily():

@@ -13,14 +13,17 @@ from qustat import (
     assemble_fluctuation,
     centered_moment,
     classical_mc_oracle,
+    finite_law,
     fluctuation_form,
     goodness_kernel,
     symmetrize_kernel,
 )
 from qustat.operators import (
+    eigenframe,
     hermitize,
     site_permute,
     site_transpose,
+    tensor_power_state,
     tensor_weights,
     weighted_trace,
 )
@@ -84,18 +87,24 @@ def test_centered_moment_factor_equals_exponent(rho_75, paulis):
     np.testing.assert_allclose(via_factor, via_exponent, rtol=1e-14)
 
 
-def test_diagonal_fast_path_matches_dense(rho_d3):
-    # qubit kernels take the spin-block route, so the fast path is pitted
-    # against the dense one on a qutrit kernel
-    z3 = np.diag([1.0, 0.0, -1.0]).astype(complex)
-    k = Kernel(3, 2, hermitize(np.kron(z3, z3)))
-    n = 6
-    fast = centered_moment(k, rho_d3, n, 3, exponent=1)
-    # force the dense route by adding a numerically invisible perturbation
-    bumped = np.kron(z3, z3)
-    bumped[0, 1] = bumped[1, 0] = 1e-300
-    slow = centered_moment(Kernel(3, 2, hermitize(bumped)), rho_d3, n, 3, exponent=1)
-    np.testing.assert_allclose(fast, slow, rtol=1e-10, atol=1e-15)
+def test_diagonal_kernel_moments_match_outcome_enumeration(rho_d3):
+    # A kernel diagonal in the state's frame gives a classical U-statistic:
+    # U_n averages h(x_i) h(x_j) over the pairs of an i.i.d. outcome string x.
+    h = np.array([1.0, 0.0, -1.0])
+    k = Kernel(3, 2, hermitize(np.diag(np.kron(h, h)).astype(complex)))
+    lam = np.array([0.5, 0.3, 0.2])
+    theta = float(h @ lam) ** 2
+    for n in (4, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        strings = np.array(list(itertools.product(range(3), repeat=n)))
+        probs = np.prod(lam[strings], axis=1)
+        values = h[strings]
+        u = sum(values[:, i] * values[:, j] for i, j in pairs) / len(pairs)
+        for p in (1, 2, 3):
+            exact = float(probs @ (np.sqrt(n) * (u - theta)) ** p)
+            moment = centered_moment(k, rho_d3, n, p, exponent=1)
+            np.testing.assert_allclose(moment, exact, rtol=1e-10, atol=1e-13,
+                                       err_msg="n=%d p=%d" % (n, p))
 
 
 def _random_symmetric_kernel(rng, r):
@@ -146,6 +155,59 @@ def test_spin_block_weights_stay_finite_at_large_n():
             assert m.shape == weights.shape
             total += weights.sum()
         np.testing.assert_allclose(total, 1.0, rtol=1e-10)
+
+
+def _dense_law(kernel, rho, n):
+    """Atoms of U_n and their Born weights under rho^{otimes n}, from the dense statistic."""
+    vals, vecs = np.linalg.eigh(assemble_direct(kernel, n).op.entries)
+    state = tensor_power_state(rho, n)
+    return vals, np.real(np.einsum("ik,ij,jk->k", vecs.conj(), state, vecs))
+
+
+def _assert_same_law(atoms, probs, vals, dense, msg):
+    """Equal CDFs at every distinct dense atom, and equal moments up to order 4."""
+    last_of_cluster = np.append(np.diff(vals) > 1e-8, True)
+    for x in vals[last_of_cluster]:
+        np.testing.assert_allclose(
+            probs[atoms <= x + 1e-9].sum(), dense[vals <= x + 1e-9].sum(),
+            rtol=0.0, atol=1e-10, err_msg=msg,
+        )
+    for power in range(1, 5):
+        np.testing.assert_allclose(probs @ atoms ** power, dense @ vals ** power,
+                                   rtol=1e-10, atol=1e-12, err_msg=msg)
+
+
+def test_finite_law_matches_dense_spectrum(rho_75, rho_d3):
+    """Block atoms and Born weights give the law of the dense statistic."""
+    rng = np.random.default_rng(29)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    diagonal = [rho_75, DensityMatrix.from_eigenvalues([0.9, 0.1]),
+                DensityMatrix.from_eigenvalues([1.0, 0.0])]
+    pure = DensityMatrix.from_eigenvalues([0.0, 1.0])
+    rotated = DensityMatrix.from_eigenvalues([0.7, 0.3], rotation=u)
+    kernels = [_random_symmetric_kernel(rng, r) for r in (1, 2, 3)] + [
+        goodness_kernel(rho_75)]
+    for k in kernels:
+        for n in sorted({k.r, 5, 8}):
+            # several states in one call share the blocks
+            atoms, probs = finite_law(k, [np.real(np.diag(s.entries)) for s in diagonal], n)
+            for rho, p in zip(diagonal, probs):
+                _assert_same_law(atoms, p, *_dense_law(k, rho, n),
+                                 msg="r=%d n=%d diagonal" % (k.r, n))
+            # a pure state alone weighs one block
+            atoms, (p,) = finite_law(k, [np.array([0.0, 1.0])], n)
+            assert len(atoms) == n + 1
+            _assert_same_law(atoms, p, *_dense_law(k, pure, n), msg="r=%d n=%d pure" % (k.r, n))
+            w1, frame = eigenframe(rotated)
+            atoms, (p,) = finite_law(k.rotated(frame), [w1], n)
+            _assert_same_law(atoms, p, *_dense_law(k, rotated, n),
+                             msg="r=%d n=%d rotated" % (k.r, n))
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    qutrit = DensityMatrix.from_eigenvalues([0.5, 0.3, 0.2], rotation=q)
+    k = goodness_kernel(rho_d3)
+    w1, frame = eigenframe(qutrit)
+    atoms, (p,) = finite_law(k.rotated(frame), [w1], 4)
+    _assert_same_law(atoms, p, *_dense_law(k, qutrit, 4), msg="qutrit rotated")
 
 
 def test_second_moment_identity_for_degenerate_pair_kernel(rho_75, paulis):
