@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "apps": (
         "OverlapResult", "TestResult", "TestSpec", "goodness_kernel",
-        "homogeneity_kernel", "metrology_overlap", "run_test", "sample_limit_law",
-        "simulate_measurement",
+        "homogeneity_kernel", "metrology_overlap", "run_test", "simulate_measurement",
     ),
     "ccr": (
         "CCRBasis", "FockRep", "LimitPolynomial", "build_ccr_basis", "fock_moment",

@@ -6,12 +6,14 @@ is n (U_n - 0) and its null distribution converges to a quadratic
 polynomial in the limit variables.  The kernels estimate a distance that
 is zero exactly at the null, so only large values of n U_n speak against
 it: the default critical region is the upper tail beyond the (1 - alpha)
-quantile of that limit law, obtained by Monte Carlo on the exact limit
-distribution (Born sampling per oscillator, Gaussian sampling for the
-commutative block).  The limit law is built once per test run and serves
-every sample size; the level and power at each n are exact Born sums over
-the law of n U_n from `ustat.finite_law`, not samples from it.  The
-metrology overlap is read from the same kind of law.
+quantile of that limit law.  The law is exact: a discrete variable (the
+thermal Born law of each oscillator's spectrum, summed over oscillators)
+plus an independent weighted sum of chi-square(1) variables for the
+commutative block, whose CDF is Ruben's chi-square mixture.  It is built
+once per test run and serves every sample size; the level and power at
+each n are exact Born sums over the law of n U_n from `ustat.finite_law`.
+Nothing is sampled.  The metrology overlap is read from `finite_law`
+too.
 """
 
 import itertools
@@ -21,26 +23,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ccr import (
-    DEFAULT_TRUNC,
+    TAIL_TOL,
     FockRep,
     build_ccr_basis,
     kernel_to_limit,
     limit_moment,
     limit_to_poly,
 )
-from .errors import ValidationError
+from .errors import ToleranceError, ValidationError
 from .hoeffding import kernel_components
 from .operators import (
     DensityMatrix,
     HermitianOperator,
     Kernel,
     binom,
+    check_dim_budget,
     eigenframe,
     hermitize,
 )
-from .ustat import _checked_probabilities, finite_law
+from .ustat import PROB_DEFICIT_TOL, _checked_probabilities, finite_law
 
-DEFAULT_LIMIT_DRAWS = 10 ** 6
+# The exact limit law drops its least likely joint oscillator atoms up to
+# _DROPPED_MASS and leaves at most _RUBEN_REMAINDER of the Ruben series
+# unsummed; with the Fock tails these make up its error bound, held to
+# PROB_DEFICIT_TOL.  Its quantiles are found to _ROOT_RTOL relative.
+_DROPPED_MASS = 0.1 * PROB_DEFICIT_TOL
+_RUBEN_REMAINDER = 0.1 * PROB_DEFICIT_TOL
+_MAX_RUBEN_TERMS = 10_000
+_ROOT_RTOL = 1e-12
 
 
 def _pauli_pair_probes(d, j, k):
@@ -137,7 +147,6 @@ class TestSpec:
     null_state: DensityMatrix
     alpha: float
     n_list: tuple
-    seed: int
     interval: tuple = None
 
     def __post_init__(self):
@@ -189,8 +198,8 @@ class TestResult:
 def _split_additive(poly, basis):
     """Split monomials into constant, commutative, and per-oscillator parts.
 
-    Raises when a monomial mixes blocks; sampling relies on additivity
-    across the independent blocks of the limit algebra.
+    Raises when a monomial mixes blocks; the exact limit law relies on
+    additivity across the independent blocks of the limit algebra.
     """
     const = 0.0
     classical = {}
@@ -209,35 +218,45 @@ def _split_additive(poly, basis):
         else:
             raise ValidationError(
                 "limit polynomial has a monomial spanning several "
-                "independent blocks; cannot sample it additively"
+                "independent blocks; its law is not a sum over blocks"
             )
     return const, classical, per_pair
 
 
-def sample_limit_law(limit, basis, draws, seed, trunc=DEFAULT_TRUNC):
-    """Monte Carlo draws from the limit distribution of a polynomial.
+def _limit_law(limit, basis, budget=None):
+    """Exact law of an order-2 limit polynomial that is additive across blocks.
 
-    The commutative block is evaluated on i.i.d. standard normals; every
-    oscillator block is diagonalized once and its eigenvalues sampled
-    under the thermal state.  Blocks are summed, which requires the
-    polynomial to be additive across blocks.
+    Returns (atoms, probs, mu): the constant plus the oscillator blocks
+    form a discrete variable with increasing `atoms` and probabilities
+    `probs`, and the commutative block is sum_i mu_i Z_i^2 for i.i.d.
+    standard normals Z_i, independent of it.  Each oscillator is
+    diagonalized on the smallest Fock truncation whose thermal tail is at
+    most TAIL_TOL, its eigenvalues weighted by their thermal Born
+    probabilities; the oscillators combine by outer sum, and the least
+    likely joint atoms are dropped up to a total mass _DROPPED_MASS.  The
+    tails and the dropped atoms are the deficit 1 - sum(probs).
     """
     poly = limit_to_poly(limit, basis)
     const, classical, per_pair = _split_additive(poly, basis)
-    rng = np.random.default_rng(seed)
-    total = np.full(int(draws), float(const))
-    if classical:
-        n_cl = sum(1 for s in basis.symbols if s.kind == "classical")
-        z = rng.standard_normal((int(draws), n_cl))
-        for mon, coeff in sorted(classical.items()):
-            total += coeff * np.prod(z[:, list(mon)], axis=1)
-    rep = FockRep(trunc) if per_pair else None
+    n_cl = sum(1 for s in basis.symbols if s.kind == "classical")
+    form = np.zeros((n_cl, n_cl))
+    for mon, coeff in classical.items():
+        if len(mon) != 2:
+            raise ValidationError(
+                "limit polynomial has a commutative monomial of degree %d; "
+                "its exact law needs degree 2" % len(mon)
+            )
+        form[mon[0], mon[1]] += 0.5 * coeff
+        form[mon[1], mon[0]] += 0.5 * coeff
+    mu = np.linalg.eigvalsh(form)
+    atoms, probs = np.array([float(const)]), np.ones(1)
     for pid in sorted(per_pair):
-        sigma_sq = None
-        for s in basis.symbols:
-            if s.pair_id == pid:
-                sigma_sq = s.sigma_sq
-        rep.require_tail(sigma_sq)
+        sigma_sq = next(s.sigma_sq for s in basis.symbols if s.pair_id == pid)
+        # the smallest truncation whose thermal tail exp(-beta trunc) is <= TAIL_TOL
+        beta = 2.0 * math.atanh(1.0 / (2.0 * sigma_sq))
+        trunc = max(2, math.ceil(-math.log(TAIL_TOL) / beta))
+        check_dim_budget(trunc, budget)
+        rep = FockRep(trunc)
         scale = 1.0 / math.sqrt(sigma_sq)
         mats = {"q": rep.Q * scale, "p": rep.P * scale}
         op = np.zeros((trunc, trunc), dtype=complex)
@@ -246,30 +265,151 @@ def sample_limit_law(limit, basis, draws, seed, trunc=DEFAULT_TRUNC):
             for s in mon:
                 chain = chain @ mats[basis.symbols[s].kind]
             op += coeff * chain
-        op = hermitize(op).entries
-        vals, vecs = np.linalg.eigh(op)
-        born = np.einsum("i,ik->k", rep.thermal(sigma_sq), np.abs(vecs) ** 2)
-        idx = rng.choice(len(vals), size=int(draws), p=_checked_probabilities(born))
-        total += vals[idx]
-    return total
+        vals, vecs = np.linalg.eigh(hermitize(op).entries)
+        thermal = rep.thermal(sigma_sq) * (1.0 - rep.tail_mass(sigma_sq))
+        atoms = np.add.outer(atoms, vals).ravel()
+        probs = np.multiply.outer(probs, thermal @ np.abs(vecs) ** 2).ravel()
+        order = np.argsort(probs)
+        dropped = np.searchsorted(
+            np.cumsum(probs[order]), _DROPPED_MASS / len(per_pair), side="right"
+        )
+        atoms, probs = atoms[order[dropped:]], probs[order[dropped:]]
+    order = np.argsort(atoms)
+    return atoms[order], probs[order], mu
 
 
-def run_test(spec, alternative=None, trunc=DEFAULT_TRUNC,
-             limit_draws=DEFAULT_LIMIT_DRAWS, budget=None):
+def _ruben_weights(mu):
+    """Ruben's (1962) chi-square mixture for sum_i mu_i Z_i^2, all mu_i > 0.
+
+    With beta = min(mu) and k = len(mu),
+    P(sum_i mu_i Z_i^2 <= x) = sum_j c_j F_{k + 2j}(x / beta) for the
+    chi-square CDFs F_nu, and every c_j >= 0 with sum 1.  Returns beta and
+    c_0, c_1, ... up to an unsummed weight of at most _RUBEN_REMAINDER,
+    or _MAX_RUBEN_TERMS of them.
+    """
+    if mu.size == 0 or mu.min() <= 0.0:
+        raise ValidationError(
+            "the exact limit law needs a positive definite commutative block"
+        )
+    beta = float(mu.min())
+    gamma = 1.0 - beta / mu
+    c = np.zeros(_MAX_RUBEN_TERMS)
+    g = np.zeros(_MAX_RUBEN_TERMS)  # g[m - 1] = sum_i gamma_i^m
+    c[0] = np.prod(np.sqrt(beta / mu))
+    total, j = c[0], 1
+    while 1.0 - total > _RUBEN_REMAINDER and j < _MAX_RUBEN_TERMS:
+        g[j - 1] = np.sum(gamma ** j)
+        c[j] = np.dot(g[:j], c[j - 1 :: -1]) / (2.0 * j)
+        total += c[j]
+        j += 1
+    return beta, c[:j]
+
+
+def _law_cdf(atoms, probs, mu):
+    """CDF of the law of `_limit_law`, low by at most PROB_DEFICIT_TOL.
+
+    F(x) = sum_{a < x} p_a G(x - a) with G the CDF of sum_i mu_i Z_i^2 as
+    Ruben's mixture.  Its chi-square CDFs are regularized gamma functions
+    P(k/2 + j, y), reached from P(1/2, y) = erf(sqrt(y)) (k odd) or
+    P(0, y) = 1 (k even) by P(a + 1, y) = P(a, y) - y^a exp(-y) / Gamma(a + 1).  Raises
+    ToleranceError when the law's deficit (Fock tails and dropped atoms)
+    plus the unsummed Ruben weight exceeds PROB_DEFICIT_TOL.
+    """
+    beta, c = _ruben_weights(mu)
+    bound = (1.0 - probs.sum()) + (1.0 - c.sum())
+    if bound > PROB_DEFICIT_TOL:
+        raise ToleranceError(
+            "limit law error bound %.3e exceeds %g (%d Ruben terms)"
+            % (bound, PROB_DEFICIT_TOL, len(c))
+        )
+    k = len(mu)
+    # G(y) = sum_j c_j P(k/2 + j, y) = C P(base, y) - sum_l w_l t_l(y) with
+    # base = 0 or 1/2, t_l(y) = y^(base + l) exp(-y) / Gamma(base + l + 1)
+    # and w_l the weight of the terms whose order lies beyond base + l
+    tails = np.cumsum(c[::-1])[::-1]
+    w = np.concatenate([np.full(k // 2, tails[0]), tails[1:]])
+    powers = 0.5 * (k % 2) + np.arange(len(w))
+    log_gamma = np.array([math.lgamma(a + 1.0) for a in powers])
+    chunk = max(1, 2 ** 20 // max(1, len(w)))
+
+    def cdf(x):
+        below = np.searchsorted(atoms, x)
+        y = (x - atoms[:below]) / (2.0 * beta)
+        if k % 2:
+            g = tails[0] * np.frompyfunc(math.erf, 1, 1)(np.sqrt(y)).astype(float)
+        else:
+            g = np.full(below, tails[0])
+        if len(w):
+            log_y = np.log(y)
+            for lo in range(0, below, chunk):
+                part = slice(lo, lo + chunk)
+                t = np.exp(np.outer(log_y[part], powers) - y[part, None] - log_gamma)
+                g[part] -= t @ w
+        return float(probs[:below] @ g)
+
+    return cdf
+
+
+def _law_quantile(atoms, probs, mu, level):
+    """The `level` quantile of the law of `_limit_law`, to _ROOT_RTOL relative.
+
+    The root of F(x) = level lies above the smallest atom, where F is 0,
+    and below Cantelli's bound mean + sd sqrt(level / (1 - level)), which
+    is widened while the law's error leaves F short of level there; the
+    Illinois variant of regula falsi closes the bracket.  A level within
+    PROB_DEFICIT_TOL of 1 is out of the law's reach: ToleranceError.
+    """
+    if 1.0 - level <= PROB_DEFICIT_TOL:
+        raise ToleranceError(
+            "quantile level %r is within the limit law's error bound %g of 1"
+            % (level, PROB_DEFICIT_TOL)
+        )
+    cdf = _law_cdf(atoms, probs, mu)
+    discrete_mean = float(probs @ atoms)
+    mean = discrete_mean + float(mu.sum())
+    sd = math.sqrt(float(probs @ (atoms - discrete_mean) ** 2) + 2.0 * float(mu @ mu))
+    lo, hi = float(atoms[0]), mean + sd * math.sqrt(level / (1.0 - level))
+    f_lo, f_hi = -level, cdf(hi) - level
+    while f_hi < 0.0:
+        hi += hi - lo
+        f_hi = cdf(hi) - level
+    side = 0
+    while hi - lo > _ROOT_RTOL * max(abs(lo), abs(hi), sd):
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        f_x = cdf(x) - level
+        if f_x == 0.0:
+            return x
+        if f_x > 0.0:
+            hi, f_hi = x, f_x
+            if side == 1:
+                f_lo *= 0.5
+            side = 1
+        else:
+            lo, f_lo = x, f_x
+            if side == -1:
+                f_hi *= 0.5
+            side = -1
+    return 0.5 * (lo + hi)
+
+
+def run_test(spec, alternative=None, budget=None):
     """Exact level and power of the goodness-of-fit test at each n of spec.n_list.
 
     The null limit law is built once per call.  Without spec.interval the
     test rejects when n * U_n exceeds the (1 - spec.alpha) quantile q of
-    that law, estimated from seeded Monte Carlo draws (the only random
-    draws made here); the reported interval is (smallest atom of n * U_n,
-    q), its lower end for information only.  At each n the rejection rate
-    under the null and, when an alternative state is given, the acceptance
-    rate under it are exact Born sums over the law of n * U_n from
-    `finite_law`.  Returns one TestResult per n, in spec.n_list order.
+    that law, read from its exact CDF (`_limit_law`, `_law_quantile`);
+    the reported interval is (smallest atom of n * U_n, q), its lower end
+    for information only.  At each n the rejection rate under the null
+    and, when an alternative state is given, the acceptance rate under it
+    are exact Born sums over the law of n * U_n from `finite_law`.
+    Nothing is drawn at random.  Returns one TestResult per n, in
+    spec.n_list order.
 
     The test is biased against purer alternatives at small n.  At null
-    diag(0.75, 0.25), alpha = 0.05 and seed 0, diag(0.9, 0.1) is accepted
-    more often than the null at every n <= 17 (0.9556 against 0.9485 at
+    diag(0.75, 0.25) and alpha = 0.05, diag(0.9, 0.1) is accepted more
+    often than the null at every n <= 17 (0.9556 against 0.9485 at
     n = 10) and less often at every n from 18 to 200 (0.7919 against
     0.9397 at n = 18, 0.0012 at n = 200).  diag(0.6, 0.4) is accepted less
     often than the null at every n from 2 to 200.
@@ -282,9 +422,7 @@ def run_test(spec, alternative=None, trunc=DEFAULT_TRUNC,
     limit = kernel_to_limit(kernel, kernel_components(kernel, rho), basis)
     kernel_second = limit_moment(limit, basis, 2, method="wick")
     if spec.interval is None:
-        limit_seed = np.random.SeedSequence(spec.seed).spawn(1)[0]
-        draws = sample_limit_law(limit, basis, limit_draws, limit_seed, trunc=trunc)
-        quantile = float(np.quantile(draws, 1.0 - spec.alpha))
+        quantile = _law_quantile(*_limit_law(limit, basis, budget), 1.0 - spec.alpha)
     weights = [np.real(np.diag(rho.entries))]
     theta_true = None
     if alternative is not None:

@@ -506,15 +506,18 @@ class FockRep:
             )
 
 
-def _classical_moments(max_degree, quad_points):
-    """E[x^k] for a standard Gaussian, k = 0..max_degree, by quadrature."""
-    q = max(2, quad_points)
-    x, w = _herme.hermegauss(q)
+def _classical_moments(max_degree):
+    """E[x^k] for a standard Gaussian, k = 0..max_degree, by quadrature.
+
+    Gauss-Hermite quadrature of order q is exact up to degree 2q - 1, so
+    q = max_degree // 2 + 1 points suffice.
+    """
+    x, w = _herme.hermegauss(max_degree // 2 + 1)
     w = w / math.sqrt(2.0 * math.pi)
     return [float(np.dot(w, x ** k)) for k in range(max_degree + 1)]
 
 
-def fock_moment(target, basis, trunc=DEFAULT_TRUNC, quad_points=None, tail_tol=TAIL_TOL):
+def fock_moment(target, basis, trunc=DEFAULT_TRUNC, tail_tol=TAIL_TOL):
     """Moment of a limit polynomial evaluated on a truncated Fock space.
 
     `target` may be a LimitPolynomial, a monomial dict as produced by
@@ -531,10 +534,7 @@ def fock_moment(target, basis, trunc=DEFAULT_TRUNC, quad_points=None, tail_tol=T
         poly = {tuple(int(s) for s in target): 1.0}
     if not poly:
         return 0.0 + 0.0j
-    degree = max((len(m) for m in poly), default=0)
-    if quad_points is None:
-        quad_points = degree + 1
-    cmoms = _classical_moments(degree, quad_points)
+    cmoms = _classical_moments(max(len(m) for m in poly))
 
     rep = FockRep(trunc)
     pair_sigma = {}
@@ -588,27 +588,34 @@ ROUTE_AGREEMENT_RTOL = 1e-6
 ROUTE_AGREEMENT_ATOL = 1e-9
 
 
-def limit_moment(limit, basis, p, method="wick", trunc=DEFAULT_TRUNC,
-                 quad_points=None, check=False):
+def limit_moment(limit, basis, p, method="wick", trunc=DEFAULT_TRUNC, check=False):
     """E[L^p] for the limit polynomial L, via "wick" or "fock".
 
     With check=True both routes are computed and must agree to
-    ROUTE_AGREEMENT_RTOL (absolute ROUTE_AGREEMENT_ATOL below 1e-3).
+    ROUTE_AGREEMENT_RTOL (absolute ROUTE_AGREEMENT_ATOL below 1e-3); the
+    Wick value is returned.
     """
+    methods = ("wick", "fock") if check else (method,)
+    return _route_moments(limit, basis, p, methods, trunc)[methods[0]]
+
+
+def _route_moments(limit, basis, p, methods, trunc=DEFAULT_TRUNC):
+    """{method: E[L^p]} with each route computed once; two routes must agree."""
     if p < 0:
         raise ValidationError("moment order must be >= 0")
-    poly = limit_to_poly(limit, basis)
-    poly_p = poly_power(poly, p)
+    poly_p = poly_power(limit_to_poly(limit, basis), p)
     values = {}
-    methods = ("wick", "fock") if check else (method,)
     for name in methods:
         if name == "wick":
-            values[name] = wick_poly_moment(poly_p, basis)
+            val = wick_poly_moment(poly_p, basis)
         elif name == "fock":
-            values[name] = fock_moment(poly_p, basis, trunc=trunc, quad_points=quad_points)
+            val = fock_moment(poly_p, basis, trunc=trunc)
         else:
             raise ValidationError("unknown method %r" % name)
-    if check:
+        if abs(val.imag) > 1e-8 * max(1.0, abs(val)):
+            raise ToleranceError("moment %r of a selfadjoint polynomial is not real" % val)
+        values[name] = val
+    if len(values) == 2:
         a, b = values["wick"], values["fock"]
         gap = abs(a - b)
         ref = max(abs(a), abs(b))
@@ -617,10 +624,7 @@ def limit_moment(limit, basis, p, method="wick", trunc=DEFAULT_TRUNC,
             raise ToleranceError(
                 "wick %r and fock %r moments disagree (gap %.3e)" % (a, b, gap)
             )
-    val = values[method if not check else "wick"]
-    if abs(val.imag) > 1e-8 * max(1.0, abs(val)):
-        raise ToleranceError("moment %r of a selfadjoint polynomial is not real" % val)
-    return float(val.real)
+    return {name: float(val.real) for name, val in values.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Runs one experiment described by a JSON config and writes a manifest,
 a result document and CSV tables into the output directory.  All floats
-are printed with 17 significant digits and every random stream is seeded,
-so identical configurations reproduce identical bytes.
+are printed with 17 significant digits and no command draws random
+numbers (the config seed is only recorded in the manifest), so identical
+configurations reproduce identical bytes.
 
 Exit codes: 1 invalid input, 2 budget exceeded, 3 tolerance violation.
 """
@@ -83,7 +84,8 @@ CONFIG_SCHEMA = {
             },
         },
         "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        # Accepted and ignored: test-sim rates are exact Born sums.
+        # Accepted and ignored: test-sim rates are exact Born sums, and its
+        # critical value is read from the exact limit law.
         "mc_replicates": {"type": "integer", "minimum": 1},
         "limit_draws": {"type": "integer", "minimum": 1},
         "alternative": SCHEMA_STATE,
@@ -97,7 +99,6 @@ CONFIG_SCHEMA = {
         "g1": {"type": "number"},
         "g2": {"type": "number"},
         "trunc": {"type": "integer", "minimum": 2},
-        "quad_points": {"type": "integer", "minimum": 2},
         "max_order": {"type": "integer", "minimum": 0},
         "sigma_sq_list": {"type": "array", "items": {"type": "number"}, "minItems": 1},
         "hermite_tol": {"type": "number", "exclusiveMinimum": 0},
@@ -108,7 +109,6 @@ CONFIG_SCHEMA = {
 DEFAULTS = {
     "seed": 0,
     "trunc": 64,
-    "limit_draws": 1000000,
     "max_order": 6,
     "sigma_sq_list": [0.75, 1.0, 2.0],
     "hermite_tol": 1e-8,
@@ -379,7 +379,7 @@ def _moments(config):
 
 
 def _cmd_limit(config):
-    from .ccr import limit_moment
+    from .ccr import _route_moments
 
     _require(config, "state", "kernel", "p_list")
     state = _load_state(config["state"])
@@ -387,10 +387,8 @@ def _cmd_limit(config):
     report, basis, limit = _limit_setup(config, state, kernel)
     moments = []
     for p in sorted(set(config["p_list"])):
-        wick = limit_moment(limit, basis, p, method="wick", trunc=config["trunc"],
-                            quad_points=config.get("quad_points"), check=True)
-        fock = limit_moment(limit, basis, p, method="fock", trunc=config["trunc"],
-                            quad_points=config.get("quad_points"))
+        routes = _route_moments(limit, basis, p, ("wick", "fock"), trunc=config["trunc"])
+        wick, fock = routes["wick"], routes["fock"]
         moments.append({"p": p, "wick": wick, "fock": fock, "abs_gap": abs(wick - fock)})
     result = {"polynomial": limit.to_json(), "moments": moments}
     header = ["p", "wick", "fock", "abs_gap"]
@@ -449,18 +447,11 @@ def _cmd_test_sim(config):
         null_state=state,
         alpha=config["alpha"],
         n_list=tuple(sorted(set(config["n_list"]))),
-        seed=config["seed"],
         interval=tuple(config["interval"]) if "interval" in config else None,
     )
     results = [
         res.to_json()
-        for res in run_test(
-            spec,
-            alternative=alternative,
-            trunc=config["trunc"],
-            limit_draws=config["limit_draws"],
-            budget=config.get("dim_budget"),
-        )
+        for res in run_test(spec, alternative=alternative, budget=config.get("dim_budget"))
     ]
     rows = [
         {

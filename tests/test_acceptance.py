@@ -385,7 +385,7 @@ def test_criterion_09():
     alpha_hat = None
     exact_betas = []
     ns = (4, 6, 8, 10)
-    spec = TestSpec(null_state=RHO_75, alpha=0.05, n_list=ns, seed=0)
+    spec = TestSpec(null_state=RHO_75, alpha=0.05, n_list=ns)
     for n, result in zip(ns, run_test(spec, alternative=alternative)):
         if n == 10:
             alpha_hat = result.alpha_hat

@@ -1,15 +1,21 @@
 """Hypothesis-test simulations and the metrology overlap."""
 
 import itertools
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qustat
 from qustat import (
     DensityMatrix,
     Kernel,
     LimitPolynomial,
     TestSpec,
+    ToleranceError,
     ValidationError,
     assemble_direct,
     build_ccr_basis,
@@ -17,13 +23,13 @@ from qustat import (
     homogeneity_kernel,
     kernel_components,
     kernel_to_limit,
+    limit_moment,
     metrology_overlap,
     run_test,
-    sample_limit_law,
     simulate_measurement,
     symmetrize_kernel,
 )
-from qustat.apps import DEFAULT_LIMIT_DRAWS
+from qustat.apps import _law_cdf, _law_quantile, _limit_law
 from qustat.operators import hermitize, tensor_weights
 
 ATOL = 1e-12
@@ -88,23 +94,17 @@ def test_simulate_measurement_distribution(rho_75, paulis):
 
 def test_spec_validation(rho_75):
     with pytest.raises(ValidationError):
-        TestSpec(null_state=rho_75, alpha=1.5, n_list=(4,), seed=0)
+        TestSpec(null_state=rho_75, alpha=1.5, n_list=(4,))
     with pytest.raises(ValidationError):
-        TestSpec(null_state=rho_75, alpha=0.05, n_list=(4, 1), seed=0)
+        TestSpec(null_state=rho_75, alpha=0.05, n_list=(4, 1))
     with pytest.raises(ValidationError):
-        TestSpec(null_state=rho_75, alpha=0.05, n_list=(), seed=0)
+        TestSpec(null_state=rho_75, alpha=0.05, n_list=())
     with pytest.raises(ValidationError):
-        TestSpec(
-            null_state=rho_75, alpha=0.05, n_list=(4,), seed=0,
-            interval=(2.0, 1.0),
-        )
+        TestSpec(null_state=rho_75, alpha=0.05, n_list=(4,), interval=(2.0, 1.0))
 
 
 def test_run_test_trivial_interval_never_rejects(rho_75):
-    spec = TestSpec(
-        null_state=rho_75, alpha=0.05, n_list=(4,), seed=3,
-        interval=(-1e9, 1e9),
-    )
+    spec = TestSpec(null_state=rho_75, alpha=0.05, n_list=(4,), interval=(-1e9, 1e9))
     (result,) = run_test(spec)
     assert result.alpha_hat == 0.0
     assert result.beta_hat is None
@@ -130,9 +130,7 @@ def test_run_test_matches_exact_born_rejection(rho_75):
     n = 6
     interval = (-0.8, 2.0)
     exact, _ = _exact_rates(n, interval)
-    spec = TestSpec(
-        null_state=rho_75, alpha=0.05, n_list=(n,), seed=14, interval=interval,
-    )
+    spec = TestSpec(null_state=rho_75, alpha=0.05, n_list=(n,), interval=interval)
     (result,) = run_test(spec)
     np.testing.assert_allclose(result.alpha_hat, exact, rtol=0.0, atol=1e-12)
 
@@ -140,7 +138,7 @@ def test_run_test_matches_exact_born_rejection(rho_75):
 def test_run_test_rates_match_monte_carlo_measurement(rho_75):
     n, replicates = 6, 20000
     alt = DensityMatrix.from_eigenvalues([0.9, 0.1])
-    spec = TestSpec(null_state=rho_75, alpha=0.05, n_list=(n,), seed=6)
+    spec = TestSpec(null_state=rho_75, alpha=0.05, n_list=(n,))
     (result,) = run_test(spec, alternative=alt)
     hi = result.interval[1]
     scaled = n * assemble_direct(goodness_kernel(rho_75), n).op.entries
@@ -159,17 +157,16 @@ def test_run_test_rates_match_monte_carlo_measurement(rho_75):
 
 def test_run_test_default_interval_is_upper_tail(rho_75):
     n, alpha = 10, 0.05
-    spec = TestSpec(null_state=rho_75, alpha=alpha, n_list=(n,), seed=0)
+    spec = TestSpec(null_state=rho_75, alpha=alpha, n_list=(n,))
     (result,) = run_test(spec)
     kernel = goodness_kernel(rho_75)
     vals, vecs = np.linalg.eigh(n * assemble_direct(kernel, n).op.entries)
     np.testing.assert_allclose(result.interval[0], vals[0], rtol=0.0, atol=ATOL)
     basis = build_ccr_basis(rho_75)
     limit = kernel_to_limit(kernel, kernel_components(kernel, rho_75), basis)
-    limit_seed = np.random.SeedSequence(0).spawn(1)[0]
-    draws = sample_limit_law(limit, basis, DEFAULT_LIMIT_DRAWS, limit_seed)
     np.testing.assert_allclose(
-        result.interval[1], np.quantile(draws, 1.0 - alpha), rtol=0.0, atol=ATOL
+        result.interval[1], _law_quantile(*_limit_law(limit, basis), 1.0 - alpha),
+        rtol=0.0, atol=ATOL,
     )
     # No null outcome lies below the lower end: only the upper tail rejects,
     # and its exact null probability is close to alpha.
@@ -186,9 +183,7 @@ def test_run_test_default_interval_is_upper_tail(rho_75):
 def test_run_test_alternative_reports_power(rho_75):
     alt = DensityMatrix.from_matrix(np.diag([0.9, 0.1]))
     interval = (-0.5, 0.5)
-    spec = TestSpec(
-        null_state=rho_75, alpha=0.05, n_list=(4,), seed=5, interval=interval,
-    )
+    spec = TestSpec(null_state=rho_75, alpha=0.05, n_list=(4,), interval=interval)
     (result,) = run_test(spec, alternative=alt)
     np.testing.assert_allclose(result.theta_true, 0.045, atol=ATOL)
     np.testing.assert_allclose(
@@ -201,30 +196,143 @@ def test_run_test_alternative_reports_power(rho_75):
 
 
 def test_run_test_seeded_runs_are_identical(rho_75):
-    spec = TestSpec(null_state=rho_75, alpha=0.1, n_list=(4, 6), seed=21)
-    first = run_test(spec, limit_draws=20000)
-    second = run_test(spec, limit_draws=20000)
+    spec = TestSpec(null_state=rho_75, alpha=0.1, n_list=(4, 6))
+    first = run_test(spec)
+    second = run_test(spec)
     assert [r.n for r in first] == [4, 6]
     assert first == second
 
 
-def test_sample_limit_law_moments(rho_75):
-    kernel = goodness_kernel(rho_75)
-    report = kernel_components(kernel, rho_75)
-    basis = build_ccr_basis(rho_75)
-    limit = kernel_to_limit(kernel, report, basis)
-    draws = sample_limit_law(limit, basis, 200000, seed=17)
-    again = sample_limit_law(limit, basis, 200000, seed=17)
-    np.testing.assert_array_equal(draws, again)
-    assert abs(draws.mean()) < 0.02
-    assert abs((draws ** 2).mean() - 1.03125) < 0.05
+def _goodness_limit(eigenvalues):
+    rho = DensityMatrix.from_eigenvalues(eigenvalues)
+    kernel = goodness_kernel(rho)
+    basis = build_ccr_basis(rho)
+    return kernel_to_limit(kernel, kernel_components(kernel, rho), basis), basis
 
 
-def test_sample_limit_law_rejects_cross_block_monomials(rho_75):
+def test_limit_law_cdf_matches_closed_form_at_d2():
+    # At diag(0.75, 0.25) the limit is 0.375 Z^2 + N - 0.875 with N
+    # geometric, P(N = k) = (2/3)(1/3)^k, so
+    # F(x) = sum_k (2/3)(1/3)^k erf(sqrt((x + 0.875 - k) / 0.75)).
+    def closed_form(x):
+        return sum(
+            (2.0 / 3.0) * 3.0 ** -k * math.erf(math.sqrt((x + 0.875 - k) / 0.75))
+            for k in range(60) if x + 0.875 - k > 0.0
+        )
+
+    law = _limit_law(*_goodness_limit([0.75, 0.25]))
+    cdf = _law_cdf(*law)
+    # points off the atoms -0.875 + k, where a rounding of the atom by e
+    # moves the CDF by about sqrt(e)
+    for x in (-0.8, -0.5, 0.0, 0.2, 0.7, 1.3, 2.13, 3.0, 5.5, 9.0):
+        assert abs(cdf(x) - closed_form(x)) < 1e-10, x
+    q = _law_quantile(*law, 0.95)
+    assert abs(q - 2.1300147526) < 1e-9
+    assert abs(closed_form(q) - 0.95) < 1e-10
+
+
+def test_law_cdf_matches_chi_square_closed_forms():
+    # the law of sum_i mu_i Z_i^2 alone: one atom at 0 of probability 1
+    one = (np.zeros(1), np.ones(1))
+    nodes, weights = np.polynomial.legendre.leggauss(60)
+    for x in (0.3, 1.0, 2.5, 6.0, 15.0):
+        chi3 = math.erf(math.sqrt(x / 2)) - math.sqrt(2 * x / math.pi) * math.exp(-x / 2)
+        chi4 = 1.0 - math.exp(-x / 2) * (1.0 + x / 2)
+        assert abs(_law_cdf(*one, np.ones(3))(x) - chi3) < 1e-12, x
+        assert abs(_law_cdf(*one, np.full(4, 2.0))(2.0 * x) - chi4) < 1e-12, x
+        # Z1^2 + Z2^2 + 2 Z3^2: given Z3 = z, Z1^2 + Z2^2 is exponential of
+        # mean 2, so F(x) = erf(a / sqrt 2) - exp(-x/2) int_{-a}^{a} exp(z^2/2) dz
+        # / sqrt(2 pi) with a = sqrt(x / 2)
+        a = math.sqrt(x / 2)
+        integral = a * float(np.dot(weights, np.exp((a * nodes) ** 2 / 2)))
+        mixed = math.erf(a / math.sqrt(2)) - math.exp(-x / 2) * integral / math.sqrt(2 * math.pi)
+        assert abs(_law_cdf(*one, np.array([1.0, 1.0, 2.0]))(x) - mixed) < 1e-12, x
+
+
+def test_limit_law_moments_match_wick():
+    for eigenvalues in ([0.75, 0.25], [0.6, 0.3, 0.1]):
+        limit, basis = _goodness_limit(eigenvalues)
+        atoms, probs, mu = _limit_law(limit, basis)
+        assert mu.min() > 0.0 and len(mu) == len(eigenvalues) - 1
+        # moments of sum_i mu_i Z_i^2 from its cumulants 2^(m-1) (m-1)! sum_i mu_i^m
+        kappa = [0.0] + [2.0 ** (m - 1) * math.factorial(m - 1) * float(np.sum(mu ** m))
+                         for m in range(1, 5)]
+        gauss = [1.0]
+        for m in range(1, 5):
+            gauss.append(sum(math.comb(m - 1, i - 1) * kappa[i] * gauss[m - i]
+                             for i in range(1, m + 1)))
+        for p in (2, 3, 4):
+            law_moment = sum(math.comb(p, i) * float(probs @ atoms ** i) * gauss[p - i]
+                             for i in range(p + 1))
+            # The law drops a mass below 1e-10 at its largest atoms, which
+            # moves the p-th moment by that mass times their p-th power.
+            np.testing.assert_allclose(
+                law_moment, limit_moment(limit, basis, p, method="wick"), rtol=1e-6,
+                err_msg="%r p=%d" % (eigenvalues, p),
+            )
+
+
+def test_limit_law_quantile_matches_monte_carlo():
+    # Independent of the Fock route: for a diagonal null l the goodness
+    # limit is |X|^2 - sum_i l_i (1 - l_i) for X ~ N(0, diag(l) - l l^T),
+    # plus per pair j < k the value (l_j - l_k)(2 N + 1) - (l_j + l_k) with
+    # N geometric of ratio l_k / l_j.
+    draws, alpha = 400000, 0.05
+    rng = np.random.default_rng(2024)
+    for eigenvalues in ([0.75, 0.25], [0.6, 0.3, 0.1]):
+        lam = np.array(eigenvalues)
+        cov_vals, cov_vecs = np.linalg.eigh(np.diag(lam) - np.outer(lam, lam))
+        scale = np.sqrt(np.clip(cov_vals, 0.0, None))
+        x = (rng.standard_normal((draws, len(lam))) * scale) @ cov_vecs.T
+        total = np.sum(x ** 2, axis=1) - float(np.sum(lam * (1.0 - lam)))
+        for j, k in itertools.combinations(range(len(lam)), 2):
+            number = rng.geometric(1.0 - lam[k] / lam[j], size=draws) - 1
+            total += (lam[j] - lam[k]) * (2.0 * number + 1.0) - (lam[j] + lam[k])
+        q = _law_quantile(*_limit_law(*_goodness_limit(eigenvalues)), 1.0 - alpha)
+        se = math.sqrt(alpha * (1.0 - alpha) / draws)
+        assert abs(float(np.mean(total <= q)) - (1.0 - alpha)) < 4.0 * se, eigenvalues
+        assert abs(float(np.mean(total))) < 4.0 * float(np.std(total)) / math.sqrt(draws)
+
+
+def test_limit_law_rejects_cross_block_monomials(rho_75):
     basis = build_ccr_basis(rho_75)
     mixed = LimitPolynomial(c=2, binom_factor=1, terms=(((1, 1, 0), 1.0),))
     with pytest.raises(ValidationError):
-        sample_limit_law(mixed, basis, 100, seed=0)
+        _limit_law(mixed, basis)
+    linear = LimitPolynomial(c=1, binom_factor=1, terms=(((1, 0, 0), 1.0),))
+    with pytest.raises(ValidationError):
+        _limit_law(linear, basis)
+
+
+def test_limit_law_error_bound_is_enforced():
+    atoms, probs, mu = _limit_law(*_goodness_limit([0.75, 0.25]))
+    assert 0.0 <= 1.0 - probs.sum() <= 1e-10
+    with pytest.raises(ToleranceError):
+        _law_cdf(atoms, probs * (1.0 - 1e-9), mu)
+    with pytest.raises(ToleranceError):
+        _law_quantile(atoms, probs, mu, 1.0 - 1e-12)
+    # a spread of 1e4 in mu needs far more Ruben terms than are summed
+    with pytest.raises(ToleranceError):
+        _law_cdf(atoms, probs, np.array([1e-4, 1.0]))
+
+
+def test_run_test_leaves_scipy_unloaded():
+    # scipy is not a dependency: the exact quantile uses math.erf and numpy
+    root = os.path.dirname(os.path.dirname(os.path.abspath(qustat.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from qustat import DensityMatrix, TestSpec, run_test\n"
+         "rho = DensityMatrix.from_eigenvalues([0.75, 0.25])\n"
+         "(r,) = run_test(TestSpec(null_state=rho, alpha=0.05, n_list=(6,)))\n"
+         "print(round(r.interval[1], 9), 'scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [root, os.environ.get("PYTHONPATH")]))),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2.130014753", "False"]
 
 
 def _plus_state():

@@ -147,7 +147,7 @@ def test_test_sim_with_fixed_interval(tmp_path):
 def test_test_sim_builds_the_limit_law_once(tmp_path, monkeypatch):
     import qustat.apps
 
-    calls = {"sample_limit_law": 0, "kernel_components": 0}
+    calls = {"_limit_law": 0, "kernel_components": 0}
     for name in calls:
         original = getattr(qustat.apps, name)
 
@@ -161,10 +161,9 @@ def test_test_sim_builds_the_limit_law_once(tmp_path, monkeypatch):
         "state": STATE_75,
         "alpha": 0.05,
         "n_list": [10, 4, 8, 6, 4],
-        "limit_draws": 10000,
     }
     _, result, _ = _run(tmp_path, config)
-    assert calls == {"sample_limit_law": 1, "kernel_components": 1}
+    assert calls == {"_limit_law": 1, "kernel_components": 1}
     rows = result["results"]
     assert [r["n"] for r in rows] == [4, 6, 8, 10]
     assert len({r["interval"][1] for r in rows}) == 1
@@ -190,6 +189,76 @@ def test_test_sim_ignores_mc_replicates(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_test_sim_output_is_the_same_for_every_seed(tmp_path):
+    config = {
+        "command": "test-sim",
+        "state": STATE_75,
+        "alternative": {"eigenvalues": [0.6, 0.4]},
+        "alpha": 0.05,
+        "n_list": [4, 6, 8, 10],
+    }
+    variants = {
+        "plain": ({}, None),
+        "seeded": ({"seed": 12345}, None),
+        "override": ({}, 7),
+        "knobs": ({"limit_draws": 10, "mc_replicates": 10, "trunc": 2}, 99),
+    }
+    outputs = {}
+    for name, (extra, seed_override) in variants.items():
+        cfg = _write_config(tmp_path, dict(config, **extra), name="%s.json" % name)
+        out = tmp_path / name
+        run(cfg, str(out), seed_override=seed_override)
+        outputs[name] = [
+            (out / rel).read_bytes() for rel in ("result.json", "tables/test.csv")
+        ]
+    assert all(files == outputs["plain"] for files in outputs.values())
+    rows = json.loads(outputs["plain"][0])["results"]
+    # the exact 0.95 quantile of the limit law at diag(0.75, 0.25)
+    assert all(abs(r["interval"][1] - 2.1300147526) < 1e-9 for r in rows)
+    # exact null rejection rates, unchanged from the sampled critical value
+    # 2.1308534 since no atom of n U_n lies between the two
+    expected = [0.05078125, 0.044189453125, 0.0322418212890625, 0.05147647857666016]
+    for r, alpha_n in zip(rows, expected):
+        assert r["alpha_hat"] == pytest.approx(alpha_n, rel=0.0, abs=1e-12)
+
+
+def test_test_sim_runs_where_a_fixed_fock_truncation_fell_short(tmp_path):
+    # the (0.3, 0.2) oscillator has thermal tail 5.4e-12 at truncation 64;
+    # the exact law truncates each oscillator where its tail drops below 1e-12
+    config = {
+        "command": "test-sim",
+        "state": {"eigenvalues": [0.5, 0.3, 0.2]},
+        "alpha": 0.05,
+        "n_list": [3],
+    }
+    _, result, _ = _run(tmp_path, config)
+    assert 0.0 <= result["alpha_hat"] <= 1.0
+    assert result["interval"][1] == pytest.approx(2.4285234821, abs=1e-9)
+
+
+def test_limit_computes_each_route_once_per_order(tmp_path, monkeypatch):
+    import qustat.ccr
+
+    calls = {"fock_moment": 0, "poly_power": 0}
+    for name in calls:
+        original = getattr(qustat.ccr, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(qustat.ccr, name, counted)
+    config = {
+        "command": "limit",
+        "state": STATE_75,
+        "kernel": {"preset": "goodness"},
+        "p_list": [2, 4, 6],
+    }
+    _, result, _ = _run(tmp_path, config)
+    assert calls == {"fock_moment": 3, "poly_power": 3}
+    assert [row["p"] for row in result["moments"]] == [2, 4, 6]
+
+
 def test_test_sim_reaches_hundreds_of_sites(tmp_path):
     config = {
         "command": "test-sim",
@@ -201,7 +270,7 @@ def test_test_sim_reaches_hundreds_of_sites(tmp_path):
     _, result, _ = _run(tmp_path, config)
     # the smallest atom of n U_n is -0.875 - 1.875 / (n - 1) at diag(0.75, 0.25)
     assert result["interval"][0] == pytest.approx(-0.875 - 1.875 / 199, rel=0.0, abs=1e-15)
-    assert result["alpha_hat"] == pytest.approx(0.047745, abs=5e-6)
+    assert result["alpha_hat"] == pytest.approx(0.049213, abs=5e-6)
     assert result["beta_hat"] == pytest.approx(0.001229, abs=5e-6)
 
 
