@@ -17,12 +17,12 @@ _EXPORTS = {
     ),
     "ccr": (
         "CCRBasis", "FockRep", "LimitPolynomial", "build_ccr_basis", "fock_moment",
-        "hermite", "hermite_op", "hermite_orthogonality_check", "kernel_to_limit",
-        "limit_moment", "limit_to_poly", "quasifree_moment_wick",
+        "hermite_orthogonality_check", "kernel_to_limit", "limit_moment",
+        "limit_to_poly", "quasifree_moment_wick",
     ),
     "errors": (
         "BudgetError", "ExpansionBudgetError", "QuStatError", "ToleranceError",
-        "TruncationError", "ValidationError",
+        "ValidationError",
     ),
     "hoeffding": (
         "DegeneracyReport", "HoeffdingComponent", "cond_expectation",

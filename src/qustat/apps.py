@@ -23,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ccr import (
-    TAIL_TOL,
     FockRep,
     build_ccr_basis,
     kernel_to_limit,
     limit_moment,
     limit_to_poly,
+    thermal_levels,
 )
 from .errors import ToleranceError, ValidationError
 from .hoeffding import kernel_components
@@ -37,7 +37,6 @@ from .operators import (
     HermitianOperator,
     Kernel,
     binom,
-    check_dim_budget,
     eigenframe,
     hermitize,
 )
@@ -230,11 +229,11 @@ def _limit_law(limit, basis, budget=None):
     form a discrete variable with increasing `atoms` and probabilities
     `probs`, and the commutative block is sum_i mu_i Z_i^2 for i.i.d.
     standard normals Z_i, independent of it.  Each oscillator is
-    diagonalized on the smallest Fock truncation whose thermal tail is at
-    most TAIL_TOL, its eigenvalues weighted by their thermal Born
-    probabilities; the oscillators combine by outer sum, and the least
-    likely joint atoms are dropped up to a total mass _DROPPED_MASS.  The
-    tails and the dropped atoms are the deficit 1 - sum(probs).
+    diagonalized on the Fock levels `thermal_levels` keeps for degree 0,
+    its eigenvalues weighted by their thermal Born probabilities; the
+    oscillators combine by outer sum, and the least likely joint atoms
+    are dropped up to a total mass _DROPPED_MASS.  The thermal tails and
+    the dropped atoms are the deficit 1 - sum(probs).
     """
     poly = limit_to_poly(limit, basis)
     const, classical, per_pair = _split_additive(poly, basis)
@@ -252,21 +251,18 @@ def _limit_law(limit, basis, budget=None):
     atoms, probs = np.array([float(const)]), np.ones(1)
     for pid in sorted(per_pair):
         sigma_sq = next(s.sigma_sq for s in basis.symbols if s.pair_id == pid)
-        # the smallest truncation whose thermal tail exp(-beta trunc) is <= TAIL_TOL
-        beta = 2.0 * math.atanh(1.0 / (2.0 * sigma_sq))
-        trunc = max(2, math.ceil(-math.log(TAIL_TOL) / beta))
-        check_dim_budget(trunc, budget)
-        rep = FockRep(trunc)
+        weights, tail = thermal_levels(sigma_sq, 0, budget)
+        rep = FockRep(len(weights))
         scale = 1.0 / math.sqrt(sigma_sq)
         mats = {"q": rep.Q * scale, "p": rep.P * scale}
-        op = np.zeros((trunc, trunc), dtype=complex)
+        op = np.zeros((rep.trunc, rep.trunc), dtype=complex)
         for mon, coeff in per_pair[pid].items():
-            chain = np.eye(trunc, dtype=complex)
+            chain = np.eye(rep.trunc, dtype=complex)
             for s in mon:
                 chain = chain @ mats[basis.symbols[s].kind]
             op += coeff * chain
         vals, vecs = np.linalg.eigh(hermitize(op).entries)
-        thermal = rep.thermal(sigma_sq) * (1.0 - rep.tail_mass(sigma_sq))
+        thermal = weights * (1.0 - tail)
         atoms = np.add.outer(atoms, vals).ravel()
         probs = np.multiply.outer(probs, thermal @ np.abs(vecs) ** 2).ravel()
         order = np.argsort(probs)

@@ -13,8 +13,9 @@ to a monic Hermite polynomial in the normalized generators (symmetric
 ordering for mixed quadrature monomials).
 
 Moments of the limit are computed along two independent routes: a Wick
-pair-partition sum, and numerically on a truncated Fock space with
-Gauss-Hermite quadrature for the commutative block.
+pair-partition sum, and on Fock space, where each oscillator keeps the
+levels `thermal_levels` derives from its variance and the degree of what
+is evaluated, and the commutative block uses the exact Gaussian moments.
 """
 
 import itertools
@@ -22,16 +23,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import hermite as _herm
-from numpy.polynomial import hermite_e as _herme
 
 from .errors import (
+    BudgetError,
     ExpansionBudgetError,
     ToleranceError,
-    TruncationError,
     ValidationError,
 )
-from .operators import binom, frobenius, rotate_sites, state_covariance
+from .operators import DEFAULT_DIM_BUDGET, binom, frobenius, rotate_sites, state_covariance
 
 # Internal consistency of the constructed basis (orthonormality, the
 # symplectic normal form) is asserted at this tolerance.
@@ -39,8 +38,7 @@ BASIS_SELFCHECK_TOL = 1e-10
 # Coefficients attached to the identity component of a fully degenerate
 # kernel must vanish to within this relative tolerance.
 CENTERED_RESIDUE_RTOL = 1e-8
-# Default Fock truncation and thermal tail requirement.
-DEFAULT_TRUNC = 64
+# Largest effect of an oscillator's thermal tail beyond its Fock truncation.
 TAIL_TOL = 1e-12
 # Hard caps for symbolic moment expansions.
 MAX_WICK_DEGREE = 16
@@ -455,14 +453,51 @@ def wick_poly_moment(poly, basis):
 # Fock route
 
 
+def thermal_levels(sigma_sq, degree, budget=None):
+    """An oscillator's thermal state on the Fock levels a degree-g evaluation needs.
+
+    The state is exp(-beta N) / Z with beta = 2 atanh(1 / (2 sigma_sq))
+    (the vacuum at sigma_sq = 1/2).  Its tail beyond level T moves a
+    degree-g moment by about exp(-beta T) (2T + g + 1)^(g/2); the least T
+    where that is at most TAIL_TOL is kept, plus g levels (2 at least).
+    Returns (weights, tail): the normalized weights exp(-beta k) / Z_T of
+    the kept levels and the thermal mass beyond them.  The truncation is
+    capped by `budget` (default DEFAULT_DIM_BUDGET).
+    """
+    if not 0.5 - 1e-12 <= sigma_sq < math.inf:
+        raise ValidationError(
+            "oscillator variance must be a finite number >= 1/2, got %r" % (sigma_sq,)
+        )
+    limit = DEFAULT_DIM_BUDGET if budget is None else budget
+    beta, need = math.inf, 1.0  # the vacuum fills one level
+    if sigma_sq > 0.5 + 1e-12:
+        beta = 2.0 * math.atanh(1.0 / (2.0 * sigma_sq))
+        need = -math.log(TAIL_TOL) / beta
+    # the least fixed point of T = (-ln TAIL_TOL + (g/2) ln(2T + g + 1)) / beta,
+    # approached from below since the right side grows with T
+    levels = 0
+    while levels < need:
+        if max(2.0, need + degree) > limit:
+            raise BudgetError(
+                "Fock truncation of the oscillator with sigma^2 = %.6g needs at least "
+                "%.4g levels, over the budget %d" % (sigma_sq, max(2.0, need + degree), limit)
+            )
+        levels = math.ceil(need)
+        need = (-math.log(TAIL_TOL) + 0.5 * degree * math.log(2 * levels + degree + 1)) / beta
+    trunc = max(2, levels + degree)
+    # the vacuum has all its weight on level 0
+    weights = np.exp(-beta * np.arange(trunc)) if beta < math.inf else np.eye(1, trunc)[0]
+    return weights / weights.sum(), math.exp(-beta * trunc)
+
+
 class FockRep:
-    """Truncated harmonic oscillator quadratures.
+    """Truncated harmonic oscillator quadratures, as dense matrices.
 
     [Q, P] = i holds exactly on the leading (trunc-1)-dimensional block;
     the last row/column carries the truncation defect.
     """
 
-    def __init__(self, trunc=DEFAULT_TRUNC):
+    def __init__(self, trunc):
         if trunc < 2:
             raise ValidationError("truncation must be at least 2")
         self.trunc = trunc
@@ -477,105 +512,107 @@ class FockRep:
         if np.abs(lead).max() > 1e-10:
             raise ToleranceError("quadrature commutator defect on leading block")
 
-    def thermal(self, sigma_sq):
-        """Diagonal weights of the centered Gaussian state with Var(Q) = sigma_sq."""
-        if sigma_sq < 0.5 - 1e-12:
-            raise ValidationError("oscillator variance must be >= 1/2")
-        w = np.zeros(self.trunc)
-        if abs(sigma_sq - 0.5) <= 1e-12:
-            w[0] = 1.0
-            return w
-        beta = 2.0 * math.atanh(1.0 / (2.0 * sigma_sq))
-        k = np.arange(self.trunc)
-        w = np.exp(-beta * k)
-        return w / w.sum()
 
-    def tail_mass(self, sigma_sq):
-        """Thermal weight beyond the truncation: exp(-beta * trunc)."""
-        if abs(sigma_sq - 0.5) <= 1e-12:
-            return 0.0
-        beta = 2.0 * math.atanh(1.0 / (2.0 * sigma_sq))
-        return math.exp(-beta * self.trunc)
+def _band_roots(width, levels):
+    """sqrt(k + s) (0 below level 0) for offsets s = -width..width, levels k."""
+    offsets = np.arange(-width, width + 1)[:, None]
+    return np.sqrt(np.maximum(offsets + np.arange(levels), 0))
 
-    def require_tail(self, sigma_sq, tol=TAIL_TOL):
-        mass = self.tail_mass(sigma_sq)
-        if mass >= tol:
-            raise TruncationError(
-                "thermal tail %.3e at truncation %d exceeds %g"
-                % (mass, self.trunc, tol)
-            )
+
+def _quadrature_times(kind, band, roots, scale=1.0):
+    """scale * Q M or scale * P M for M kept as 2w + 1 diagonals.
+
+    band[w + s, k] = <k + s| M |k> for the levels k of a thermal state.
+    a and a^dagger shift rows: <k+s| a M |k> = sqrt(k+s+1) <k+s+1| M |k>
+    and <k+s| a^dagger M |k> = sqrt(k+s) <k+s-1| M |k>.  No level is cut
+    off above, so a product of at most w quadratures is exact.
+    """
+    lowered, raised = np.zeros_like(band), np.zeros_like(band)
+    lowered[:-1] = roots[1:] * band[1:]
+    raised[1:] = roots[1:] * band[:-1]
+    if kind == "q":
+        return (lowered + raised) * (scale / math.sqrt(2.0))
+    return (lowered - raised) * (scale / (1j * math.sqrt(2.0)))
+
+
+def _word_traces(words, sigma_sq, degree, budget):
+    """{word: <X_1 ... X_g>} for words of normalized "q"/"p" quadratures.
+
+    The expectation is taken in the thermal state of variance sigma_sq on
+    the levels `thermal_levels` keeps for `degree`.  Each word is applied
+    right to left; visiting the words in the order of their reversals,
+    the bands of a shared suffix are computed once.
+    """
+    weights, _ = thermal_levels(sigma_sq, degree, budget)
+    scale = 1.0 / math.sqrt(sigma_sq)
+    width = max(len(word) for word in words)
+    roots = _band_roots(width, len(weights))
+    identity = np.zeros(roots.shape, dtype=complex)
+    identity[width] = 1.0
+    traces, bands, previous = {}, [identity], ()
+    for suffix in sorted(word[::-1] for word in words):
+        shared = 0
+        while shared < min(len(previous), len(suffix)) and previous[shared] == suffix[shared]:
+            shared += 1
+        del bands[shared + 1 :]
+        for kind in suffix[shared:]:
+            bands.append(_quadrature_times(kind, bands[-1], roots, scale))
+        traces[suffix[::-1]] = complex(np.dot(weights, bands[-1][width]))
+        previous = suffix
+    return traces
 
 
 def _classical_moments(max_degree):
-    """E[x^k] for a standard Gaussian, k = 0..max_degree, by quadrature.
+    """E[x^k] for a standard Gaussian, k = 0..max_degree: (k - 1)!! or 0."""
+    return [
+        0.0 if k % 2 else float(math.prod(range(k - 1, 0, -2)))
+        for k in range(max_degree + 1)
+    ]
 
-    Gauss-Hermite quadrature of order q is exact up to degree 2q - 1, so
-    q = max_degree // 2 + 1 points suffice.
+
+def fock_moment(target, basis, budget=None):
+    """Moment of a polynomial in the limit variables, evaluated on Fock space.
+
+    `target` is a monomial dict as produced by limit_to_poly, or a single
+    ordered tuple of symbol indices.  The classical variables are i.i.d.
+    standard Gaussians in whitened coordinates and contribute their exact
+    moments; each oscillator is evaluated in its thermal state on the
+    levels `thermal_levels` keeps for the largest monomial degree, its
+    words kept as bands of diagonals.
     """
-    x, w = _herme.hermegauss(max_degree // 2 + 1)
-    w = w / math.sqrt(2.0 * math.pi)
-    return [float(np.dot(w, x ** k)) for k in range(max_degree + 1)]
-
-
-def fock_moment(target, basis, trunc=DEFAULT_TRUNC, tail_tol=TAIL_TOL):
-    """Moment of a limit polynomial evaluated on a truncated Fock space.
-
-    `target` may be a LimitPolynomial, a monomial dict as produced by
-    limit_to_poly, or a single ordered tuple of symbol indices.  The
-    commutative block is integrated with Gauss-Hermite quadrature in
-    whitened coordinates (the classical variables are i.i.d. standard
-    Gaussians there); each oscillator is evaluated in its thermal state.
-    """
-    if isinstance(target, LimitPolynomial):
-        poly = limit_to_poly(target, basis)
-    elif isinstance(target, dict):
+    if isinstance(target, dict):
         poly = target
     else:
         poly = {tuple(int(s) for s in target): 1.0}
     if not poly:
         return 0.0 + 0.0j
-    cmoms = _classical_moments(max(len(m) for m in poly))
+    degree = max(len(m) for m in poly)
+    cmoms = _classical_moments(degree)
 
-    rep = FockRep(trunc)
-    pair_sigma = {}
-    for s in basis.symbols:
-        if s.pair_id >= 0:
-            pair_sigma[s.pair_id] = s.sigma_sq
-    weights = {}
-    for pid, ssq in pair_sigma.items():
-        rep.require_tail(ssq, tail_tol)
-        weights[pid] = rep.thermal(ssq)
-    quad = {}
-    for pid, ssq in pair_sigma.items():
-        scale = 1.0 / math.sqrt(ssq)
-        quad[pid] = {"q": rep.Q * scale, "p": rep.P * scale}
-
-    chain_cache = {}
-
-    def chain_value(pid, ops):
-        key = (pid, ops)
-        if key not in chain_cache:
-            m = np.eye(rep.trunc, dtype=complex)
-            for kind in ops:
-                m = m @ quad[pid][kind]
-            chain_cache[key] = complex(np.dot(weights[pid], np.diag(m)))
-        return chain_cache[key]
-
-    total = 0.0 + 0.0j
+    factors, words = [], {}
     for mon, coeff in poly.items():
-        val = complex(coeff)
-        counts = {}
-        chains = {}
+        counts, chains = {}, {}
         for s in mon:
             sym = basis.symbols[s]
             if sym.kind == "classical":
                 counts[s] = counts.get(s, 0) + 1
             else:
-                chains.setdefault(sym.pair_id, []).append(sym.kind)
-        for s, k in counts.items():
+                chains[sym.pair_id] = chains.get(sym.pair_id, ()) + (sym.kind,)
+        for pid, word in chains.items():
+            words.setdefault(pid, set()).add(word)
+        factors.append((coeff, counts.values(), chains))
+    traces = {
+        pid: _word_traces(pid_words, basis.oscillator_pairs[pid].sigma_sq, degree, budget)
+        for pid, pid_words in words.items()
+    }
+
+    total = 0.0 + 0.0j
+    for coeff, counts, chains in factors:
+        val = complex(coeff)
+        for k in counts:
             val *= cmoms[k]
-        for pid, ops in chains.items():
-            val *= chain_value(pid, tuple(ops))
+        for pid, word in chains.items():
+            val *= traces[pid][word]
         total += val
     return total
 
@@ -588,7 +625,7 @@ ROUTE_AGREEMENT_RTOL = 1e-6
 ROUTE_AGREEMENT_ATOL = 1e-9
 
 
-def limit_moment(limit, basis, p, method="wick", trunc=DEFAULT_TRUNC, check=False):
+def limit_moment(limit, basis, p, method="wick", check=False, budget=None):
     """E[L^p] for the limit polynomial L, via "wick" or "fock".
 
     With check=True both routes are computed and must agree to
@@ -596,10 +633,10 @@ def limit_moment(limit, basis, p, method="wick", trunc=DEFAULT_TRUNC, check=Fals
     Wick value is returned.
     """
     methods = ("wick", "fock") if check else (method,)
-    return _route_moments(limit, basis, p, methods, trunc)[methods[0]]
+    return _route_moments(limit, basis, p, methods, budget)[methods[0]]
 
 
-def _route_moments(limit, basis, p, methods, trunc=DEFAULT_TRUNC):
+def _route_moments(limit, basis, p, methods, budget=None):
     """{method: E[L^p]} with each route computed once; two routes must agree."""
     if p < 0:
         raise ValidationError("moment order must be >= 0")
@@ -609,7 +646,7 @@ def _route_moments(limit, basis, p, methods, trunc=DEFAULT_TRUNC):
         if name == "wick":
             val = wick_poly_moment(poly_p, basis)
         elif name == "fock":
-            val = fock_moment(poly_p, basis, trunc=trunc)
+            val = fock_moment(poly_p, basis, budget)
         else:
             raise ValidationError("unknown method %r" % name)
         if abs(val.imag) > 1e-8 * max(1.0, abs(val)):
@@ -628,87 +665,54 @@ def _route_moments(limit, basis, p, methods, trunc=DEFAULT_TRUNC):
 
 
 # ---------------------------------------------------------------------------
-# Hermite polynomials and the orthogonality diagnostic
+# The Hermite orthogonality diagnostic
 
 
-def hermite(m, x):
-    """Physicists' Hermite polynomial H_m evaluated at x (scalar or array)."""
-    if m < 0:
-        raise ValidationError("order must be >= 0")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if m == 0:
-        return h_prev if h_prev.shape else float(h_prev)
-    h = 2.0 * x
-    for k in range(1, m):
-        h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
-    return h if h.shape else float(h)
+def _s_ordered_products(degree, roots):
+    """{(a, b): S[Q^a P^b]} for a + b <= degree, as bands.
+
+    S[Q^a P^b] averages the distinct orderings of a Q's and b P's; sorting
+    them by their first factor gives
+    S[Q^a P^b] = (a Q S[Q^(a-1) P^b] + b P S[Q^a P^(b-1)]) / (a + b).
+    """
+    out = {(0, 0): np.zeros(roots.shape, dtype=complex)}
+    out[0, 0][degree] = 1.0
+    for total in range(1, degree + 1):
+        for a in range(total + 1):
+            b = total - a
+            q = a * _quadrature_times("q", out[a - 1, b], roots) if a else 0.0
+            p = b * _quadrature_times("p", out[a, b - 1], roots) if b else 0.0
+            out[a, b] = (q + p) / total
+    return out
 
 
-def hermite_op(m, matrix, scale=1.0):
-    """H_m(matrix / scale) by the three-term recurrence."""
-    a = np.asarray(matrix, dtype=complex) / scale
-    dim = a.shape[0]
-    h_prev = np.eye(dim, dtype=complex)
-    if m == 0:
-        return h_prev
-    h = 2.0 * a
-    for k in range(1, m):
-        h, h_prev = 2.0 * (a @ h) - 2.0 * k * h_prev, h
-    return h
-
-
-def _s_ordered_power_product(rep, a, b):
-    """S[Q^a P^b]: average over all distinct interleavings on Fock space."""
-    acc = np.zeros((rep.trunc, rep.trunc), dtype=complex)
-    count = 0
-    for arr in _distinct_arrangements([("q", a), ("p", b)]):
-        m = np.eye(rep.trunc, dtype=complex)
-        for kind in arr:
-            m = m @ (rep.Q if kind == "q" else rep.P)
-        acc += m
-        count += 1
-    return acc / count
-
-
-def hermite_orthogonality_check(n, m, sigma_sq, trunc=DEFAULT_TRUNC, tail_tol=TAIL_TOL):
+def hermite_orthogonality_check(n, m, sigma_sq, budget=None):
     """Orthogonality of the degree-(n+m) Hermite form to all lower S-monomials.
 
-    Builds X = S[H_n(Q / sqrt(2 sigma^2)) H_m(P / sqrt(2 sigma^2))] in the
-    thermal state of variance sigma_sq and returns the largest
-    |<Y, X>| / (||Y|| ||X||) over Y = S[Q^a P^b] with a + b < n + m,
-    using the complex inner product <A, B> = Tr(phi A* B).
-
-    The thermal tail guard applies at `trunc`; the operators themselves
-    live on a space padded by their total degree, because entries of a
-    degree-g quadrature polynomial are only exact that far from the
-    truncation boundary.
+    Builds X = S[He_n(Q / sigma) He_m(P / sigma)], the monic Hermite form
+    of the limit polynomials, in the thermal state phi of variance
+    sigma_sq and returns the largest |<Y, X>| / (||Y|| ||X||) over
+    Y = S[Q^a P^b] with a + b < n + m, using the complex inner product
+    <A, B> = Tr(phi A* B).  The products are kept as bands, and phi on
+    the levels `thermal_levels` keeps for the degree 2(n + m) of A* B.
     """
-    FockRep(trunc).require_tail(sigma_sq, tail_tol)
-    rep = FockRep(trunc + 2 * (n + m))
-    phi = rep.thermal(sigma_sq)
-    s = math.sqrt(2.0 * sigma_sq)
-    cn = _herm.herm2poly([0.0] * n + [1.0])
-    cm = _herm.herm2poly([0.0] * m + [1.0])
-    x = np.zeros((rep.trunc, rep.trunc), dtype=complex)
-    for a, ca in enumerate(cn):
-        if ca == 0.0:
-            continue
-        for b, cb in enumerate(cm):
-            if cb == 0.0:
-                continue
-            x += ca * cb * s ** (-(a + b)) * _s_ordered_power_product(rep, a, b)
+    phi, _ = thermal_levels(sigma_sq, 2 * (n + m), budget)
+    products = _s_ordered_products(n + m, _band_roots(n + m, len(phi)))
+    s = math.sqrt(sigma_sq)
+    x = sum(
+        ca * cb * s ** (-(a + b)) * products[a, b]
+        for a, ca in _monic_hermite_coeffs(n)
+        for b, cb in _monic_hermite_coeffs(m)
+    )
 
     def inner(y, z):
-        return complex(np.einsum("k,km,mk->", phi, y.conj().T, z))
+        # Tr(phi Y* Z) = sum over columns k and rows k + s of phi_k conj(Y) Z
+        return complex(np.vdot(y * phi, z))
 
     norm_x = math.sqrt(max(inner(x, x).real, 0.0))
     worst = 0.0
-    for a in range(n + m):
-        for b in range(n + m - a):
-            y = _s_ordered_power_product(rep, a, b)
-            norm_y = math.sqrt(max(inner(y, y).real, 0.0))
-            if norm_x == 0.0 or norm_y == 0.0:
-                continue
+    for (a, b), y in products.items():
+        norm_y = math.sqrt(max(inner(y, y).real, 0.0))
+        if a + b < n + m and norm_x > 0.0 and norm_y > 0.0:
             worst = max(worst, abs(inner(y, x)) / (norm_x * norm_y))
     return worst

@@ -98,7 +98,6 @@ CONFIG_SCHEMA = {
         "t": {"type": "number"},
         "g1": {"type": "number"},
         "g2": {"type": "number"},
-        "trunc": {"type": "integer", "minimum": 2},
         "max_order": {"type": "integer", "minimum": 0},
         "sigma_sq_list": {"type": "array", "items": {"type": "number"}, "minItems": 1},
         "hermite_tol": {"type": "number", "exclusiveMinimum": 0},
@@ -108,7 +107,6 @@ CONFIG_SCHEMA = {
 
 DEFAULTS = {
     "seed": 0,
-    "trunc": 64,
     "max_order": 6,
     "sigma_sq_list": [0.75, 1.0, 2.0],
     "hermite_tol": 1e-8,
@@ -356,7 +354,7 @@ def _moments(config):
     budget = config.get("dim_budget")
     rows = []
     for p in sorted(set(config["p_list"])):
-        lim = limit_moment(limit, basis, p, method="wick", trunc=config["trunc"])
+        lim = limit_moment(limit, basis, p, method="wick")
         for n in sorted(set(config["n_list"])):
             moment = centered_moment(
                 kernel, state, n, p, factor=factor_fn(n), budget=budget
@@ -387,7 +385,9 @@ def _cmd_limit(config):
     report, basis, limit = _limit_setup(config, state, kernel)
     moments = []
     for p in sorted(set(config["p_list"])):
-        routes = _route_moments(limit, basis, p, ("wick", "fock"), trunc=config["trunc"])
+        routes = _route_moments(
+            limit, basis, p, ("wick", "fock"), budget=config.get("dim_budget")
+        )
         wick, fock = routes["wick"], routes["fock"]
         moments.append({"p": p, "wick": wick, "fock": fock, "abs_gap": abs(wick - fock)})
     result = {"polynomial": limit.to_json(), "moments": moments}
@@ -509,7 +509,7 @@ def _cmd_hermite_check(config):
             for n in range(total + 1):
                 m = total - n
                 res = hermite_orthogonality_check(
-                    n, m, sigma_sq, trunc=config["trunc"]
+                    n, m, sigma_sq, budget=config.get("dim_budget")
                 )
                 worst = max(worst, res)
                 rows.append({

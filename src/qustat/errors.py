@@ -28,10 +28,6 @@ class BudgetError(QuStatError, RuntimeError):
         self.required_bytes = required_bytes
 
 
-class TruncationError(BudgetError):
-    """A Fock-space truncation is too small for the requested tolerance."""
-
-
 class ExpansionBudgetError(BudgetError):
     """A polynomial moment expansion grew past the configured term budget."""
 

@@ -1,19 +1,19 @@
 """Limit-variable basis, limit polynomials and their moments."""
 
+import math
+
 import numpy as np
 import pytest
 
 from qustat import (
+    BudgetError,
     DensityMatrix,
     ExpansionBudgetError,
     FockRep,
     Kernel,
-    TruncationError,
     ValidationError,
     build_ccr_basis,
     fock_moment,
-    hermite,
-    hermite_op,
     hermite_orthogonality_check,
     kernel_components,
     kernel_to_limit,
@@ -22,7 +22,7 @@ from qustat import (
     quasifree_moment_wick,
     symmetrize_kernel,
 )
-from qustat.ccr import poly_power
+from qustat.ccr import TAIL_TOL, _classical_moments, poly_power, thermal_levels
 from qustat.operators import hermitize
 
 ATOL = 1e-12
@@ -132,44 +132,65 @@ def test_fully_degenerate_kernel_rejected(rho_75):
 
 
 def test_fock_rep_thermal_weights():
-    rep = FockRep(32)
-    vac = rep.thermal(0.5)
-    assert vac[0] == 1.0
-    np.testing.assert_allclose(vac[1:], 0.0, atol=ATOL)
-    w = rep.thermal(1.0)
+    vac, tail = thermal_levels(0.5, 0)
+    assert list(vac) == [1.0, 0.0] and tail == 0.0
+    assert len(thermal_levels(0.5, 6)[0]) == 7
+    w, tail = thermal_levels(1.0, 0)
     np.testing.assert_allclose(w[1] / w[0], 1.0 / 3.0, rtol=1e-12)
     np.testing.assert_allclose(w.sum(), 1.0, rtol=1e-12)
-    mean_n = float(np.dot(w, np.arange(32)))
+    assert tail == pytest.approx(3.0 ** -len(w), rel=1e-12)
+    mean_n = float(np.dot(w, np.arange(len(w))))
     np.testing.assert_allclose(mean_n, 0.5, rtol=1e-10)
-    with pytest.raises(ValidationError):
-        rep.thermal(0.3)
+    for bad in (0.3, 0.4, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            thermal_levels(bad, 0)
     with pytest.raises(ValidationError):
         FockRep(1)
 
 
-def test_fock_truncation_guard():
-    rep = FockRep(64)
-    with pytest.raises(TruncationError):
-        rep.require_tail(2.5)
-    FockRep(128).require_tail(2.5)
+def _log_tail_bound(beta, levels, degree):
+    """log of exp(-beta T) (2T + g + 1)^(g/2), the tail's effect on a degree-g moment."""
+    return -beta * levels + 0.5 * degree * np.log(2 * levels + degree + 1)
 
 
-def test_hermite_scalars_and_operators():
-    xs = np.linspace(-2.0, 2.0, 9)
-    np.testing.assert_allclose(hermite(0, xs), np.ones_like(xs))
-    np.testing.assert_allclose(hermite(1, xs), 2.0 * xs)
-    np.testing.assert_allclose(hermite(2, xs), 4.0 * xs ** 2 - 2.0)
-    np.testing.assert_allclose(hermite(3, xs), 8.0 * xs ** 3 - 12.0 * xs)
-    rep = FockRep(32)
-    h2 = hermite_op(2, rep.Q)
-    vacuum_second = (h2 @ h2)[0, 0].real
-    np.testing.assert_allclose(vacuum_second, 8.0, rtol=1e-12)
-    with pytest.raises(ValidationError):
-        hermite(-1, 0.0)
+def test_thermal_levels_hold_the_tail_bound_at_the_least_truncation():
+    for sigma_sq in (0.55, 0.75, 1.0, 2.0, 3.0, 12.5, 50.0):
+        beta = 2.0 * np.arctanh(1.0 / (2.0 * sigma_sq))
+        for degree in (0, 1, 2, 6, 8, 12, 24):
+            weights, tail = thermal_levels(sigma_sq, degree)
+            levels = len(weights) - degree  # before the padding
+            assert _log_tail_bound(beta, levels, degree) <= np.log(TAIL_TOL)
+            assert _log_tail_bound(beta, levels - 1, degree) > np.log(TAIL_TOL)
+            assert tail == pytest.approx(np.exp(-beta * len(weights)), rel=1e-12)
+    with pytest.raises(BudgetError, match="Fock truncation"):
+        thermal_levels(50.0, 8, budget=100)
+    with pytest.raises(BudgetError, match="Fock truncation"):
+        thermal_levels(1e300, 0)
+    trunc = len(thermal_levels(2.0, 6)[0])
+    assert len(thermal_levels(2.0, 6, budget=trunc)[0]) == trunc
+    with pytest.raises(BudgetError, match="Fock truncation"):
+        thermal_levels(2.0, 6, budget=trunc - 1)
+
+
+def test_thermal_levels_at_degree_zero_keep_the_tail_mass_rule():
+    # the exact limit law truncated each oscillator at max(2, ceil(-ln TAIL_TOL / beta))
+    for lam in np.linspace(0.70, 0.80, 201):
+        sigma_sq = 1.0 / (2.0 * (2.0 * lam - 1.0))
+        beta = 2.0 * math.atanh(1.0 / (2.0 * sigma_sq))
+        expected = max(2, math.ceil(-math.log(TAIL_TOL) / beta))
+        weights, tail = thermal_levels(sigma_sq, 0)
+        assert len(weights) == expected
+        assert tail == math.exp(-beta * expected)
+
+
+def test_classical_moments_are_exact_double_factorials():
+    exact = [1, 0, 1, 0, 3, 0, 15, 0, 105, 0, 945, 0, 10395, 0, 135135, 0,
+             2027025, 0, 34459425, 0, 654729075, 0, 13749310575, 0, 316234143225]
+    assert _classical_moments(24) == [float(v) for v in exact]
 
 
 def test_hermite_forms_orthogonal_to_lower_monomials():
-    worst = hermite_orthogonality_check(1, 1, 1.0, trunc=64)
+    worst = hermite_orthogonality_check(1, 1, 1.0)
     assert worst < 1e-8
 
 
@@ -192,7 +213,7 @@ def test_fock_route_matches_wick_on_monomials(rho_75):
         deg = int(rng.integers(0, 7))
         mon = tuple(int(s) for s in rng.integers(0, basis.n_symbols, size=deg))
         w = quasifree_moment_wick(mon, basis)
-        f = fock_moment(mon, basis, trunc=64)
+        f = fock_moment(mon, basis)
         assert abs(w - f) <= ROUTE_RTOL * max(1.0, abs(w))
 
 

@@ -201,7 +201,7 @@ def test_test_sim_output_is_the_same_for_every_seed(tmp_path):
         "plain": ({}, None),
         "seeded": ({"seed": 12345}, None),
         "override": ({}, 7),
-        "knobs": ({"limit_draws": 10, "mc_replicates": 10, "trunc": 2}, 99),
+        "knobs": ({"limit_draws": 10, "mc_replicates": 10}, 99),
     }
     outputs = {}
     for name, (extra, seed_override) in variants.items():
@@ -234,6 +234,38 @@ def test_test_sim_runs_where_a_fixed_fock_truncation_fell_short(tmp_path):
     _, result, _ = _run(tmp_path, config)
     assert 0.0 <= result["alpha_hat"] <= 1.0
     assert result["interval"][1] == pytest.approx(2.4285234821, abs=1e-9)
+
+
+@pytest.mark.parametrize("eigenvalues, preset, p_list", [
+    ([0.5, 0.3, 0.2], "goodness", [2, 3, 4]),
+    ([0.55, 0.45], "pauli-xy", [2, 4]),
+    ([0.505, 0.495], "pauli-xy", [2, 4]),
+], ids=["goodness-0.5-0.3-0.2", "pauli-xy-0.55-0.45", "pauli-xy-0.505-0.495"])
+def test_limit_runs_where_a_fixed_fock_truncation_fell_short(
+    tmp_path, eigenvalues, preset, p_list
+):
+    # at 64 Fock levels the thermal tails of these states are 5.4e-12,
+    # 2.6e-6 and 0.28; each oscillator now keeps the levels its variance
+    # and the moment's degree need (3139 at diag(0.505, 0.495), p = 4)
+    config = {
+        "command": "limit",
+        "state": {"eigenvalues": eigenvalues},
+        "kernel": {"preset": preset},
+        "p_list": p_list,
+    }
+    _, result, _ = _run(tmp_path, config)
+    assert [row["p"] for row in result["moments"]] == p_list
+    for row in result["moments"]:
+        assert row["abs_gap"] <= 1e-12 * abs(row["wick"]), row
+
+
+def test_hermite_check_keeps_the_levels_sigma_sq_needs(tmp_path):
+    # 64 levels left a thermal tail of 4.4e-10 at sigma^2 = 3
+    config = {"command": "hermite-check", "max_order": 4, "sigma_sq_list": [3.0]}
+    out, result, _ = _run(tmp_path, config)
+    assert result["max_residual"] < 1e-8
+    lines = (out / "tables" / "hermite.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + 15
 
 
 def test_limit_computes_each_route_once_per_order(tmp_path, monkeypatch):
@@ -319,7 +351,6 @@ def test_hermite_check_small_grid(tmp_path):
         "command": "hermite-check",
         "max_order": 2,
         "sigma_sq_list": [1.0],
-        "trunc": 64,
     }
     out, result, _ = _run(tmp_path, config)
     assert result["max_residual"] < 1e-8
@@ -414,6 +445,21 @@ def test_package_names_resolve_lazily():
         qustat.no_such_name
 
 
+def test_export_table_names_are_defined_where_listed():
+    import importlib
+
+    listed = []
+    for module, names in qustat._EXPORTS.items():
+        mod = importlib.import_module("qustat." + module)
+        for name in names:
+            assert name in vars(mod), "qustat.%s does not define %s" % (module, name)
+            obj = qustat.__getattr__(name)
+            assert obj is vars(mod)[name]
+            assert getattr(obj, "__module__", mod.__name__) == mod.__name__, name
+            listed.append(name)
+    assert sorted(listed) == qustat.__all__
+
+
 def test_cli_success_exit_zero(tmp_path):
     proc = _run_cli(tmp_path, {
         "command": "decompose",
@@ -459,3 +505,36 @@ def test_cli_tolerance_violation_exits_three(tmp_path):
     payload = json.loads(proc.stderr.splitlines()[-1])
     assert payload["error"]["kind"] == "ToleranceError"
     assert payload["error"]["exit_code"] == 3
+
+
+def test_cli_rejects_the_removed_trunc_key(tmp_path):
+    # each oscillator's truncation follows from its variance; no key sets it
+    proc = _run_cli(tmp_path, {"command": "hermite-check", "trunc": 64})
+    assert proc.returncode == 1
+    payload = json.loads(proc.stderr.splitlines()[-1])
+    assert payload["error"]["kind"] == "ValidationError"
+    assert "trunc" in payload["error"]["message"]
+
+
+def test_hermite_check_below_half_variance_exits_one(tmp_path):
+    proc = _run_cli(tmp_path, {"command": "hermite-check", "sigma_sq_list": [0.4]})
+    assert proc.returncode == 1
+    payload = json.loads(proc.stderr.splitlines()[-1])
+    assert payload["error"]["kind"] == "ValidationError"
+    assert payload["error"]["exit_code"] == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_limit_fock_truncation_over_budget_exits_two(tmp_path):
+    proc = _run_cli(tmp_path, {
+        "command": "limit",
+        "state": {"eigenvalues": [0.55, 0.45]},
+        "kernel": {"preset": "pauli-xy"},
+        "p_list": [2],
+        # the oscillator of variance 5 needs about 150 Fock levels
+        "dim_budget": 16,
+    })
+    assert proc.returncode == 2
+    payload = json.loads(proc.stderr.splitlines()[-1])
+    assert payload["error"]["kind"] == "BudgetError"
+    assert "Fock truncation" in payload["error"]["message"]
