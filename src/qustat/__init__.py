@@ -16,7 +16,7 @@ _EXPORTS = {
         "homogeneity_kernel", "metrology_overlap", "run_test", "simulate_measurement",
     ),
     "ccr": (
-        "CCRBasis", "FockRep", "LimitPolynomial", "build_ccr_basis", "fock_moment",
+        "CCRBasis", "LimitPolynomial", "build_ccr_basis", "fock_moment",
         "hermite_orthogonality_check", "kernel_to_limit", "limit_moment",
         "limit_to_poly", "quasifree_moment_wick",
     ),
@@ -30,7 +30,7 @@ _EXPORTS = {
     ),
     "operators": (
         "DensityMatrix", "HermitianOperator", "Kernel", "SiteSubset", "embed",
-        "hermitize", "jordan", "state_covariance", "symmetrize", "symmetrize_kernel",
+        "hermitize", "state_covariance", "symmetrize", "symmetrize_kernel",
     ),
     "serialize": ("matrix_from_json", "matrix_to_json"),
     "ustat": (

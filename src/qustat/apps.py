@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ccr import (
-    FockRep,
     build_ccr_basis,
     kernel_to_limit,
     limit_moment,
     limit_to_poly,
+    oscillator_polynomial,
     thermal_levels,
 )
 from .errors import ToleranceError, ValidationError
@@ -197,8 +197,10 @@ class TestResult:
 def _split_additive(poly, basis):
     """Split monomials into constant, commutative, and per-oscillator parts.
 
-    Raises when a monomial mixes blocks; the exact limit law relies on
-    additivity across the independent blocks of the limit algebra.
+    Each oscillator's part maps words of its "q"/"p" quadratures to their
+    coefficients.  Raises when a monomial mixes blocks; the exact limit
+    law relies on additivity across the independent blocks of the limit
+    algebra.
     """
     const = 0.0
     classical = {}
@@ -212,8 +214,8 @@ def _split_additive(poly, basis):
         if kinds <= {"classical"}:
             classical[mon] = classical.get(mon, 0.0) + coeff
         elif "classical" not in kinds and len(pids) == 1:
-            pid = next(iter(pids))
-            per_pair.setdefault(pid, {})[mon] = coeff
+            word = tuple(basis.symbols[s].kind for s in mon)
+            per_pair.setdefault(pids.pop(), {})[word] = coeff
         else:
             raise ValidationError(
                 "limit polynomial has a monomial spanning several "
@@ -228,11 +230,12 @@ def _limit_law(limit, basis, budget=None):
     Returns (atoms, probs, mu): the constant plus the oscillator blocks
     form a discrete variable with increasing `atoms` and probabilities
     `probs`, and the commutative block is sum_i mu_i Z_i^2 for i.i.d.
-    standard normals Z_i, independent of it.  Each oscillator is
-    diagonalized on the Fock levels `thermal_levels` keeps for degree 0,
-    its eigenvalues weighted by their thermal Born probabilities; the
-    oscillators combine by outer sum, and the least likely joint atoms
-    are dropped up to a total mass _DROPPED_MASS.  The thermal tails and
+    standard normals Z_i, independent of it.  Each oscillator's part is
+    diagonalized on the Fock levels `thermal_levels` keeps for degree 0
+    (`oscillator_polynomial`), its eigenvalues weighted by their thermal
+    Born probabilities; the oscillators combine by outer sum, and the
+    least likely joint atoms are dropped up to a total mass
+    _DROPPED_MASS.  The thermal tails and
     the dropped atoms are the deficit 1 - sum(probs).
     """
     poly = limit_to_poly(limit, basis)
@@ -250,17 +253,9 @@ def _limit_law(limit, basis, budget=None):
     mu = np.linalg.eigvalsh(form)
     atoms, probs = np.array([float(const)]), np.ones(1)
     for pid in sorted(per_pair):
-        sigma_sq = next(s.sigma_sq for s in basis.symbols if s.pair_id == pid)
+        sigma_sq = basis.oscillator_pairs[pid].sigma_sq
         weights, tail = thermal_levels(sigma_sq, 0, budget)
-        rep = FockRep(len(weights))
-        scale = 1.0 / math.sqrt(sigma_sq)
-        mats = {"q": rep.Q * scale, "p": rep.P * scale}
-        op = np.zeros((rep.trunc, rep.trunc), dtype=complex)
-        for mon, coeff in per_pair[pid].items():
-            chain = np.eye(rep.trunc, dtype=complex)
-            for s in mon:
-                chain = chain @ mats[basis.symbols[s].kind]
-            op += coeff * chain
+        op = oscillator_polynomial(per_pair[pid], sigma_sq, len(weights))
         vals, vecs = np.linalg.eigh(hermitize(op).entries)
         thermal = weights * (1.0 - tail)
         atoms = np.add.outer(atoms, vals).ravel()

@@ -16,6 +16,11 @@ Moments of the limit are computed along two independent routes: a Wick
 pair-partition sum, and on Fock space, where each oscillator keeps the
 levels `thermal_levels` derives from its variance and the degree of what
 is evaluated, and the commutative block uses the exact Gaussian moments.
+On Fock space a product of quadratures is kept as bands of diagonals,
+which reach every level it passes through: `fock_moment` takes their
+thermal traces, and `oscillator_polynomial` gives an oscillator's
+polynomial as the exact operator compressed to its kept levels, the
+form in which the exact law of an order-2 limit diagonalizes it.
 """
 
 import itertools
@@ -490,29 +495,6 @@ def thermal_levels(sigma_sq, degree, budget=None):
     return weights / weights.sum(), math.exp(-beta * trunc)
 
 
-class FockRep:
-    """Truncated harmonic oscillator quadratures, as dense matrices.
-
-    [Q, P] = i holds exactly on the leading (trunc-1)-dimensional block;
-    the last row/column carries the truncation defect.
-    """
-
-    def __init__(self, trunc):
-        if trunc < 2:
-            raise ValidationError("truncation must be at least 2")
-        self.trunc = trunc
-        a = np.zeros((trunc, trunc), dtype=complex)
-        for k in range(1, trunc):
-            a[k - 1, k] = math.sqrt(k)
-        self.Q = (a + a.conj().T) / math.sqrt(2.0)
-        self.P = (a - a.conj().T) / (1j * math.sqrt(2.0))
-        self.Nop = a.conj().T @ a
-        comm = self.Q @ self.P - self.P @ self.Q - 1j * np.eye(trunc)
-        lead = comm[: trunc - 1, : trunc - 1]
-        if np.abs(lead).max() > 1e-10:
-            raise ToleranceError("quadrature commutator defect on leading block")
-
-
 def _band_roots(width, levels):
     """sqrt(k + s) (0 below level 0) for offsets s = -width..width, levels k."""
     offsets = np.arange(-width, width + 1)[:, None]
@@ -535,21 +517,17 @@ def _quadrature_times(kind, band, roots, scale=1.0):
     return (lowered - raised) * (scale / (1j * math.sqrt(2.0)))
 
 
-def _word_traces(words, sigma_sq, degree, budget):
-    """{word: <X_1 ... X_g>} for words of normalized "q"/"p" quadratures.
+def _word_bands(words, roots, scale):
+    """Yield (word, band of X_1 ... X_g) for words of "q"/"p" quadratures.
 
-    The expectation is taken in the thermal state of variance sigma_sq on
-    the levels `thermal_levels` keeps for `degree`.  Each word is applied
-    right to left; visiting the words in the order of their reversals,
-    the bands of a shared suffix are computed once.
+    Each word is applied right to left, each quadrature scaled by `scale`;
+    visiting the words in the order of their reversals, the bands of a
+    shared suffix are computed once.
     """
-    weights, _ = thermal_levels(sigma_sq, degree, budget)
-    scale = 1.0 / math.sqrt(sigma_sq)
-    width = max(len(word) for word in words)
-    roots = _band_roots(width, len(weights))
+    width = (len(roots) - 1) // 2
     identity = np.zeros(roots.shape, dtype=complex)
     identity[width] = 1.0
-    traces, bands, previous = {}, [identity], ()
+    bands, previous = [identity], ()
     for suffix in sorted(word[::-1] for word in words):
         shared = 0
         while shared < min(len(previous), len(suffix)) and previous[shared] == suffix[shared]:
@@ -557,9 +535,39 @@ def _word_traces(words, sigma_sq, degree, budget):
         del bands[shared + 1 :]
         for kind in suffix[shared:]:
             bands.append(_quadrature_times(kind, bands[-1], roots, scale))
-        traces[suffix[::-1]] = complex(np.dot(weights, bands[-1][width]))
+        yield suffix[::-1], bands[-1]
         previous = suffix
-    return traces
+
+
+def _word_traces(words, sigma_sq, degree, budget):
+    """{word: <X_1 ... X_g>} for words of normalized "q"/"p" quadratures.
+
+    The expectation is taken in the thermal state of variance sigma_sq on
+    the levels `thermal_levels` keeps for `degree`.
+    """
+    weights, _ = thermal_levels(sigma_sq, degree, budget)
+    width = max(len(word) for word in words)
+    bands = _word_bands(words, _band_roots(width, len(weights)), 1.0 / math.sqrt(sigma_sq))
+    return {word: complex(np.dot(weights, band[width])) for word, band in bands}
+
+
+def oscillator_polynomial(words, sigma_sq, levels):
+    """sum_w c_w X_1 ... X_g on an oscillator's first `levels` Fock levels.
+
+    `words` maps words of "q"/"p" quadratures, normalized by the variance
+    sigma_sq, to their coefficients c_w.  The bands reach every level a
+    word passes through, so the dense matrix returned is the exact
+    operator compressed to the kept levels.
+    """
+    width = max(len(word) for word in words)
+    bands = _word_bands(words, _band_roots(width, levels), 1.0 / math.sqrt(sigma_sq))
+    total = sum(words[word] * band for word, band in bands)
+    out = np.zeros((levels, levels), dtype=complex)
+    cols = np.arange(levels)
+    for s in range(-width, width + 1):
+        kept = cols[max(0, -s) : levels - max(0, s)]
+        out[kept + s, kept] = total[width + s, kept]
+    return out
 
 
 def _classical_moments(max_degree):

@@ -128,25 +128,35 @@ def _fail(exc):
     sys.exit(code)
 
 
-@click.command()
+class _Command(click.Command):
+    """A command whose usage errors exit like any other invalid input."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            from .errors import ValidationError
+
+            _fail(ValidationError(exc.format_message()))
+
+
+@click.command(cls=_Command)
 @click.option("--config", "config_path", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="Path to the experiment configuration JSON.")
 @click.option("--out-dir", "out_dir", default=".", show_default=True,
               type=click.Path(file_okay=False),
               help="Directory receiving manifest.json, result.json, tables/.")
-@click.option("--seed", "seed", default=None, type=click.IntRange(min=0),
-              help="Override the config seed.")
 @click.option("--threads", "threads", default=None, type=click.IntRange(min=1),
               help="Cap BLAS thread counts (set before numerics load).")
-def main(config_path, out_dir, seed, threads):
+def main(config_path, out_dir, threads):
     """Run one experiment from a JSON config."""
     if threads is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                     "NUMEXPR_NUM_THREADS"):
             os.environ[var] = str(threads)
     try:
-        run(config_path, out_dir, seed_override=seed)
+        run(config_path, out_dir)
     except Exception as exc:  # noqa: BLE001 - mapped to structured exit codes
         from .errors import QuStatError
 
@@ -165,7 +175,7 @@ def _config_validator():
     return cls(CONFIG_SCHEMA)
 
 
-def run(config_path, out_dir, seed_override=None):
+def run(config_path, out_dir):
     import jsonschema
 
     from .errors import ValidationError
@@ -181,8 +191,6 @@ def run(config_path, out_dir, seed_override=None):
 
     config = dict(DEFAULTS)
     config.update(raw)
-    if seed_override is not None:
-        config["seed"] = int(seed_override)
 
     result, tables = _dispatch(config)
     _write_outputs(config, result, tables, out_dir)

@@ -355,13 +355,6 @@ def symmetrize(ops):
     return hermitize(acc / count)
 
 
-def jordan(a, b):
-    """Jordan product (ab + ba) / 2 of two matrices or operators."""
-    am = a.entries if isinstance(a, HermitianOperator) else np.asarray(a, dtype=complex)
-    bm = b.entries if isinstance(b, HermitianOperator) else np.asarray(b, dtype=complex)
-    return hermitize(0.5 * (am @ bm + bm @ am))
-
-
 def symmetrize_kernel(ops, d=None):
     """Average of tensor products of one-site operators over all orderings.
 

@@ -64,17 +64,12 @@ def variance_exact(ustat, rho):
     return weighted_trace(m, rho, n, 2) - weighted_trace(m, rho, n) ** 2
 
 
-def centered_moment(kernel, rho, n, p, exponent=None, factor=None, budget=None):
-    """p-th moment of scale * (U_n - theta) under rho^{otimes n}, exactly.
+def centered_moment(kernel, rho, n, p, factor, budget=None):
+    """p-th moment of factor * (U_n - theta) under rho^{otimes n}, exactly.
 
-    The scale is n^(exponent/2) when `exponent` is given, or the explicit
-    `factor`.  Exactly one of the two must be provided.  The moment is
-    summed over the blocks of U_n (see `_blocks`), so for qubits the
-    largest matrix built has dimension n + 1.
+    The moment is summed over the blocks of U_n (see `_blocks`), so for
+    qubits the largest matrix built has dimension n + 1.
     """
-    if (exponent is None) == (factor is None):
-        raise ValidationError("provide exactly one of exponent or factor")
-    scale = float(n) ** (exponent / 2.0) if exponent is not None else float(factor)
     if p < 1:
         raise ValidationError("moment order must be >= 1")
     w1, u = eigenframe(rho)
@@ -82,7 +77,7 @@ def centered_moment(kernel, rho, n, p, exponent=None, factor=None, budget=None):
     theta = float(_weighted_power_trace(tensor_weights(w1, k.r), k.op.entries, 1).real)
     total = 0.0
     for block, (weights,) in _blocks(k, [w1], n, budget):
-        centered = scale * (block - theta * np.eye(len(block)))
+        centered = float(factor) * (block - theta * np.eye(len(block)))
         total += _weighted_power_trace(weights, centered, p).real
     return float(total)
 

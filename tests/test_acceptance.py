@@ -15,7 +15,6 @@ import pytest
 
 from qustat import (
     DensityMatrix,
-    FockRep,
     Kernel,
     TestSpec,
     assemble_direct,
@@ -38,6 +37,7 @@ from qustat import (
     variance_exact,
     variance_formula,
 )
+from qustat.ccr import oscillator_polynomial
 from qustat.cli import run as cli_run
 from qustat.operators import (
     hermitize,
@@ -221,7 +221,7 @@ def test_criterion_04():
     lim4 = limit_moment(limit, basis, 4, method="fock")
     gaps4 = []
     for n in (6, 8, 10):
-        m4 = centered_moment(kernel, RHO_75, n, 4, exponent=2)
+        m4 = centered_moment(kernel, RHO_75, n, 4, factor=float(n))
         gaps4.append(abs(m4 - lim4))
     assert all(b < a for a, b in zip(gaps4, gaps4[1:])), (
         "fourth-moment gaps are not strictly decreasing: %r" % (gaps4,)
@@ -244,18 +244,18 @@ def test_criterion_05():
     np.testing.assert_allclose(terms[(0, 0, 2)], 1.0, atol=1e-10)
 
     # On Fock space the polynomial He2(q) + He2(p) at unit variance is
-    # exactly 4 (2 lambda - 1) (N - E(N)) with lambda = 0.75 and E(N) = 1/2.
-    rep = FockRep(32)
+    # exactly 4 (2 lambda - 1) (N - E(N)) with lambda = 0.75 and E(N) = 1/2,
+    # on every kept level.
+    levels = 32
     sigma_sq = basis.oscillator_pairs[0].sigma_sq
     np.testing.assert_allclose(sigma_sq, 1.0, atol=1e-12)
-    built = rep.Q @ rep.Q + rep.P @ rep.P - 2.0 * np.eye(rep.trunc)
+    built = oscillator_polynomial(
+        {("q", "q"): 1.0, ("p", "p"): 1.0, (): -2.0}, sigma_sq, levels
+    )
     lam = 0.75
     mean_n = 0.5
-    target = 4.0 * (2.0 * lam - 1.0) * (rep.Nop - mean_n * np.eye(rep.trunc))
-    lead = rep.trunc - 2
-    np.testing.assert_allclose(
-        built[:lead, :lead], target[:lead, :lead], atol=1e-12
-    )
+    target = 4.0 * (2.0 * lam - 1.0) * np.diag(np.arange(levels) - mean_n)
+    np.testing.assert_allclose(built, target, atol=1e-12)
 
     wick = limit_moment(limit, basis, 2, method="wick")
     fock = limit_moment(limit, basis, 2, method="fock")
@@ -320,8 +320,8 @@ def test_criterion_08():
     gaps2 = []
     gaps4 = []
     for n in range(4, 13):
-        m2 = centered_moment(kernel, RHO_75, n, 2, exponent=1)
-        m4 = centered_moment(kernel, RHO_75, n, 4, exponent=1)
+        m2 = centered_moment(kernel, RHO_75, n, 2, factor=float(n) ** 0.5)
+        m4 = centered_moment(kernel, RHO_75, n, 4, factor=float(n) ** 0.5)
         gaps2.append(abs(m2 - 0.75))
         gaps4.append(abs(m4 - 1.6875))
     assert all(b < a for a, b in zip(gaps2, gaps2[1:])), (
@@ -339,7 +339,7 @@ def test_criterion_08():
     )
 
     n = 8
-    exact = centered_moment(kernel, RHO_75, n, 2, exponent=1)
+    exact = centered_moment(kernel, RHO_75, n, 2, factor=float(n) ** 0.5)
     h = np.array([[1.0, -1.0], [-1.0, 1.0]])
     estimate, se = classical_mc_oracle(
         h, np.array([0.75, 0.25]), n, 2, replicates=10 ** 5, seed=88,

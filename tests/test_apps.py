@@ -231,6 +231,15 @@ def test_limit_law_cdf_matches_closed_form_at_d2():
     assert abs(closed_form(q) - 0.95) < 1e-10
 
 
+def test_limit_law_quantiles_keep_their_values_toward_degeneracy():
+    # the 0.95 quantiles of the dense-oscillator law this one replaced; at
+    # diag(0.505, 0.495) each oscillator keeps 1382 Fock levels
+    for lam, q95 in ((0.75, 2.1300147526145135), (0.7234, 2.057781666122575),
+                     (0.55, 2.40153795703589), (0.505, 2.4073822646268273)):
+        q = _law_quantile(*_limit_law(*_goodness_limit([lam, 1.0 - lam])), 0.95)
+        assert q == pytest.approx(q95, rel=1e-12, abs=0.0), lam
+
+
 def test_law_cdf_matches_chi_square_closed_forms():
     # the law of sum_i mu_i Z_i^2 alone: one atom at 0 of probability 1
     one = (np.zeros(1), np.ones(1))

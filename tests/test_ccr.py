@@ -9,7 +9,6 @@ from qustat import (
     BudgetError,
     DensityMatrix,
     ExpansionBudgetError,
-    FockRep,
     Kernel,
     ValidationError,
     build_ccr_basis,
@@ -22,7 +21,13 @@ from qustat import (
     quasifree_moment_wick,
     symmetrize_kernel,
 )
-from qustat.ccr import TAIL_TOL, _classical_moments, poly_power, thermal_levels
+from qustat.ccr import (
+    TAIL_TOL,
+    _classical_moments,
+    oscillator_polynomial,
+    poly_power,
+    thermal_levels,
+)
 from qustat.operators import hermitize
 
 ATOL = 1e-12
@@ -144,8 +149,27 @@ def test_fock_rep_thermal_weights():
     for bad in (0.3, 0.4, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValidationError):
             thermal_levels(bad, 0)
-    with pytest.raises(ValidationError):
-        FockRep(1)
+
+
+def test_oscillator_polynomial_matches_dense_ladder_operators():
+    # a reference on two more levels than kept sees every level a word of
+    # length 2 passes through, so its leading block is the exact operator
+    levels = 12
+    a = np.diag(np.sqrt(np.arange(1.0, levels + 2)), 1)
+    quad = {"q": (a + a.T) / np.sqrt(2.0), "p": (a - a.T) / (1j * np.sqrt(2.0))}
+    for sigma_sq in (0.5, 1.0, 3.0):
+        ref = {kind: x / np.sqrt(sigma_sq) for kind, x in quad.items()}
+        words = {("q", "q"): 0.7, ("p", "p"): -1.3, ("q", "p"): 0.4, ("p", "q"): 2.1}
+        for word, coeff in words.items():
+            dense = (ref[word[0]] @ ref[word[1]])[:levels, :levels]
+            np.testing.assert_allclose(
+                oscillator_polynomial({word: 1.0}, sigma_sq, levels), dense, atol=ATOL,
+                err_msg="%s at sigma^2 = %g" % ("".join(word), sigma_sq),
+            )
+        dense = sum(c * ref[w[0]] @ ref[w[1]] for w, c in words.items())[:levels, :levels]
+        np.testing.assert_allclose(
+            oscillator_polynomial(words, sigma_sq, levels), dense, atol=ATOL
+        )
 
 
 def _log_tail_bound(beta, levels, degree):

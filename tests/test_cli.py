@@ -18,16 +18,21 @@ STATE_75 = {"eigenvalues": [0.75, 0.25]}
 QUSTAT_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(qustat.__file__)))
 
 
+def _subprocess_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [QUSTAT_ROOT, os.environ.get("PYTHONPATH")])))
+
+
 def _write_config(tmp_path, config, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config), encoding="utf-8")
     return str(path)
 
 
-def _run(tmp_path, config, seed_override=None):
+def _run(tmp_path, config):
     cfg = _write_config(tmp_path, config)
     out = tmp_path / "out"
-    run(cfg, str(out), seed_override=seed_override)
+    run(cfg, str(out))
     result = json.loads((out / "result.json").read_text(encoding="utf-8"))
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     return out, result, manifest
@@ -198,16 +203,15 @@ def test_test_sim_output_is_the_same_for_every_seed(tmp_path):
         "n_list": [4, 6, 8, 10],
     }
     variants = {
-        "plain": ({}, None),
-        "seeded": ({"seed": 12345}, None),
-        "override": ({}, 7),
-        "knobs": ({"limit_draws": 10, "mc_replicates": 10}, 99),
+        "plain": {},
+        "seeded": {"seed": 12345},
+        "knobs": {"limit_draws": 10, "mc_replicates": 10, "seed": 99},
     }
     outputs = {}
-    for name, (extra, seed_override) in variants.items():
+    for name, extra in variants.items():
         cfg = _write_config(tmp_path, dict(config, **extra), name="%s.json" % name)
         out = tmp_path / name
-        run(cfg, str(out), seed_override=seed_override)
+        run(cfg, str(out))
         outputs[name] = [
             (out / rel).read_bytes() for rel in ("result.json", "tables/test.csv")
         ]
@@ -360,18 +364,17 @@ def test_hermite_check_small_grid(tmp_path):
     assert len(lines) == 1 + 6
 
 
-def test_seed_override_lands_in_manifest(tmp_path):
+def test_config_seed_lands_in_manifest(tmp_path):
     config = {
         "command": "decompose",
         "state": STATE_75,
         "kernel": {"preset": "sigma-zz"},
-        "seed": 3,
     }
-    _, _, manifest = _run(tmp_path, config)
-    assert manifest["seed"] == 3
-    _, _, overridden = _run(tmp_path, config, seed_override=7)
-    assert overridden["seed"] == 7
-    assert overridden["config_sha256"] != manifest["config_sha256"]
+    _, _, default = _run(tmp_path, config)
+    assert default["seed"] == 0
+    _, _, seeded = _run(tmp_path, dict(config, seed=3))
+    assert seeded["seed"] == 3
+    assert seeded["config_sha256"] != default["config_sha256"]
 
 
 def test_missing_required_field_raises(tmp_path):
@@ -393,8 +396,7 @@ def _run_cli(tmp_path, config):
         [sys.executable, "-m", "qustat.cli", "--config", cfg, "--out-dir", str(out)],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [QUSTAT_ROOT, os.environ.get("PYTHONPATH")]))),
+        env=_subprocess_env(),
     )
 
 
@@ -429,8 +431,7 @@ def test_cli_import_leaves_numpy_unloaded():
          "import sys, qustat.cli; print('numpy' in sys.modules, 'jsonschema' in sys.modules)"],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [QUSTAT_ROOT, os.environ.get("PYTHONPATH")]))),
+        env=_subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False False"
@@ -476,6 +477,28 @@ def test_cli_schema_violation_exits_one(tmp_path):
     payload = json.loads(proc.stderr.splitlines()[-1])
     assert payload["error"]["kind"] == "ValidationError"
     assert payload["error"]["exit_code"] == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["--config", "no-such-config.json"],
+    ["--config", "config.json", "--threads", "0"],
+], ids=["missing-config", "zero-threads"])
+def test_cli_usage_errors_exit_one_with_a_json_line(tmp_path, args):
+    _write_config(tmp_path, {"command": "decompose"})
+    proc = subprocess.run(
+        [sys.executable, "-m", "qustat.cli", *args, "--out-dir", "out"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_subprocess_env(),
+    )
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    payload = json.loads(proc.stderr)
+    assert payload["error"]["kind"] == "ValidationError"
+    assert payload["error"]["exit_code"] == 1
+    assert args[-2] in payload["error"]["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_budget_violation_exits_two(tmp_path):

@@ -14,7 +14,6 @@ from qustat import (
     ValidationError,
     embed,
     hermitize,
-    jordan,
     state_covariance,
     symmetrize,
     symmetrize_kernel,
@@ -151,15 +150,6 @@ def test_embed_budget_guard(paulis):
     with pytest.raises(BudgetError) as err:
         embed(k, (1, 2), 12, budget=2 ** 6)
     assert err.value.required_bytes > 0
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 3), st.integers(0, 3))
-def test_jordan_is_symmetric(i, j):
-    ops = [random_hermitian(2) for _ in range(4)]
-    np.testing.assert_allclose(
-        jordan(ops[i], ops[j]).entries, jordan(ops[j], ops[i]).entries, atol=ATOL
-    )
 
 
 def test_symmetrize_orders_average():

@@ -69,24 +69,6 @@ def test_statistic_mean_is_theta(rho_75, paulis):
         np.testing.assert_allclose(mean, 0.25, atol=ATOL)
 
 
-def test_centered_moment_requires_one_scaling(rho_75, paulis):
-    sx, sy, _ = paulis
-    k = symmetrize_kernel([sx, sy])
-    with pytest.raises(ValidationError):
-        centered_moment(k, rho_75, 4, 2)
-    with pytest.raises(ValidationError):
-        centered_moment(k, rho_75, 4, 2, exponent=2, factor=3.0)
-
-
-def test_centered_moment_factor_equals_exponent(rho_75, paulis):
-    sx, sy, _ = paulis
-    k = symmetrize_kernel([sx, sy])
-    n = 6
-    via_factor = centered_moment(k, rho_75, n, 2, factor=float(n))
-    via_exponent = centered_moment(k, rho_75, n, 2, exponent=2)
-    np.testing.assert_allclose(via_factor, via_exponent, rtol=1e-14)
-
-
 def test_diagonal_kernel_moments_match_outcome_enumeration(rho_d3):
     # A kernel diagonal in the state's frame gives a classical U-statistic:
     # U_n averages h(x_i) h(x_j) over the pairs of an i.i.d. outcome string x.
@@ -102,7 +84,7 @@ def test_diagonal_kernel_moments_match_outcome_enumeration(rho_d3):
         u = sum(values[:, i] * values[:, j] for i, j in pairs) / len(pairs)
         for p in (1, 2, 3):
             exact = float(probs @ (np.sqrt(n) * (u - theta)) ** p)
-            moment = centered_moment(k, rho_d3, n, p, exponent=1)
+            moment = centered_moment(k, rho_d3, n, p, factor=float(n) ** 0.5)
             np.testing.assert_allclose(moment, exact, rtol=1e-10, atol=1e-13,
                                        err_msg="n=%d p=%d" % (n, p))
 
@@ -263,7 +245,7 @@ def test_classical_oracle_matches_quantum_diagonal(rho_75, paulis):
     _, _, sz = paulis
     k = Kernel(2, 2, hermitize(np.kron(sz, sz)))
     n = 6
-    exact = centered_moment(k, rho_75, n, 2, exponent=1)
+    exact = centered_moment(k, rho_75, n, 2, factor=float(n) ** 0.5)
     h = np.array([[1.0, -1.0], [-1.0, 1.0]])
     estimate, se = classical_mc_oracle(
         h, np.array([0.75, 0.25]), n, 2, replicates=200000, seed=99, scale_exponent=1
