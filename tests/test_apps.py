@@ -232,7 +232,7 @@ def test_limit_law_cdf_matches_closed_form_at_d2():
 
 
 def test_limit_law_quantiles_keep_their_values_toward_degeneracy():
-    # the 0.95 quantiles of the dense-oscillator law this one replaced; at
+    # pinned 0.95 quantiles as the null nears degeneracy; at
     # diag(0.505, 0.495) each oscillator keeps 1382 Fock levels
     for lam, q95 in ((0.75, 2.1300147526145135), (0.7234, 2.057781666122575),
                      (0.55, 2.40153795703589), (0.505, 2.4073822646268273)):

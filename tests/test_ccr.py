@@ -160,7 +160,7 @@ def test_oscillator_polynomial_matches_dense_ladder_operators():
     for sigma_sq in (0.5, 1.0, 3.0):
         ref = {kind: x / np.sqrt(sigma_sq) for kind, x in quad.items()}
         words = {("q", "q"): 0.7, ("p", "p"): -1.3, ("q", "p"): 0.4, ("p", "q"): 2.1}
-        for word, coeff in words.items():
+        for word in words:
             dense = (ref[word[0]] @ ref[word[1]])[:levels, :levels]
             np.testing.assert_allclose(
                 oscillator_polynomial({word: 1.0}, sigma_sq, levels), dense, atol=ATOL,
