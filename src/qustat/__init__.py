@@ -35,7 +35,7 @@ _EXPORTS = {
     "serialize": ("matrix_from_json", "matrix_to_json"),
     "ustat": (
         "FluctuationForm", "FluctuationTerm", "UStatistic", "assemble_direct",
-        "assemble_fluctuation", "centered_moment", "classical_mc_oracle",
+        "assemble_fluctuation", "centered_moments", "classical_mc_oracle",
         "finite_law", "fluctuation_form", "variance_exact",
     ),
 }

@@ -232,10 +232,11 @@ def _limit_law(limit, basis, budget=None):
     `probs`, and the commutative block is sum_i mu_i Z_i^2 for i.i.d.
     standard normals Z_i, independent of it.  Each oscillator's part is
     diagonalized on the Fock levels `thermal_levels` keeps for degree 0
-    (`oscillator_polynomial`), its eigenvalues weighted by their thermal
-    Born probabilities; the oscillators combine by outer sum, and the
-    least likely joint atoms are dropped up to a total mass
-    _DROPPED_MASS.  The thermal tails and
+    (`oscillator_polynomial`), its even and odd levels apart, since words
+    of even length never couple the two (odd ones are rejected); its
+    eigenvalues are weighted by their thermal Born probabilities, the
+    oscillators combine by outer sum, and the least likely joint atoms
+    are dropped up to a total mass _DROPPED_MASS.  The thermal tails and
     the dropped atoms are the deficit 1 - sum(probs).
     """
     poly = limit_to_poly(limit, basis)
@@ -253,13 +254,25 @@ def _limit_law(limit, basis, budget=None):
     mu = np.linalg.eigvalsh(form)
     atoms, probs = np.array([float(const)]), np.ones(1)
     for pid in sorted(per_pair):
+        if any(len(word) % 2 for word in per_pair[pid]):
+            raise ValidationError(
+                "limit polynomial has an oscillator monomial of odd degree; "
+                "its exact law needs even degrees"
+            )
         sigma_sq = basis.oscillator_pairs[pid].sigma_sq
         weights, tail = thermal_levels(sigma_sq, 0, budget)
-        op = oscillator_polynomial(per_pair[pid], sigma_sq, len(weights))
-        vals, vecs = np.linalg.eigh(hermitize(op).entries)
+        op = hermitize(oscillator_polynomial(per_pair[pid], sigma_sq, len(weights))).entries
         thermal = weights * (1.0 - tail)
-        atoms = np.add.outer(atoms, vals).ravel()
-        probs = np.multiply.outer(probs, thermal @ np.abs(vecs) ** 2).ravel()
+        # words of even length couple only levels of equal parity
+        vals, born = [], []
+        for par in range(2):
+            par_vals, vecs = np.linalg.eigh(op[par::2, par::2])
+            vals.append(par_vals)
+            born.append(thermal[par::2] @ np.abs(vecs) ** 2)
+        vals, born = np.concatenate(vals), np.concatenate(born)
+        order = np.argsort(vals, kind="stable")
+        atoms = np.add.outer(atoms, vals[order]).ravel()
+        probs = np.multiply.outer(probs, born[order]).ravel()
         order = np.argsort(probs)
         dropped = np.searchsorted(
             np.cumsum(probs[order]), _DROPPED_MASS / len(per_pair), side="right"

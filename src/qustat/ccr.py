@@ -425,32 +425,43 @@ def quasifree_moment_wick(symbols, basis):
             "monomial degree %d exceeds the Wick budget %d"
             % (len(mon), MAX_WICK_DEGREE)
         )
-    return _wick(mon, basis.two_point)
+    return _wick(mon, basis.two_point, {})
 
 
-def _wick(mon, c):
+def _wick(mon, c, memo):
+    """The pair-partition sum of the monomial mon under the two-point function c.
+
+    `memo` maps the sub-monomials already summed to their values; the
+    monomials of one moment share most of their tails, so it is kept for
+    all of them.
+    """
     k = len(mon)
     if k % 2 == 1:
         return 0.0 + 0.0j
     if k == 0:
         return 1.0 + 0.0j
+    if mon in memo:
+        return memo[mon]
     first, rest = mon[0], mon[1:]
     total = 0.0 + 0.0j
     for pos in range(len(rest)):
         pair = c[first, rest[pos]]
         if pair != 0.0:
-            total += pair * _wick(rest[:pos] + rest[pos + 1 :], c)
+            total += pair * _wick(rest[:pos] + rest[pos + 1 :], c, memo)
+    memo[mon] = total
     return total
 
 
 def wick_poly_moment(poly, basis):
+    """The Wick moment sum_m c_m <m> of a monomial dict, with one memo for all of it."""
     total = 0.0 + 0.0j
+    memo = {}
     for mon, coeff in poly.items():
         if len(mon) > MAX_WICK_DEGREE:
             raise ExpansionBudgetError(
                 "monomial degree %d exceeds the Wick budget" % len(mon)
             )
-        total += coeff * _wick(mon, basis.two_point)
+        total += coeff * _wick(mon, basis.two_point, memo)
     return total
 
 

@@ -345,14 +345,19 @@ def _limit_setup(config, state, kernel):
 
 
 def _cmd_moments(config):
-    result, tables, _ = _moments(config)
+    result, tables, _, _ = _moments(config)
     return result, tables
 
 
-def _moments(config):
-    """The moments result and table, and the (state, kernel, report) behind them."""
+def _moments(config, variance=False):
+    """The moments result and table, the kernel's report, and {n: Var(U_n)}.
+
+    Each n takes one pass over the blocks of U_n for every p of p_list
+    and, with variance=True, for Var(U_n) = E (U_n - theta)^2 as well;
+    the variances are left empty otherwise.
+    """
     from .ccr import limit_moment
-    from .ustat import centered_moment
+    from .ustat import centered_moments
 
     _require(config, "state", "kernel", "n_list", "p_list")
     state = _load_state(config["state"])
@@ -360,28 +365,35 @@ def _moments(config):
     report, basis, limit = _limit_setup(config, state, kernel)
     exponent, factor_fn = _scaling(config, report)
     budget = config.get("dim_budget")
-    rows = []
-    for p in sorted(set(config["p_list"])):
-        lim = limit_moment(limit, basis, p, method="wick")
-        for n in sorted(set(config["n_list"])):
-            moment = centered_moment(
-                kernel, state, n, p, factor=factor_fn(n), budget=budget
-            )
-            rows.append({
-                "n": n,
-                "p": p,
-                "scaling_exponent": exponent,
-                "moment": moment,
-                "limit_moment": lim,
-                "abs_gap": abs(moment - lim),
-            })
+    ps = sorted(set(config["p_list"]))
+    ns = sorted(set(config["n_list"]))
+    limits = {p: limit_moment(limit, basis, p, method="wick") for p in ps}
+    moments, variances = {}, {}
+    for n in ns:
+        orders = [(p, factor_fn(n)) for p in ps] + ([(2, 1.0)] if variance else [])
+        values = centered_moments(kernel, state, n, orders, budget=budget)
+        moments.update(((n, p), value) for p, value in zip(ps, values))
+        if variance:
+            variances[n] = values[-1]
+    rows = [
+        {
+            "n": n,
+            "p": p,
+            "scaling_exponent": exponent,
+            "moment": moments[n, p],
+            "limit_moment": limits[p],
+            "abs_gap": abs(moments[n, p] - limits[p]),
+        }
+        for p in ps
+        for n in ns
+    ]
     header = ["n", "p", "scaling_exponent", "moment", "limit_moment", "abs_gap"]
     result = {
         "theta": report.theta,
         "c": report.c,
         "rows": rows,
     }
-    return result, {"moments": (header, rows)}, (state, kernel, report)
+    return result, {"moments": (header, rows)}, report, variances
 
 
 def _cmd_limit(config):
@@ -406,13 +418,10 @@ def _cmd_limit(config):
 def _cmd_convergence(config):
     from .errors import ToleranceError
     from .hoeffding import variance_formula
-    from .ustat import centered_moment
 
-    result, tables, (state, kernel, report) = _moments(config)
-    budget = config.get("dim_budget")
+    result, tables, report, variances = _moments(config, variance=True)
     variance_rows = []
-    for n in sorted(set(config["n_list"])):
-        exact = centered_moment(kernel, state, n, 2, factor=1.0, budget=budget)
+    for n, exact in sorted(variances.items()):
         formula = variance_formula(report, n)
         rel = abs(exact - formula) / max(abs(exact), abs(formula), 1e-300)
         if rel > 1e-9:

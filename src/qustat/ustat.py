@@ -6,7 +6,10 @@ expansion that rewrites l! C(n,l) U_n / n^{l/2} for a fully degenerate
 product kernel in terms of collective fluctuation and average operators.
 Their agreement is a strong cross-check on both.  Exact moments and laws
 of U_n are read off its blocks: spin-j blocks of dimension at most n + 1
-for qubits, the dense d^n statistic as the one block for d >= 3.
+for qubits, the dense d^n statistic as the one block for d >= 3.  The
+qubit blocks are evaluated from one plan of the kernel's distinct-site
+sum, and `centered_moments` takes every moment order and scale asked of
+one n in a single pass over them.
 """
 
 import itertools
@@ -64,22 +67,25 @@ def variance_exact(ustat, rho):
     return weighted_trace(m, rho, n, 2) - weighted_trace(m, rho, n) ** 2
 
 
-def centered_moment(kernel, rho, n, p, factor, budget=None):
-    """p-th moment of factor * (U_n - theta) under rho^{otimes n}, exactly.
+def centered_moments(kernel, rho, n, orders, budget=None):
+    """[E (factor (U_n - theta))^p under rho^{otimes n} for (p, factor) in orders], exactly.
 
-    The moment is summed over the blocks of U_n (see `_blocks`), so for
-    qubits the largest matrix built has dimension n + 1.
+    Every moment is summed over the blocks of U_n (see `_blocks`) in one
+    pass, so the blocks are built once however many orders are asked
+    for, and for qubits the largest matrix built has dimension n + 1.
     """
-    if p < 1:
+    orders = [(int(p), float(factor)) for p, factor in orders]
+    if any(p < 1 for p, _ in orders):
         raise ValidationError("moment order must be >= 1")
     w1, u = eigenframe(rho)
     k = kernel if u is None else kernel.rotated(u)
     theta = float(_weighted_power_trace(tensor_weights(w1, k.r), k.op.entries, 1).real)
-    total = 0.0
+    totals = [0.0] * len(orders)
     for block, (weights,) in _blocks(k, [w1], n, budget):
-        centered = float(factor) * (block - theta * np.eye(len(block)))
-        total += _weighted_power_trace(weights, centered, p).real
-    return float(total)
+        shifted = block - theta * np.eye(len(block))
+        for i, (p, factor) in enumerate(orders):
+            totals[i] += _weighted_power_trace(weights, factor * shifted, p).real
+    return [float(total) for total in totals]
 
 
 def finite_law(kernel, weights, n, budget=None):
@@ -128,12 +134,12 @@ def _blocks(kernel, weights, n, budget=None):
         yield stat.op.entries, [tensor_weights(w, n) for w in weights]
         return
     check_dim_budget(n + 1, budget)
-    t = kernel.op.entries.reshape((2,) * (2 * r))
+    plan = _distinct_plan(kernel.op.entries.reshape((2,) * (2 * r)))
     norm = math.factorial(r) * binom(n, r)
     for pieces in zip(*(_spin_blocks(w, n) for w in weights)):
         block_weights = [w for _, w in pieces]
         if any(np.any(w) for w in block_weights):
-            yield _distinct_sum(t, n, pieces[0][0]) / norm, block_weights
+            yield _distinct_sum(plan, n, pieces[0][0]) / norm, block_weights
 
 
 # ---------------------------------------------------------------------------
@@ -199,27 +205,45 @@ def _merge_first(t, k):
     return np.einsum(t, rows + cols, out_rows + cols[1:])
 
 
-def _distinct_sum(t, n, m):
-    """Sum of the r-site operator t over pairwise distinct sites, on one spin block.
+def _distinct_plan(t):
+    """The recursion of `_distinct_sum` for the r-site operator t, pruned of zero terms.
 
     t has shape (2,) * 2r, row indices first.  Peeling off site 0 gives
     D(X_1..X_r) = J(X_1) D(X_2..X_r) - sum_k D(X_2, .., X_1 X_k, .., X_r),
     where the subtracted terms are the labellings in which site 0 lands on
-    the site of factor k.
+    the site of factor k.  The plan of t is its scalar value for r = 0,
+    else (terms, merged): the (a, b, plan of the slice X_1 = E_ab) whose
+    slice is nonzero, and the plans of the nonzero merged operators.  It
+    depends on t alone, so one plan serves every spin block.
     """
     r = t.ndim // 2
     if r == 0:
-        return complex(t) * np.eye(len(m), dtype=complex)
-    out = np.zeros((len(m), len(m)), dtype=complex)
+        return complex(t)
     slices = np.moveaxis(t, r, 1)
-    for a in range(2):
-        for b in range(2):
-            if np.any(slices[a, b]):
-                out += _collective(a, b, _distinct_sum(slices[a, b], n, m), n, m)
-    for k in range(1, r):
-        merged = _merge_first(t, k)
-        if np.any(merged):
-            out -= _distinct_sum(merged, n, m)
+    terms = [
+        (a, b, _distinct_plan(slices[a, b]))
+        for a in range(2)
+        for b in range(2)
+        if np.any(slices[a, b])
+    ]
+    merged = [_merge_first(t, k) for k in range(1, r)]
+    return terms, [_distinct_plan(x) for x in merged if np.any(x)]
+
+
+def _distinct_sum(plan, n, m):
+    """Sum of an r-site operator over pairwise distinct sites, on one spin block.
+
+    `plan` is the operator's `_distinct_plan`; m holds the block's S_z
+    eigenvalues.
+    """
+    if isinstance(plan, complex):
+        return plan * np.eye(len(m), dtype=complex)
+    terms, merged = plan
+    out = np.zeros((len(m), len(m)), dtype=complex)
+    for a, b, child in terms:
+        out += _collective(a, b, _distinct_sum(child, n, m), n, m)
+    for child in merged:
+        out -= _distinct_sum(child, n, m)
     return out
 
 

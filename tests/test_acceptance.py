@@ -20,7 +20,7 @@ from qustat import (
     assemble_direct,
     assemble_fluctuation,
     build_ccr_basis,
-    centered_moment,
+    centered_moments,
     classical_mc_oracle,
     cond_expectation,
     fock_moment,
@@ -208,7 +208,7 @@ def test_criterion_04():
 
     gaps2 = []
     for n in range(4, 13):
-        m2 = centered_moment(kernel, RHO_75, n, 2, factor=float(n - 1))
+        (m2,) = centered_moments(kernel, RHO_75, n, [(2, float(n - 1))])
         expected = 2.0 * (n - 1) / n * 0.625
         assert abs(m2 - expected) < 1e-10, (
             "second moment at n=%d is %.17g, expected %.17g" % (n, m2, expected)
@@ -221,7 +221,7 @@ def test_criterion_04():
     lim4 = limit_moment(limit, basis, 4, method="fock")
     gaps4 = []
     for n in (6, 8, 10):
-        m4 = centered_moment(kernel, RHO_75, n, 4, factor=float(n))
+        (m4,) = centered_moments(kernel, RHO_75, n, [(4, float(n))])
         gaps4.append(abs(m4 - lim4))
     assert all(b < a for a, b in zip(gaps4, gaps4[1:])), (
         "fourth-moment gaps are not strictly decreasing: %r" % (gaps4,)
@@ -320,8 +320,7 @@ def test_criterion_08():
     gaps2 = []
     gaps4 = []
     for n in range(4, 13):
-        m2 = centered_moment(kernel, RHO_75, n, 2, factor=float(n) ** 0.5)
-        m4 = centered_moment(kernel, RHO_75, n, 4, factor=float(n) ** 0.5)
+        m2, m4 = centered_moments(kernel, RHO_75, n, [(2, n ** 0.5), (4, n ** 0.5)])
         gaps2.append(abs(m2 - 0.75))
         gaps4.append(abs(m4 - 1.6875))
     assert all(b < a for a, b in zip(gaps2, gaps2[1:])), (
@@ -339,7 +338,7 @@ def test_criterion_08():
     )
 
     n = 8
-    exact = centered_moment(kernel, RHO_75, n, 2, factor=float(n) ** 0.5)
+    (exact,) = centered_moments(kernel, RHO_75, n, [(2, float(n) ** 0.5)])
     h = np.array([[1.0, -1.0], [-1.0, 1.0]])
     estimate, se = classical_mc_oracle(
         h, np.array([0.75, 0.25]), n, 2, replicates=10 ** 5, seed=88,

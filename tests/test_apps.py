@@ -29,7 +29,9 @@ from qustat import (
     simulate_measurement,
     symmetrize_kernel,
 )
-from qustat.apps import _law_cdf, _law_quantile, _limit_law
+import qustat.apps
+from qustat.apps import _law_cdf, _law_quantile, _limit_law, _split_additive
+from qustat.ccr import limit_to_poly, oscillator_polynomial, thermal_levels
 from qustat.operators import hermitize, tensor_weights
 
 ATOL = 1e-12
@@ -311,6 +313,47 @@ def test_limit_law_rejects_cross_block_monomials(rho_75):
     linear = LimitPolynomial(c=1, binom_factor=1, terms=(((1, 0, 0), 1.0),))
     with pytest.raises(ValidationError):
         _limit_law(linear, basis)
+
+
+def _full_eigh_law(limit, basis):
+    """The one-oscillator law of `_limit_law` from one eigh of all kept Fock levels."""
+    const, _, per_pair = _split_additive(limit_to_poly(limit, basis), basis)
+    (words,) = per_pair.values()
+    sigma_sq = basis.oscillator_pairs[0].sigma_sq
+    weights, tail = thermal_levels(sigma_sq, 0)
+    op = hermitize(oscillator_polynomial(words, sigma_sq, len(weights))).entries
+    vals, vecs = np.linalg.eigh(op)
+    probs = (weights * (1.0 - tail)) @ np.abs(vecs) ** 2
+    order = np.argsort(vals)
+    return const + vals[order], probs[order]
+
+
+def test_limit_law_parity_blocks_match_one_full_eigh(monkeypatch):
+    monkeypatch.setattr(qustat.apps, "_DROPPED_MASS", 0.0)
+    # c1^2 + q^2 + 0.8 (qp + pq) / 2 + 0.5 p^2 in Hermite form, over (c1, q12, p12)
+    limit = LimitPolynomial(c=2, binom_factor=1, terms=(
+        ((2, 0, 0), 1.0), ((0, 2, 0), 1.0), ((0, 1, 1), 0.8), ((0, 0, 2), 0.5),
+    ))
+    for sigma_sq in (0.6, 1.0, 3.0):
+        lam = 0.5 + 0.25 / sigma_sq  # sigma^2 = 1 / (2 (2 lam - 1)) on a qubit
+        basis = build_ccr_basis(DensityMatrix.from_eigenvalues([lam, 1.0 - lam]))
+        assert basis.oscillator_pairs[0].sigma_sq == pytest.approx(sigma_sq, rel=1e-12)
+        atoms, probs, mu = _limit_law(limit, basis)
+        ref_atoms, ref_probs = _full_eigh_law(limit, basis)
+        assert len(atoms) == len(ref_atoms) >= 10
+        scale = float(np.abs(ref_atoms).max())
+        np.testing.assert_allclose(atoms, ref_atoms, rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(probs, ref_probs, rtol=0.0, atol=1e-13)
+        assert mu.tolist() == [1.0]
+
+
+def test_limit_law_rejects_odd_oscillator_words(rho_75):
+    basis = build_ccr_basis(rho_75)
+    # q alone, and He_3(p) = p^3 - 3p: words of odd length couple both parities
+    for terms in ((((0, 1, 0), 1.0),), (((2, 0, 0), 1.0), ((0, 0, 3), 1.0))):
+        limit = LimitPolynomial(c=len(terms), binom_factor=1, terms=terms)
+        with pytest.raises(ValidationError, match="odd degree"):
+            _limit_law(limit, basis)
 
 
 def test_limit_law_error_bound_is_enforced():

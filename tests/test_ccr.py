@@ -12,6 +12,7 @@ from qustat import (
     Kernel,
     ValidationError,
     build_ccr_basis,
+    goodness_kernel,
     fock_moment,
     hermite_orthogonality_check,
     kernel_components,
@@ -27,6 +28,7 @@ from qustat.ccr import (
     oscillator_polynomial,
     poly_power,
     thermal_levels,
+    wick_poly_moment,
 )
 from qustat.operators import hermitize
 
@@ -239,6 +241,35 @@ def test_fock_route_matches_wick_on_monomials(rho_75):
         w = quasifree_moment_wick(mon, basis)
         f = fock_moment(mon, basis)
         assert abs(w - f) <= ROUTE_RTOL * max(1.0, abs(w))
+
+
+def _wick_unmemoised(mon, c):
+    """The pair-partition sum of `ccr._wick`, recomputing every sub-monomial."""
+    if len(mon) % 2 == 1:
+        return 0.0 + 0.0j
+    if not mon:
+        return 1.0 + 0.0j
+    first, rest = mon[0], mon[1:]
+    total = 0.0 + 0.0j
+    for pos in range(len(rest)):
+        pair = c[first, rest[pos]]
+        if pair != 0.0:
+            total += pair * _wick_unmemoised(rest[:pos] + rest[pos + 1 :], c)
+    return total
+
+
+def test_wick_memo_gives_the_bits_of_the_plain_recursion(rho_75, paulis):
+    sx, sy, _ = paulis
+    basis = build_ccr_basis(rho_75)
+    for kernel in (symmetrize_kernel([sx, sy]), goodness_kernel(rho_75)):
+        limit = kernel_to_limit(kernel, kernel_components(kernel, rho_75), basis)
+        poly = limit_to_poly(limit, basis)
+        for p in range(2, 7):
+            poly_p = poly_power(poly, p)
+            expected = 0.0 + 0.0j
+            for mon, coeff in poly_p.items():
+                expected += coeff * _wick_unmemoised(mon, basis.two_point)
+            assert wick_poly_moment(poly_p, basis) == expected, (p, kernel)
 
 
 def test_poly_power_budget():

@@ -112,6 +112,33 @@ def test_convergence_checks_variance_and_gaps(tmp_path):
     assert (out / "tables" / "moments.csv").exists()
 
 
+def test_convergence_builds_the_blocks_once_per_n(tmp_path, monkeypatch):
+    """Every moment order and the variance row of one n share a single block pass."""
+    import qustat.ustat
+
+    calls = []
+    original = qustat.ustat._spin_blocks
+
+    def counted(w1, n):
+        calls.append(n)
+        return original(w1, n)
+
+    monkeypatch.setattr(qustat.ustat, "_spin_blocks", counted)
+    config = {
+        "command": "convergence",
+        "state": STATE_75,
+        "kernel": {"preset": "pauli-xy"},
+        "n_list": [8, 4, 6],
+        "p_list": [4, 2, 3],
+    }
+    _, result, _ = _run(tmp_path, config)
+    assert calls == [4, 6, 8]
+    assert [(row["p"], row["n"]) for row in result["rows"]] == [
+        (p, n) for p in (2, 3, 4) for n in (4, 6, 8)
+    ]
+    assert [row["n"] for row in result["variance_checks"]] == [4, 6, 8]
+
+
 def test_convergence_reaches_hundreds_of_sites(tmp_path):
     config = {
         "command": "convergence",
@@ -440,7 +467,7 @@ def test_cli_import_leaves_numpy_unloaded():
 def test_package_names_resolve_lazily():
     for name in qustat.__all__:
         assert getattr(qustat, name) is not None
-    assert qustat.ustat.centered_moment is qustat.centered_moment
+    assert qustat.ustat.centered_moments is qustat.centered_moments
     assert set(qustat.__all__) <= set(dir(qustat))
     with pytest.raises(AttributeError):
         qustat.no_such_name

@@ -11,7 +11,7 @@ from qustat import (
     ValidationError,
     assemble_direct,
     assemble_fluctuation,
-    centered_moment,
+    centered_moments,
     classical_mc_oracle,
     finite_law,
     fluctuation_form,
@@ -27,7 +27,13 @@ from qustat.operators import (
     tensor_weights,
     weighted_trace,
 )
-from qustat.ustat import _spin_blocks
+from qustat.ustat import (
+    _collective,
+    _distinct_plan,
+    _distinct_sum,
+    _merge_first,
+    _spin_blocks,
+)
 
 ATOL = 1e-12
 ROUTE_RTOL = 1e-9
@@ -84,7 +90,7 @@ def test_diagonal_kernel_moments_match_outcome_enumeration(rho_d3):
         u = sum(values[:, i] * values[:, j] for i, j in pairs) / len(pairs)
         for p in (1, 2, 3):
             exact = float(probs @ (np.sqrt(n) * (u - theta)) ** p)
-            moment = centered_moment(k, rho_d3, n, p, factor=float(n) ** 0.5)
+            (moment,) = centered_moments(k, rho_d3, n, [(p, float(n) ** 0.5)])
             np.testing.assert_allclose(moment, exact, rtol=1e-10, atol=1e-13,
                                        err_msg="n=%d p=%d" % (n, p))
 
@@ -119,11 +125,65 @@ def test_spin_block_moments_match_dense_statistic(rho_75, paulis):
                 centered = assemble_direct(k, n).op.entries - theta * np.eye(2 ** n)
                 for p in range(1, 6):
                     dense = weighted_trace(centered, rho, n, p)
-                    block = centered_moment(k, rho, n, p, factor=1.0)
+                    (block,) = centered_moments(k, rho, n, [(p, 1.0)])
                     np.testing.assert_allclose(block, dense, rtol=1e-10, atol=1e-13,
                                                err_msg="r=%d n=%d p=%d" % (k.r, n, p))
     with pytest.raises(ValidationError):
-        centered_moment(kernels[2], rho_75, 2, 2, factor=1.0)
+        centered_moments(kernels[2], rho_75, 2, [(2, 1.0)])
+
+
+def test_centered_moments_one_pass_equals_separate_calls(rho_75, rho_d3, paulis):
+    """Several (p, factor) pairs in one block pass give the bits of one pair per call."""
+    sx, sy, _ = paulis
+    rng = np.random.default_rng(23)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    cases = [
+        (symmetrize_kernel([sx, sy]), rho_75, 9),
+        (_random_symmetric_kernel(rng, 3), DensityMatrix.from_eigenvalues([0.7, 0.3], u), 7),
+        (goodness_kernel(rho_d3), rho_d3, 4),
+    ]
+    orders = [(4, 3.0), (2, 8.0), (2, 1.0), (3, 2.5 ** 0.5), (1, 1.0), (2, 8.0)]
+    for k, rho, n in cases:
+        together = centered_moments(k, rho, n, orders)
+        apart = [centered_moments(k, rho, n, [order])[0] for order in orders]
+        assert together == apart
+        assert all(type(value) is float for value in together)
+    assert centered_moments(cases[0][0], rho_75, 4, []) == []
+    with pytest.raises(ValidationError):
+        centered_moments(cases[0][0], rho_75, 4, [(2, 1.0), (0, 1.0)])
+
+
+def _distinct_sum_reference(t, n, m):
+    """The distinct-site sum of `_distinct_sum`, recursing on the tensor at every block."""
+    r = t.ndim // 2
+    if r == 0:
+        return complex(t) * np.eye(len(m), dtype=complex)
+    out = np.zeros((len(m), len(m)), dtype=complex)
+    slices = np.moveaxis(t, r, 1)
+    for a in range(2):
+        for b in range(2):
+            if np.any(slices[a, b]):
+                out += _collective(a, b, _distinct_sum_reference(slices[a, b], n, m), n, m)
+    for k in range(1, r):
+        merged = _merge_first(t, k)
+        if np.any(merged):
+            out -= _distinct_sum_reference(merged, n, m)
+    return out
+
+
+def test_distinct_plan_gives_the_bits_of_the_tensor_recursion(paulis):
+    sx, sy, sz = paulis
+    rng = np.random.default_rng(29)
+    kernels = [_random_symmetric_kernel(rng, r) for r in (1, 2, 3)] + [
+        symmetrize_kernel([sx, sy]),
+        Kernel(2, 2, hermitize(np.kron(sz, sz))),
+    ]
+    for k in kernels:
+        t = k.op.entries.reshape((2,) * (2 * k.r))
+        plan = _distinct_plan(t)
+        for n in (k.r, 5, 8):
+            for m, _ in _spin_blocks(np.array([0.75, 0.25]), n):
+                assert np.array_equal(_distinct_sum(plan, n, m), _distinct_sum_reference(t, n, m))
 
 
 def test_spin_block_weights_stay_finite_at_large_n():
@@ -196,7 +256,7 @@ def test_second_moment_identity_for_degenerate_pair_kernel(rho_75, paulis):
     sx, sy, _ = paulis
     k = symmetrize_kernel([sx, sy])
     for n in (4, 8, 12):
-        m2 = centered_moment(k, rho_75, n, 2, factor=float(n - 1))
+        (m2,) = centered_moments(k, rho_75, n, [(2, float(n - 1))])
         expected = 2.0 * (n - 1) / n * 0.625
         np.testing.assert_allclose(m2, expected, rtol=1e-12)
 
@@ -245,7 +305,7 @@ def test_classical_oracle_matches_quantum_diagonal(rho_75, paulis):
     _, _, sz = paulis
     k = Kernel(2, 2, hermitize(np.kron(sz, sz)))
     n = 6
-    exact = centered_moment(k, rho_75, n, 2, factor=float(n) ** 0.5)
+    (exact,) = centered_moments(k, rho_75, n, [(2, float(n) ** 0.5)])
     h = np.array([[1.0, -1.0], [-1.0, 1.0]])
     estimate, se = classical_mc_oracle(
         h, np.array([0.75, 0.25]), n, 2, replicates=200000, seed=99, scale_exponent=1
