@@ -269,6 +269,8 @@ def _limit_law(limit, basis, budget=None):
             par_vals, vecs = np.linalg.eigh(op[par::2, par::2])
             vals.append(par_vals)
             born.append(thermal[par::2] @ np.abs(vecs) ** 2)
+        # ascending, as one eigh of all levels orders them, so that the
+        # joint atoms below are summed in the same order
         vals, born = np.concatenate(vals), np.concatenate(born)
         order = np.argsort(vals, kind="stable")
         atoms = np.add.outer(atoms, vals[order]).ravel()
