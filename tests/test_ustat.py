@@ -183,7 +183,8 @@ def test_distinct_plan_gives_the_bits_of_the_tensor_recursion(paulis):
         plan = _distinct_plan(t)
         for n in (k.r, 5, 8):
             for m, _ in _spin_blocks(np.array([0.75, 0.25]), n):
-                assert np.array_equal(_distinct_sum(plan, n, m), _distinct_sum_reference(t, n, m))
+                reference = _distinct_sum_reference(t, n, m)
+                assert np.array_equal(_distinct_sum(plan, n, m), reference)
 
 
 def test_spin_block_weights_stay_finite_at_large_n():
