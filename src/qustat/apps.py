@@ -472,15 +472,16 @@ class OverlapResult:
         }
 
 
-def metrology_overlap(kernel, rho0, t, g1, g2, n, budget=None):
-    """Overlap of two conjugated probe states after n-sample evolution.
+def metrology_overlap(kernel, rho0, t, g1, g2, n_list, budget=None):
+    """Overlap of two conjugated probe states after n-sample evolution, per n.
 
     The generator is the subset sum of the kernel; parameters g1, g2
     scale it by t (g1 - g2) n^{1/2 - r}.  Requires a pure reference with
-    vanishing kernel mean and a non-degenerate first component.  Returns
-    the exact overlap, read from `finite_law` (one spin block for qubits),
-    and its Gaussian limit
-    exp(-t^2 (g1-g2)^2 xi_1 / (2 ((r-1)!)^2)).
+    vanishing kernel mean and a non-degenerate first component; these
+    checks, the Gaussian limit exp(-t^2 (g1-g2)^2 xi_1 / (2 ((r-1)!)^2))
+    and the kernel in the reference's eigenframe are formed once per call.
+    Returns one OverlapResult per n, in n_list order, with the exact
+    overlap read from `finite_law` (one spin block for qubits).
     """
     vals = rho0.eigenvalues
     if abs(vals[0] - 1.0) > 1e-10:
@@ -495,12 +496,15 @@ def metrology_overlap(kernel, rho0, t, g1, g2, n, budget=None):
     dg = float(g1) - float(g2)
     limit = math.exp(-(t * dg) ** 2 * xi1 / (2.0 * math.factorial(r - 1) ** 2))
     if t == 0.0 or dg == 0.0:
-        return OverlapResult(n=n, overlap=1.0 + 0.0j, limit=1.0)
+        return [OverlapResult(n=n, overlap=1.0 + 0.0j, limit=1.0) for n in n_list]
     # In its eigenframe the reference is the basis vector of its largest
     # weight; exact 0/1 weights keep every other block out.
     w1, u = eigenframe(rho0)
     k = kernel if u is None else kernel.rotated(u)
-    atoms, (probs,) = finite_law(k, [np.eye(len(w1))[np.argmax(w1)]], n, budget=budget)
-    phases = np.exp(1j * t * dg * float(n) ** (0.5 - r) * binom(n, r) * atoms)
-    overlap = complex(np.dot(probs, phases))
-    return OverlapResult(n=n, overlap=overlap, limit=limit)
+    reference = [np.eye(len(w1))[np.argmax(w1)]]
+    results = []
+    for n in n_list:
+        atoms, (probs,) = finite_law(k, reference, n, budget=budget)
+        phases = np.exp(1j * t * dg * float(n) ** (0.5 - r) * binom(n, r) * atoms)
+        results.append(OverlapResult(n=n, overlap=complex(np.dot(probs, phases)), limit=limit))
+    return results

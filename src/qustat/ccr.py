@@ -35,7 +35,14 @@ from .errors import (
     ToleranceError,
     ValidationError,
 )
-from .operators import DEFAULT_DIM_BUDGET, binom, frobenius, rotate_sites, state_covariance
+from .operators import (
+    DEFAULT_DIM_BUDGET,
+    _densify,
+    binom,
+    frobenius,
+    rotate_sites,
+    state_covariance,
+)
 
 # Internal consistency of the constructed basis (orthonormality, the
 # symplectic normal form) is asserted at this tolerance.
@@ -572,13 +579,7 @@ def oscillator_polynomial(words, sigma_sq, levels):
     """
     width = max(len(word) for word in words)
     bands = _word_bands(words, _band_roots(width, levels), 1.0 / math.sqrt(sigma_sq))
-    total = sum(words[word] * band for word, band in bands)
-    out = np.zeros((levels, levels), dtype=complex)
-    cols = np.arange(levels)
-    for s in range(-width, width + 1):
-        kept = cols[max(0, -s) : levels - max(0, s)]
-        out[kept + s, kept] = total[width + s, kept]
-    return out
+    return _densify(sum(words[word] * band for word, band in bands), levels)
 
 
 def _classical_moments(max_degree):

@@ -496,11 +496,10 @@ def _cmd_metrology(config):
     kernel = _load_kernel(config["kernel"], state)
     rows = []
     results = []
-    for n in sorted(set(config["n_list"])):
-        res = metrology_overlap(
-            kernel, state, config["t"], config["g1"], config["g2"], n,
-            budget=config.get("dim_budget"),
-        )
+    for res in metrology_overlap(
+        kernel, state, config["t"], config["g1"], config["g2"],
+        sorted(set(config["n_list"])), budget=config.get("dim_budget"),
+    ):
         doc = res.to_json()
         results.append(doc)
         rows.append({

@@ -5,6 +5,7 @@ row-major multi-index order, so site 1 is the slowest index.  Sites are
 1-based in the public interface and 0-based internally.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -283,6 +284,46 @@ class Kernel:
         ent = rotate_sites(self.op.entries, self.r, self.d, u)
         return Kernel(self.d, self.r, hermitize(ent))
 
+    @functools.cached_property
+    def _plan(self):
+        """The `_distinct_plan` of a qubit kernel, built on first use."""
+        return _distinct_plan(self.op.entries.reshape((2,) * (2 * self.r)))
+
+
+def _merge_first(t, k):
+    """The (r-1)-site operator in which site 0 multiplies site k from the left."""
+    r = t.ndim // 2
+    rows, cols = list(range(r)), list(range(r, 2 * r))
+    cols[0] = rows[k]
+    out_rows = [rows[0] if s == k else rows[s] for s in range(1, r)]
+    return np.einsum(t, rows + cols, out_rows + cols[1:])
+
+
+def _distinct_plan(t):
+    """The sum of a qubit r-site operator t over pairwise distinct sites, as a plan.
+
+    t has shape (2,) * 2r, row indices first.  Peeling off site 0 gives
+    D(X_1..X_r) = J(X_1) D(X_2..X_r) - sum_k D(X_2, .., X_1 X_k, .., X_r),
+    with J(X) = sum_s X^(s) the collective operator, where the subtracted
+    terms are the labellings in which site 0 lands on the site of factor
+    k.  The plan of t is its scalar value for r = 0, else (terms, merged):
+    the (a, b, plan of the slice X_1 = E_ab) whose slice is nonzero, and
+    the plans of the nonzero merged operators.  It depends on t alone, so
+    one plan serves every n; `ustat._distinct_bands` evaluates it.
+    """
+    r = t.ndim // 2
+    if r == 0:
+        return complex(t)
+    slices = np.moveaxis(t, r, 1)
+    terms = [
+        (a, b, _distinct_plan(slices[a, b]))
+        for a in range(2)
+        for b in range(2)
+        if np.any(slices[a, b])
+    ]
+    merged = [_merge_first(t, k) for k in range(1, r)]
+    return terms, [_distinct_plan(x) for x in merged if np.any(x)]
+
 
 def site_transpose(matrix, n, d, i):
     """Conjugate by the transposition of 0-based sites i and i+1."""
@@ -428,6 +469,16 @@ def tensor_power_state(rho, n, budget=None):
     out = rho.entries
     for _ in range(n - 1):
         out = np.kron(out, rho.entries)
+    return out
+
+
+def _densify(band, levels):
+    """The levels x levels matrix of a band kept as band[w + s, k] = <k + s| M |k>."""
+    width = band.shape[0] // 2
+    out = np.zeros((levels, levels), dtype=complex)
+    for s in range(-width, width + 1):
+        kept = np.arange(max(0, -s), levels - max(0, s))
+        out[kept + s, kept] = band[width + s, kept]
     return out
 
 

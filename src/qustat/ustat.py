@@ -5,11 +5,13 @@ Two constructions are provided: the direct subset sum, and a fluctuation
 expansion that rewrites l! C(n,l) U_n / n^{l/2} for a fully degenerate
 product kernel in terms of collective fluctuation and average operators.
 Their agreement is a strong cross-check on both.  Exact moments and laws
-of U_n are read off its blocks: spin-j blocks of dimension at most n + 1
-for qubits, the dense d^n statistic as the one block for d >= 3.  The
-qubit blocks are evaluated from one plan of the kernel's distinct-site
-sum, and `centered_moments` takes every moment order and scale asked of
-one n in a single pass over them.
+of U_n are read off its blocks: for qubits the spin-j blocks, of
+dimension at most n + 1 and half-bandwidth r, kept as one band stack per
+n (`_spin_stack`); for d >= 3 the dense d^n statistic as the one block.
+The stack is evaluated from the kernel's distinct-site plan, built once
+per kernel; `centered_moments` shares its band powers among every moment
+order and scale asked of one n, and `finite_law` makes each block dense
+only for its eigendecomposition.
 """
 
 import itertools
@@ -22,6 +24,7 @@ from .errors import ToleranceError, ValidationError
 from .operators import (
     HermitianOperator,
     Kernel,
+    _densify,
     _embedded_add,
     _weighted_power_trace,
     binom,
@@ -70,9 +73,11 @@ def variance_exact(ustat, rho):
 def centered_moments(kernel, rho, n, orders, budget=None):
     """[E (factor (U_n - theta))^p under rho^{otimes n} for (p, factor) in orders], exactly.
 
-    Every moment is summed over the blocks of U_n (see `_blocks`) in one
-    pass, so the blocks are built once however many orders are asked
-    for, and for qubits the largest matrix built has dimension n + 1.
+    For qubits every moment is read off one band stack of the spin blocks
+    A_j of U_n (`_spin_stack`): the band powers of A = A_j - theta, up to
+    A^ceil(max p / 2), are taken once and shared by every (p, factor)
+    pair, and the moment is factor^p sum_i w_i (A^(p//2) A^(p - p//2))_ii.
+    For d >= 3 the dense d^n statistic is raised to each power.
     """
     orders = [(int(p), float(factor)) for p, factor in orders]
     if any(p < 1 for p, _ in orders):
@@ -80,12 +85,21 @@ def centered_moments(kernel, rho, n, orders, budget=None):
     w1, u = eigenframe(rho)
     k = kernel if u is None else kernel.rotated(u)
     theta = float(_weighted_power_trace(tensor_weights(w1, k.r), k.op.entries, 1).real)
-    totals = [0.0] * len(orders)
-    for block, (weights,) in _blocks(k, [w1], n, budget):
-        shifted = block - theta * np.eye(len(block))
-        for i, (p, factor) in enumerate(orders):
-            totals[i] += _weighted_power_trace(weights, factor * shifted, p).real
-    return [float(total) for total in totals]
+    if k.d != 2:
+        shifted = assemble_direct(k, n, budget=budget).op.entries - theta * np.eye(k.d ** n)
+        weights = tensor_weights(w1, n)
+        return [float(_weighted_power_trace(weights, factor * shifted, p).real)
+                for p, factor in orders]
+    bands, sizes, (weights,) = _spin_stack(k, [w1], n, budget)
+    inside = 1.0 * (np.arange(n + 1) < sizes[:, None])
+    bands[:, k.r] -= theta * inside
+    powers = [inside[:, None], bands]
+    for _ in range(1, max([(p + 1) // 2 for p, _ in orders], default=1)):
+        powers.append(_band_product(powers[-1], bands))
+    return [
+        float(factor ** p * _band_trace(weights, powers[p // 2], powers[p - p // 2]))
+        for p, factor in orders
+    ]
 
 
 def finite_law(kernel, weights, n, budget=None):
@@ -118,28 +132,21 @@ def _checked_probabilities(probs):
 
 
 def _blocks(kernel, weights, n, budget=None):
-    """Yield (block of U_n, [weights of each state on the block]).
+    """Yield (dense block of U_n, [weights of each state on the block]) for `finite_law`.
 
-    `kernel` and the one-site `weights` are as for `finite_law`.  Qubit
-    statistics split into spin-j blocks of dimension at most n + 1, and
-    blocks that every state weighs 0 are skipped; for d >= 3 the dense
-    d^n statistic is the one block.  Either way E f(U_n) under a state is
-    the sum over blocks of Tr(diag(w) f(block)).
+    `kernel` and the one-site `weights` are as for `finite_law`.  For
+    qubits the blocks are the spin blocks of `_spin_stack` that some state
+    weighs, made dense one at a time; for d >= 3 the dense d^n statistic
+    is the one block.  Either way E f(U_n) under a state is the sum over
+    blocks of Tr(diag(w) f(block)).
     """
-    d, r = kernel.d, kernel.r
-    if n < r:
-        raise ValidationError("need n >= r, got n=%d for order %d" % (n, r))
-    if d != 2:
+    if kernel.d != 2:
         stat = assemble_direct(kernel, n, budget=budget)
         yield stat.op.entries, [tensor_weights(w, n) for w in weights]
         return
-    check_dim_budget(n + 1, budget)
-    plan = _distinct_plan(kernel.op.entries.reshape((2,) * (2 * r)))
-    norm = math.factorial(r) * binom(n, r)
-    for pieces in zip(*(_spin_blocks(w, n) for w in weights)):
-        block_weights = [w for _, w in pieces]
-        if any(np.any(w) for w in block_weights):
-            yield _distinct_sum(plan, n, pieces[0][0]) / norm, block_weights
+    bands, sizes, stack_weights = _spin_stack(kernel, weights, n, budget)
+    for b, size in enumerate(sizes):
+        yield _densify(bands[b], size), [w[b, :size] for w in stack_weights]
 
 
 # ---------------------------------------------------------------------------
@@ -152,23 +159,29 @@ def _blocks(kernel, weights, n, budget=None):
 # representation, and the kernel summed over pairwise distinct sites is a
 # polynomial in collective operators.  Hence
 # E f(U_n) = sum_j m_j Tr(pi_j(rho) f(A_j)) with blocks of dimension 2j + 1.
+# A_j has half-bandwidth r in the S_z basis, so the blocks of one n are
+# kept together as one band stack.
 
 
-def _spin_blocks(w1, n):
-    """[(m, weights)] per spin block: S_z eigenvalues m = j, j-1, .., -j and m_j pi_j(rho).
+def _spin_weights(w1, n):
+    """m_j pi_j(rho) on every spin block, as an array of floor(n/2) + 1 rows of n + 1.
 
-    w1 = (lam_0, lam_1) are the state's eigenvalues in the kernel's frame;
-    the vector with S_z = m has n/2 + m sites in state 0 and n/2 - m in
-    state 1.  Weights are formed in log space, since C(n, k) and lam^n
-    leave the double range long before n = 1000.
+    Row k is the block j = n/2 - k and entry i its S_z eigenvalue j - i,
+    whose vectors have n - k - i sites in state 0 and k + i in state 1;
+    w1 = (lam_0, lam_1) are the state's eigenvalues in the kernel's frame.
+    Entries past the block's 2j + 1 levels are 0.  The weights are formed
+    in log space, since m_j = C(n, k) - C(n, k - 1) and lam^n leave the
+    double range long before n = 1000; m_j is an exact integer, so its
+    log is rounded once.
     """
-    out = []
+    log_mult, comb, previous = [], 1, 0
     for k in range(n // 2 + 1):
-        mult = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
-        ones = k + np.arange(n - 2 * k + 1)
-        logw = math.log(mult) + _xlogy(n - ones, w1[0]) + _xlogy(ones, w1[1])
-        out.append((n / 2.0 - ones, np.exp(logw)))
-    return out
+        log_mult.append(math.log(comb - previous))
+        previous, comb = comb, comb * (n - k) // (k + 1)
+    k = np.arange(n // 2 + 1)[:, None]
+    ones = k + np.arange(n + 1)
+    logw = np.array(log_mult)[:, None] + _xlogy(n - ones, w1[0]) + _xlogy(ones, w1[1])
+    return np.exp(np.where(ones <= n - k, logw, -np.inf))
 
 
 def _xlogy(count, lam):
@@ -178,73 +191,99 @@ def _xlogy(count, lam):
     return np.where(count > 0, -np.inf, 0.0)
 
 
-def _collective(a, b, mat, n, m):
-    """J(E_ab) @ mat on the spin block with S_z eigenvalues m (descending).
+def _spin_stack(kernel, weights, n, budget=None):
+    """The spin blocks A_j of U_n that some state weighs, as one band stack.
 
-    J(E_00) = n/2 + S_z, J(E_11) = n/2 - S_z, J(E_01) = S_+, J(E_10) = S_-.
+    Returns (bands, sizes, [weights of each state on the stack]).  Block b
+    has sizes[b] = 2j + 1 levels, zero-padded to n + 1, and is kept as its
+    2r + 1 diagonals, bands[b, r + s, i] = <i + s| A_j |i> (the layout of
+    `ccr._quadrature_times`); row b of each weights array holds its
+    `_spin_weights`.  The kernel's `_distinct_plan` is evaluated on the
+    whole stack at once.
+    """
+    r = kernel.r
+    if n < r:
+        raise ValidationError("need n >= r, got n=%d for order %d" % (n, r))
+    check_dim_budget(n + 1, budget)
+    spin_weights = [_spin_weights(w, n) for w in weights]
+    kept = np.flatnonzero(np.any([w.any(axis=1) for w in spin_weights], axis=0))
+    sizes = n + 1 - 2 * kept
+    # the level i + s of band entry (r + s, i), and the factors J(E_ab) puts
+    # on it in each block: n/2 + S_z, n/2 - S_z, and the S_+ and S_-
+    # couplings, which are 0 past the block's edge
+    row = np.arange(n + 1) + np.arange(-r, r + 1)[:, None]
+    k, size = kept[:, None, None], sizes[:, None, None]
+    factors = (
+        n - k - row,
+        k + row,
+        np.sqrt(np.maximum((row + 1) * (size - 1 - row), 0)),
+        np.sqrt(np.maximum(row * (size - row), 0)),
+    )
+    eye = np.zeros((len(sizes), 2 * r + 1, n + 1), dtype=complex)
+    eye[:, r] = row[r] < sizes[:, None]
+    bands = _distinct_bands(kernel._plan, factors, eye)
+    bands /= math.factorial(r) * binom(n, r)
+    return bands, sizes, [w[kept] for w in spin_weights]
+
+
+def _collective(a, b, bands, factors):
+    """J(E_ab) M for every band M of a stack, written over it; `factors` as in `_spin_stack`.
+
+    J(E_00) = n/2 + S_z and J(E_11) = n/2 - S_z scale each row; with the
+    S_z eigenvalues descending, S_+ = J(E_01) moves level i + 1 to i and
+    S_- = J(E_10) moves level i - 1 to i, so they shift the diagonals.
     """
     if a == b:
-        return (n / 2.0 + (m if a == 0 else -m))[:, None] * mat
-    j = m[0]
-    # S_+ |m> = sqrt((j - m)(j + m + 1)) |m + 1>, and S_- is its transpose
-    up = np.sqrt((j - m[1:]) * (j + m[1:] + 1))[:, None]
-    out = np.zeros_like(mat)
-    if a == 0:
-        out[:-1] = up * mat[1:]
+        bands *= factors[a]
+    elif a == 0:
+        bands[:, :-1] = factors[2][:, :-1] * bands[:, 1:]
+        bands[:, -1] = 0.0
     else:
-        out[1:] = up * mat[:-1]
-    return out
+        bands[:, 1:] = factors[3][:, 1:] * bands[:, :-1]
+        bands[:, 0] = 0.0
+    return bands
 
 
-def _merge_first(t, k):
-    """The (r-1)-site operator in which site 0 multiplies site k from the left."""
-    r = t.ndim // 2
-    rows, cols = list(range(r)), list(range(r, 2 * r))
-    cols[0] = rows[k]
-    out_rows = [rows[0] if s == k else rows[s] for s in range(1, r)]
-    return np.einsum(t, rows + cols, out_rows + cols[1:])
+def _distinct_bands(plan, factors, eye):
+    """The distinct-site sum of a `_distinct_plan`, on every block of a stack.
 
-
-def _distinct_plan(t):
-    """The recursion of `_distinct_sum` for the r-site operator t, pruned of zero terms.
-
-    t has shape (2,) * 2r, row indices first.  Peeling off site 0 gives
-    D(X_1..X_r) = J(X_1) D(X_2..X_r) - sum_k D(X_2, .., X_1 X_k, .., X_r),
-    where the subtracted terms are the labellings in which site 0 lands on
-    the site of factor k.  The plan of t is its scalar value for r = 0,
-    else (terms, merged): the (a, b, plan of the slice X_1 = E_ab) whose
-    slice is nonzero, and the plans of the nonzero merged operators.  It
-    depends on t alone, so one plan serves every spin block.
-    """
-    r = t.ndim // 2
-    if r == 0:
-        return complex(t)
-    slices = np.moveaxis(t, r, 1)
-    terms = [
-        (a, b, _distinct_plan(slices[a, b]))
-        for a in range(2)
-        for b in range(2)
-        if np.any(slices[a, b])
-    ]
-    merged = [_merge_first(t, k) for k in range(1, r)]
-    return terms, [_distinct_plan(x) for x in merged if np.any(x)]
-
-
-def _distinct_sum(plan, n, m):
-    """Sum of an r-site operator over pairwise distinct sites, on one spin block.
-
-    `plan` is the operator's `_distinct_plan`; m holds the block's S_z
-    eigenvalues.
+    `eye` is the stack's identity band; at most r collective operators act
+    on it, so 2r + 1 diagonals hold every product exactly.
     """
     if isinstance(plan, complex):
-        return plan * np.eye(len(m), dtype=complex)
+        return plan * eye
     terms, merged = plan
-    out = np.zeros((len(m), len(m)), dtype=complex)
+    out = np.zeros_like(eye)
     for a, b, child in terms:
-        out += _collective(a, b, _distinct_sum(child, n, m), n, m)
+        out += _collective(a, b, _distinct_bands(child, factors, eye), factors)
     for child in merged:
-        out -= _distinct_sum(child, n, m)
+        out -= _distinct_bands(child, factors, eye)
     return out
+
+
+def _band_product(x, y):
+    """The band stack of X Y from those of X and Y; the widths add."""
+    wx, wy = x.shape[1] // 2, y.shape[1] // 2
+    levels = x.shape[2]
+    out = np.zeros((len(x), 2 * (wx + wy) + 1, levels), dtype=complex)
+    for t in range(-wy, wy + 1):
+        # <i + s| X |i + t> <i + t| Y |i>, on the levels i with i + t a level
+        lo, hi = max(0, -t), levels - max(0, t)
+        term = x[:, :, lo + t : hi + t] * y[:, wy + t, None, lo:hi]
+        out[:, wy + t : wy + t + 2 * wx + 1, lo:hi] += term
+    return out
+
+
+def _band_trace(weights, x, y):
+    """Re sum_i w_i (X Y)_ii over a stack, for hermitian X no wider than Y.
+
+    (X Y)_ii = sum_s X_{i, i+s} Y_{i+s, i}, and X_{i, i+s} is the conjugate
+    of the band entry <i + s| X |i>.
+    """
+    wx, wy = x.shape[1] // 2, y.shape[1] // 2
+    y = y[:, wy - wx : wy + wx + 1]
+    return (np.einsum("bi,bsi,bsi->", weights, x.real, y.real)
+            + np.einsum("bi,bsi,bsi->", weights, x.imag, y.imag))
 
 
 # ---------------------------------------------------------------------------

@@ -439,14 +439,14 @@ def test_criterion_10():
     kernel = symmetrize_kernel([SZ, SX])
     plus = DensityMatrix.from_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
     gaps = []
-    for n in (4, 6, 8, 10):
-        res = metrology_overlap(kernel, plus, 1.0, 0.5, 0.0, n)
+    for res in metrology_overlap(kernel, plus, 1.0, 0.5, 0.0, (4, 6, 8, 10)):
         np.testing.assert_allclose(res.limit, np.exp(-0.03125), rtol=1e-12)
         gaps.append(abs(res.overlap - res.limit))
+    assert len(gaps) == 4
     assert all(b < a for a, b in zip(gaps, gaps[1:])), (
         "overlap gaps are not strictly decreasing: %r" % (gaps,)
     )
-    same = metrology_overlap(kernel, plus, 1.0, 0.3, 0.3, 6)
+    (same,) = metrology_overlap(kernel, plus, 1.0, 0.3, 0.3, (6,))
     assert same.overlap == 1.0 + 0.0j
     assert same.limit == 1.0
     elapsed = time.monotonic() - t0

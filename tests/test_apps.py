@@ -395,27 +395,27 @@ def test_metrology_overlap_reference_checks(rho_75, paulis):
     sx, _, sz = paulis
     k = symmetrize_kernel([sz, sx])
     with pytest.raises(ValidationError):
-        metrology_overlap(k, rho_75, 1.0, 0.5, 0.0, 4)
+        metrology_overlap(k, rho_75, 1.0, 0.5, 0.0, [4])
     plus = _plus_state()
     with pytest.raises(ValidationError):
-        metrology_overlap(symmetrize_kernel([sx, sx]), plus, 1.0, 0.5, 0.0, 4)
+        metrology_overlap(symmetrize_kernel([sx, sx]), plus, 1.0, 0.5, 0.0, [4])
     with pytest.raises(ValidationError):
-        metrology_overlap(symmetrize_kernel([sz, sz]), plus, 1.0, 0.5, 0.0, 4)
+        metrology_overlap(symmetrize_kernel([sz, sz]), plus, 1.0, 0.5, 0.0, [4])
 
 
 def test_metrology_overlap_values(paulis):
     sx, _, sz = paulis
     k = symmetrize_kernel([sz, sx])
     plus = _plus_state()
-    equal = metrology_overlap(k, plus, 1.0, 0.7, 0.7, 6)
+    (equal,) = metrology_overlap(k, plus, 1.0, 0.7, 0.7, [6])
     assert equal.overlap == 1.0 + 0.0j
     assert equal.limit == 1.0
-    frozen = metrology_overlap(k, plus, 0.0, 0.5, 0.0, 6)
+    (frozen,) = metrology_overlap(k, plus, 0.0, 0.5, 0.0, [6])
     assert frozen.overlap == 1.0 + 0.0j
-    result = metrology_overlap(k, plus, 1.0, 0.5, 0.0, 8)
+    (result,) = metrology_overlap(k, plus, 1.0, 0.5, 0.0, [8])
     np.testing.assert_allclose(result.limit, np.exp(-0.03125), rtol=1e-12)
     assert abs(result.overlap) <= 1.0 + 1e-12
-    flipped = metrology_overlap(k, plus, 1.0, 0.0, 0.5, 8)
+    (flipped,) = metrology_overlap(k, plus, 1.0, 0.0, 0.5, [8])
     np.testing.assert_allclose(
         flipped.overlap, np.conj(result.overlap), atol=1e-12
     )
@@ -467,8 +467,10 @@ def test_metrology_overlap_matches_kron_oracle(paulis):
     t, g1, g2 = 1.3, 0.5, -0.2
     for kernel, psi, n_max in cases:
         rho0 = DensityMatrix.from_matrix(np.outer(psi, psi.conj()))
-        for n in range(2, n_max + 1):
-            result = metrology_overlap(kernel, rho0, t, g1, g2, n)
+        results = metrology_overlap(kernel, rho0, t, g1, g2, range(n_max, 1, -1))
+        assert [result.n for result in results] == list(range(n_max, 1, -1))
+        for result in results:
+            n = result.n
             c = t * (g1 - g2) * float(n) ** (0.5 - 2)
             expected = _kron_overlap(kernel.op.entries, psi, 2, n, c)
             np.testing.assert_allclose(result.overlap, expected, rtol=0.0, atol=1e-12,

@@ -117,13 +117,13 @@ def test_convergence_builds_the_blocks_once_per_n(tmp_path, monkeypatch):
     import qustat.ustat
 
     calls = []
-    original = qustat.ustat._spin_blocks
+    original = qustat.ustat._spin_stack
 
-    def counted(w1, n):
+    def counted(kernel, weights, n, budget=None):
         calls.append(n)
-        return original(w1, n)
+        return original(kernel, weights, n, budget)
 
-    monkeypatch.setattr(qustat.ustat, "_spin_blocks", counted)
+    monkeypatch.setattr(qustat.ustat, "_spin_stack", counted)
     config = {
         "command": "convergence",
         "state": STATE_75,
@@ -153,6 +153,49 @@ def test_convergence_reaches_hundreds_of_sites(tmp_path):
     # n^2 Var(U_n) = n^2 xi_2 / C(n, 2), xi_2 = 0.625 for pauli-xy at diag(0.75, 0.25)
     (moment,) = result["rows"]
     assert moment["moment"] == pytest.approx(200 ** 2 * 0.625 / 19900, rel=1e-10)
+
+
+def test_convergence_runs_at_a_thousand_sites(tmp_path):
+    config = {
+        "command": "convergence",
+        "state": STATE_75,
+        "kernel": {"preset": "pauli-xy"},
+        "n_list": [1000],
+        "p_list": [2, 4],
+    }
+    _, result, _ = _run(tmp_path, config)
+    (row,) = result["variance_checks"]
+    assert row["rel_gap"] < 1e-9
+    assert [(row["p"], row["n"]) for row in result["rows"]] == [(2, 1000), (4, 1000)]
+    # E[(n (U_n - theta))^2] = n^2 xi_2 / C(n, 2) = 1.25 n / (n - 1)
+    assert result["rows"][0]["moment"] == pytest.approx(1250.0 / 999.0, rel=1e-12)
+
+
+def test_convergence_and_metrology_leave_scipy_unloaded(tmp_path):
+    # scipy is not a dependency: the band engine and the dense eigh use numpy alone
+    kernel = symmetrize_kernel([np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])])
+    configs = [
+        {"command": "convergence", "state": STATE_75, "kernel": {"preset": "pauli-xy"},
+         "n_list": [4, 40], "p_list": [2, 4]},
+        {"command": "metrology", "state": {"matrix": matrix_to_json(np.full((2, 2), 0.5))},
+         "kernel": {"matrix": matrix_to_json(kernel.op.entries), "d": 2, "r": 2},
+         "n_list": [4, 40], "t": 1.0, "g1": 0.5, "g2": 0.0},
+    ]
+    for i, config in enumerate(configs):
+        cfg = _write_config(tmp_path, config, name="config%d.json" % i)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from qustat.cli import run\n"
+             "run(sys.argv[1], sys.argv[2])\n"
+             "print('scipy' in sys.modules)",
+             cfg, str(tmp_path / ("out%d" % i))],
+            capture_output=True,
+            text=True,
+            env=_subprocess_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"], config["command"]
 
 
 def test_test_sim_with_fixed_interval(tmp_path):

@@ -1,6 +1,7 @@
 """Statistic assembly, exact moments and the fluctuation expansion."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from qustat import (
     symmetrize_kernel,
 )
 from qustat.operators import (
+    _densify,
+    _distinct_plan,
+    _merge_first,
     eigenframe,
     hermitize,
     site_permute,
@@ -27,13 +31,7 @@ from qustat.operators import (
     tensor_weights,
     weighted_trace,
 )
-from qustat.ustat import (
-    _collective,
-    _distinct_plan,
-    _distinct_sum,
-    _merge_first,
-    _spin_blocks,
-)
+from qustat.ustat import _spin_stack, _spin_weights
 
 ATOL = 1e-12
 ROUTE_RTOL = 1e-9
@@ -153,8 +151,30 @@ def test_centered_moments_one_pass_equals_separate_calls(rho_75, rho_d3, paulis)
         centered_moments(cases[0][0], rho_75, 4, [(2, 1.0), (0, 1.0)])
 
 
+def _dense_collective(a, b, mat, n, m):
+    """J(E_ab) @ mat on the dense spin block with S_z eigenvalues m (descending).
+
+    J(E_00) = n/2 + S_z, J(E_11) = n/2 - S_z, J(E_01) = S_+, J(E_10) = S_-.
+    """
+    if a == b:
+        return (n / 2.0 + (m if a == 0 else -m))[:, None] * mat
+    j = m[0]
+    # S_+ |m> = sqrt((j - m)(j + m + 1)) |m + 1>, and S_- is its transpose
+    up = np.sqrt((j - m[1:]) * (j + m[1:] + 1))[:, None]
+    out = np.zeros_like(mat)
+    if a == 0:
+        out[:-1] = up * mat[1:]
+    else:
+        out[1:] = up * mat[:-1]
+    return out
+
+
 def _distinct_sum_reference(t, n, m):
-    """The distinct-site sum of `_distinct_sum`, recursing on the tensor at every block."""
+    """The distinct-site sum of the r-site operator t on one dense spin block.
+
+    It recurses on the tensor at every block, with no plan, and applies the
+    collective operators as dense matrices.
+    """
     r = t.ndim // 2
     if r == 0:
         return complex(t) * np.eye(len(m), dtype=complex)
@@ -163,7 +183,7 @@ def _distinct_sum_reference(t, n, m):
     for a in range(2):
         for b in range(2):
             if np.any(slices[a, b]):
-                out += _collective(a, b, _distinct_sum_reference(slices[a, b], n, m), n, m)
+                out += _dense_collective(a, b, _distinct_sum_reference(slices[a, b], n, m), n, m)
     for k in range(1, r):
         merged = _merge_first(t, k)
         if np.any(merged):
@@ -172,6 +192,7 @@ def _distinct_sum_reference(t, n, m):
 
 
 def test_distinct_plan_gives_the_bits_of_the_tensor_recursion(paulis):
+    """Each block of the band stack, made dense, is the per-block dense recursion bit for bit."""
     sx, sy, sz = paulis
     rng = np.random.default_rng(29)
     kernels = [_random_symmetric_kernel(rng, r) for r in (1, 2, 3)] + [
@@ -180,24 +201,39 @@ def test_distinct_plan_gives_the_bits_of_the_tensor_recursion(paulis):
     ]
     for k in kernels:
         t = k.op.entries.reshape((2,) * (2 * k.r))
-        plan = _distinct_plan(t)
-        for n in (k.r, 5, 8):
-            for m, _ in _spin_blocks(np.array([0.75, 0.25]), n):
-                reference = _distinct_sum_reference(t, n, m)
-                assert np.array_equal(_distinct_sum(plan, n, m), reference)
+        for n in (k.r, 5, 8, 13):
+            norm = math.factorial(k.r) * math.comb(n, k.r)
+            bands, sizes, _ = _spin_stack(k, [np.array([0.75, 0.25])], n)
+            assert list(sizes) == list(range(n + 1, 0, -2))
+            for band, size in zip(bands, sizes):
+                m = n / 2.0 - ((n + 1 - size) // 2 + np.arange(size))
+                reference = _distinct_sum_reference(t, n, m) / norm
+                assert np.array_equal(_densify(band, size), reference)
+                assert not np.any(band[:, size:])
+        # the plan is built once per kernel and serves every n
+        assert k._plan is k._plan
+        assert k._plan == _distinct_plan(t)
 
 
 def test_spin_block_weights_stay_finite_at_large_n():
     # C(1100, 550) overflows a double, and 0.25^1100 underflows one
     for w1 in ([0.75, 0.25], [1.0, 0.0]):
-        blocks = _spin_blocks(np.array(w1), 1100)
-        assert len(blocks) == 551
-        total = 0.0
-        for m, weights in blocks:
-            assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
-            assert m.shape == weights.shape
-            total += weights.sum()
-        np.testing.assert_allclose(total, 1.0, rtol=1e-10)
+        weights = _spin_weights(np.array(w1), 1100)
+        assert weights.shape == (551, 1101)
+        assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
+        np.testing.assert_allclose(weights.sum(), 1.0, rtol=1e-10)
+    # exact 0/1 weights leave the largest block alone in the stack
+    bands, sizes, (weights,) = _spin_stack(goodness_kernel(DensityMatrix.from_eigenvalues(
+        [0.75, 0.25])), [np.array([1.0, 0.0])], 1100)
+    assert bands.shape == (1, 5, 1101) and list(sizes) == [1101]
+    assert weights[0, 0] == 1.0 and not np.any(weights[0, 1:])
+
+
+def test_pair_statistic_second_moment_is_exact_at_n_1000(rho_75, paulis):
+    # E[(n (U_n - theta))^2] = n^2 xi_2 / C(n, 2) with xi_2 = 0.625 for pauli-xy
+    sx, sy, _ = paulis
+    (m2,) = centered_moments(symmetrize_kernel([sx, sy]), rho_75, 1000, [(2, 1000.0)])
+    np.testing.assert_allclose(m2, 1.25 * 1000 / 999, rtol=1e-12, atol=0.0)
 
 
 def _dense_law(kernel, rho, n):
