@@ -409,8 +409,8 @@ def run_test(spec, alternative=None, budget=None):
     the reported interval is (smallest atom of n * U_n, q), its lower end
     for information only.  At each n the rejection rate under the null
     and, when an alternative state is given, the acceptance rate under it
-    are exact Born sums over the law of n * U_n from `finite_law`.
-    Nothing is drawn at random.  Returns one TestResult per n, in
+    are exact Born sums over the law of n * U_n from `finite_law`, one
+    call for every n.  Nothing is drawn at random.  Returns one TestResult per n, in
     spec.n_list order.
 
     The test is biased against purer alternatives at small n.  At null
@@ -436,8 +436,7 @@ def run_test(spec, alternative=None, budget=None):
         weights.append(np.real(np.diag(alternative.entries)))
 
     results = []
-    for n in spec.n_list:
-        atoms, probs = finite_law(kernel, weights, n, budget=budget)
+    for n, (atoms, probs) in zip(spec.n_list, finite_law(kernel, weights, spec.n_list, budget)):
         scaled = n * atoms
         interval = spec.interval or (float(scaled.min()), quantile)
         accept = scaled <= interval[1]
@@ -481,7 +480,8 @@ def metrology_overlap(kernel, rho0, t, g1, g2, n_list, budget=None):
     checks, the Gaussian limit exp(-t^2 (g1-g2)^2 xi_1 / (2 ((r-1)!)^2))
     and the kernel in the reference's eigenframe are formed once per call.
     Returns one OverlapResult per n, in n_list order, with the exact
-    overlap read from `finite_law` (one spin block for qubits).
+    overlap read from one `finite_law` call (one spin block per n for
+    qubits).
     """
     vals = rho0.eigenvalues
     if abs(vals[0] - 1.0) > 1e-10:
@@ -503,8 +503,7 @@ def metrology_overlap(kernel, rho0, t, g1, g2, n_list, budget=None):
     k = kernel if u is None else kernel.rotated(u)
     reference = [np.eye(len(w1))[np.argmax(w1)]]
     results = []
-    for n in n_list:
-        atoms, (probs,) = finite_law(k, reference, n, budget=budget)
+    for n, (atoms, (probs,)) in zip(n_list, finite_law(k, reference, n_list, budget)):
         phases = np.exp(1j * t * dg * float(n) ** (0.5 - r) * binom(n, r) * atoms)
         results.append(OverlapResult(n=n, overlap=complex(np.dot(probs, phases)), limit=limit))
     return results

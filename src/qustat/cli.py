@@ -352,9 +352,10 @@ def _cmd_moments(config):
 def _moments(config, variance=False):
     """The moments result and table, the kernel's report, and {n: Var(U_n)}.
 
-    Each n takes one pass over the blocks of U_n for every p of p_list
-    and, with variance=True, for Var(U_n) = E (U_n - theta)^2 as well;
-    the variances are left empty otherwise.
+    One `centered_moments` call serves every n of n_list and every p of
+    p_list and, with variance=True, Var(U_n) = E (U_n - theta)^2 as well;
+    the variances are left empty otherwise.  The moment of
+    factor(n) (U_n - theta) is factor(n)^p times the centered moment.
     """
     from .ccr import limit_moment
     from .ustat import centered_moments
@@ -368,13 +369,14 @@ def _moments(config, variance=False):
     ps = sorted(set(config["p_list"]))
     ns = sorted(set(config["n_list"]))
     limits = {p: limit_moment(limit, basis, p, method="wick") for p in ps}
+    orders = sorted(set(ps) | ({2} if variance else set()))
+    values = centered_moments(kernel, state, ns, orders, budget=budget)
     moments, variances = {}, {}
-    for n in ns:
-        orders = [(p, factor_fn(n)) for p in ps] + ([(2, 1.0)] if variance else [])
-        values = centered_moments(kernel, state, n, orders, budget=budget)
-        moments.update(((n, p), value) for p, value in zip(ps, values))
+    for n, by_order in zip(ns, values):
+        by_order = dict(zip(orders, by_order))
+        moments.update(((n, p), factor_fn(n) ** p * by_order[p]) for p in ps)
         if variance:
-            variances[n] = values[-1]
+            variances[n] = by_order[2]
     rows = [
         {
             "n": n,

@@ -10,8 +10,10 @@ are mutually orthogonal in L^2(rho^{\\otimes n}) across distinct subsets
 and sum to the identity map over all subsets.
 
 The order-l component of an order-r kernel never leaves d^l sites: the
-kernel is first contracted against rho on sites l+1..r, and P_{1..l} is
-taken of that reduced operator on l sites.
+kernel is first contracted against rho on sites l+1..r, one site at a
+time, and P_{1..l} is taken of that reduced operator on l sites in its
+factored form, the product over s of (1 - E(. | all sites but s)).
+`cond_expectation` and `hoeffding_project` are the definitions.
 """
 
 import itertools
@@ -147,6 +149,23 @@ class DegeneracyReport:
         }
 
 
+def _remove_site_mean(matrix, n, d, s, rho):
+    """(1 - E_s) of an operator on n sites, E_s = E(. | all sites but s).
+
+    E_s contracts site s (0-based) against rho and puts the identity back
+    on it.
+    """
+    t = matrix.reshape((d,) * (2 * n))
+    mean = np.tensordot(t, rho.entries, axes=([s, n + s], [1, 0]))
+    out = t.copy()
+    # out with the row and column axes of site s last: its diagonal in
+    # them is where the identity on s puts the mean
+    site_last = np.moveaxis(out, (s, n + s), (-2, -1))
+    for a in range(d):
+        site_last[..., a, a] -= mean
+    return out.reshape(d ** n, d ** n)
+
+
 def kernel_components(kernel, rho, tol=None):
     """Decompose a kernel into its orthogonal components K_0, ..., K_r.
 
@@ -154,22 +173,30 @@ def kernel_components(kernel, rho, tol=None):
     theta times the trivial kernel.  Each K_l is built on d^l sites: by
     the tower property E(K | B) = E(E(K | {1..l}) | B) for B inside
     {1..l}, so K_l is P_{{1..l}} of K with sites l+1..r contracted
-    against rho.  The degeneracy order c is the smallest l >= 1 whose
-    component has Frobenius norm at least tol (default DEGENERACY_RTOL
-    times the kernel norm).  c is None when all of them vanish, i.e. the
-    kernel is a multiple of the identity.
+    against rho.  Those reductions are taken one site at a time, from r
+    sites down to 0, and P_{{1..l}} is applied in its factored form
+    (1 - E_1) ... (1 - E_l), with E_s = E(. | all sites but s): expanded,
+    the product is the inclusion-exclusion sum over the subsets of
+    {1..l} that defines P.  The degeneracy order c is the smallest
+    l >= 1 whose component has Frobenius norm at least tol (default
+    DEGENERACY_RTOL times the kernel norm).  c is None when all of them
+    vanish, i.e. the kernel is a multiple of the identity.
     """
     d, r = kernel.d, kernel.r
     if rho.d != d:
         raise ValidationError("state dimension %d != kernel site dimension %d" % (rho.d, d))
     if tol is None:
         tol = DEGENERACY_RTOL * max(1.0, kernel.op.frobenius_norm())
+    reduced = [kernel.op.entries]
+    for l in range(r, 0, -1):
+        reduced.append(_reduce_to_sites(reduced[-1], l, d, range(l - 1), rho))
     components = []
     theta = None
     c = None
-    for l in range(r + 1):
-        reduced = _reduce_to_sites(kernel.op.entries, r, d, range(l), rho)
-        comp_kernel = Kernel(d, l, hoeffding_project(reduced, range(1, l + 1), rho, n=l, d=d))
+    for l, comp in enumerate(reversed(reduced)):
+        for s in range(l):
+            comp = _remove_site_mean(comp, l, d, s, rho)
+        comp_kernel = Kernel(d, l, hermitize(comp))
         norm_sq = weighted_trace(comp_kernel.op.entries, rho, l, 2)
         if l == 0:
             theta = float(comp_kernel.op.entries[0, 0].real)

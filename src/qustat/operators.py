@@ -75,11 +75,6 @@ class HermitianOperator:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
-    @classmethod
-    def from_matrix(cls, matrix):
-        m = _as_complex_matrix(matrix)
-        return cls(dim=m.shape[0], entries=m)
-
     def frobenius_norm(self):
         return frobenius(self.entries)
 
@@ -102,7 +97,8 @@ def hermitize(matrix, check_tol=ASYMMETRY_CHECK_TOL):
     """Project a nearly-hermitian matrix onto its selfadjoint part.
 
     The asymmetry must stay below check_tol (relative to max(1, norm));
-    anything larger signals a real bug upstream, not roundoff.
+    anything larger signals a real bug upstream, not roundoff.  The
+    input is validated here and the result once more on creation.
     """
     m = _as_complex_matrix(matrix)
     gap = frobenius(m - m.conj().T)
@@ -110,7 +106,7 @@ def hermitize(matrix, check_tol=ASYMMETRY_CHECK_TOL):
         raise ValidationError(
             "matrix asymmetry %.3e is too large to be roundoff" % gap
         )
-    return HermitianOperator.from_matrix(0.5 * (m + m.conj().T))
+    return HermitianOperator(m.shape[0], 0.5 * (m + m.conj().T))
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,13 @@ expansion that rewrites l! C(n,l) U_n / n^{l/2} for a fully degenerate
 product kernel in terms of collective fluctuation and average operators.
 Their agreement is a strong cross-check on both.  Exact moments and laws
 of U_n are read off its blocks: for qubits the spin-j blocks, of
-dimension at most n + 1 and half-bandwidth r, kept as one band stack per
-n (`_spin_stack`); for d >= 3 the dense d^n statistic as the one block.
-The stack is evaluated from the kernel's distinct-site plan, built once
-per kernel; `centered_moments` shares its band powers among every moment
-order and scale asked of one n, and `finite_law` makes each block dense
-only for its eigendecomposition.
+dimension at most n + 1 and half-bandwidth r; for d >= 3 the dense d^n
+statistic as the one block.  The qubit blocks of every n of a call
+follow one another on one level axis, with no padding, as one band
+stack (`_spin_stack`), evaluated once from the kernel's distinct-site
+plan, which is built once per kernel.  `centered_moments` takes the band
+powers once and reads every n and moment order off them, and
+`finite_law` makes each block dense only for its eigendecomposition.
 """
 
 import itertools
@@ -70,53 +71,64 @@ def variance_exact(ustat, rho):
     return weighted_trace(m, rho, n, 2) - weighted_trace(m, rho, n) ** 2
 
 
-def centered_moments(kernel, rho, n, orders, budget=None):
-    """[E (factor (U_n - theta))^p under rho^{otimes n} for (p, factor) in orders], exactly.
+def centered_moments(kernel, rho, n_list, p_list, budget=None):
+    """[[E (U_n - theta)^p for p in p_list] for n in n_list] under rho^{otimes n}, exactly.
 
-    For qubits every moment is read off one band stack of the spin blocks
-    A_j of U_n (`_spin_stack`): the band powers of A = A_j - theta, up to
-    A^ceil(max p / 2), are taken once and shared by every (p, factor)
-    pair, and the moment is factor^p sum_i w_i (A^(p//2) A^(p - p//2))_ii.
-    For d >= 3 the dense d^n statistic is raised to each power.
+    The kernel is rotated into the state's eigenframe and theta taken once
+    per call.  For qubits every moment is read off one band stack that
+    holds the spin blocks of every n (`_spin_stack`): the band powers of
+    A = U - theta, up to A^ceil(max p / 2), are taken once on the whole
+    stack, and the moment of n is sum_i w_i (A^(p//2) A^(p - p//2))_ii
+    over that n's levels.  For d >= 3 the dense d^n statistic of each n
+    is raised to each power.  A scaled moment E (s (U_n - theta))^p is
+    s^p times the value returned.
     """
-    orders = [(int(p), float(factor)) for p, factor in orders]
-    if any(p < 1 for p, _ in orders):
+    p_list = [int(p) for p in p_list]
+    if any(p < 1 for p in p_list):
         raise ValidationError("moment order must be >= 1")
     w1, u = eigenframe(rho)
     k = kernel if u is None else kernel.rotated(u)
     theta = float(_weighted_power_trace(tensor_weights(w1, k.r), k.op.entries, 1).real)
     if k.d != 2:
-        shifted = assemble_direct(k, n, budget=budget).op.entries - theta * np.eye(k.d ** n)
-        weights = tensor_weights(w1, n)
-        return [float(_weighted_power_trace(weights, factor * shifted, p).real)
-                for p, factor in orders]
-    bands, sizes, (weights,) = _spin_stack(k, [w1], n, budget)
-    inside = 1.0 * (np.arange(n + 1) < sizes[:, None])
-    bands[:, k.r] -= theta * inside
-    powers = [inside[:, None], bands]
-    for _ in range(1, max([(p + 1) // 2 for p, _ in orders], default=1)):
+        moments = []
+        for n in n_list:
+            shifted = assemble_direct(k, n, budget=budget).op.entries - theta * np.eye(k.d ** n)
+            weights = tensor_weights(w1, n)
+            moments.append([float(_weighted_power_trace(weights, shifted, p).real)
+                            for p in p_list])
+        return moments
+    bands, (weights,), edges = _spin_stack(k, [w1], n_list, budget)
+    bands[k.r] -= theta
+    powers = [np.ones((1, bands.shape[1])), bands]
+    for _ in range(1, max([(p + 1) // 2 for p in p_list], default=1)):
         powers.append(_band_product(powers[-1], bands))
-    return [
-        float(factor ** p * _band_trace(weights, powers[p // 2], powers[p - p // 2]))
-        for p, factor in orders
-    ]
+    moments = []
+    for e in edges:
+        levels = slice(e[0], e[-1])
+        moments.append([float(_band_trace(weights[levels], powers[p // 2][:, levels],
+                                          powers[p - p // 2][:, levels])) for p in p_list])
+    return moments
 
 
-def finite_law(kernel, weights, n, budget=None):
-    """The exact law of U_n under each product state diag(w)^{otimes n}.
+def finite_law(kernel, weights, n_list, budget=None):
+    """The exact law of U_n under each product state diag(w)^{otimes n}, for each n of n_list.
 
     `kernel` is written in a frame where every state is diagonal, and
-    `weights` holds one vector of one-site weights per state.  Returns
-    (atoms, [probabilities per state]): the eigenvalues of U_n, unsorted
-    and possibly repeated, and the Born probability of each atom under
-    each state.  Atoms of blocks that no state weighs are left out.
+    `weights` holds one vector of one-site weights per state.  Returns one
+    (atoms, [probabilities per state]) pair per n: the eigenvalues of U_n,
+    unsorted and possibly repeated, and the Born probability of each atom
+    under each state.  Atoms of blocks that no state weighs are left out.
     """
-    atoms, probs = [], []
-    for block, block_weights in _blocks(kernel, weights, n, budget):
-        vals, vecs = np.linalg.eigh(block)
-        atoms.append(vals)
-        probs.append(np.array(block_weights) @ np.abs(vecs) ** 2)
-    return np.concatenate(atoms), [_checked_probabilities(p) for p in np.hstack(probs)]
+    laws = []
+    for blocks in _blocks(kernel, weights, n_list, budget):
+        atoms, probs = [], []
+        for block, block_weights in blocks:
+            vals, vecs = np.linalg.eigh(block)
+            atoms.append(vals)
+            probs.append(np.array(block_weights) @ np.abs(vecs) ** 2)
+        laws.append((np.concatenate(atoms),
+                     [_checked_probabilities(p) for p in np.hstack(probs)]))
+    return laws
 
 
 def _checked_probabilities(probs):
@@ -131,22 +143,25 @@ def _checked_probabilities(probs):
     return probs / probs.sum()
 
 
-def _blocks(kernel, weights, n, budget=None):
-    """Yield (dense block of U_n, [weights of each state on the block]) for `finite_law`.
+def _blocks(kernel, weights, n_list, budget=None):
+    """For each n of n_list, the (dense block of U_n, [weights of each state on it]) pairs.
 
     `kernel` and the one-site `weights` are as for `finite_law`.  For
     qubits the blocks are the spin blocks of `_spin_stack` that some state
-    weighs, made dense one at a time; for d >= 3 the dense d^n statistic
-    is the one block.  Either way E f(U_n) under a state is the sum over
-    blocks of Tr(diag(w) f(block)).
+    weighs, one stack for every n, made dense one block at a time as they
+    are read; for d >= 3 the dense d^n statistic is the one block of its
+    n.  Either way E f(U_n) under a state is the sum over the blocks of n
+    of Tr(diag(w) f(block)).
     """
     if kernel.d != 2:
-        stat = assemble_direct(kernel, n, budget=budget)
-        yield stat.op.entries, [tensor_weights(w, n) for w in weights]
+        for n in n_list:
+            stat = assemble_direct(kernel, n, budget=budget)
+            yield [(stat.op.entries, [tensor_weights(w, n) for w in weights])]
         return
-    bands, sizes, stack_weights = _spin_stack(kernel, weights, n, budget)
-    for b, size in enumerate(sizes):
-        yield _densify(bands[b], size), [w[b, :size] for w in stack_weights]
+    bands, stack_weights, edges = _spin_stack(kernel, weights, n_list, budget)
+    for e in edges:
+        yield ((_densify(bands[:, lo:hi], hi - lo), [w[lo:hi] for w in stack_weights])
+               for lo, hi in zip(e[:-1], e[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -159,29 +174,33 @@ def _blocks(kernel, weights, n, budget=None):
 # representation, and the kernel summed over pairwise distinct sites is a
 # polynomial in collective operators.  Hence
 # E f(U_n) = sum_j m_j Tr(pi_j(rho) f(A_j)) with blocks of dimension 2j + 1.
-# A_j has half-bandwidth r in the S_z basis, so the blocks of one n are
-# kept together as one band stack.
+# A_j has half-bandwidth r in the S_z basis, so the blocks of every n of a
+# call follow one another on one level axis as one band stack.
 
 
-def _spin_weights(w1, n):
-    """m_j pi_j(rho) on every spin block, as an array of floor(n/2) + 1 rows of n + 1.
+def _spin_levels(n, weights):
+    """The levels of the spin blocks of n qubits, block after block, and each state's weight on them.
 
-    Row k is the block j = n/2 - k and entry i its S_z eigenvalue j - i,
-    whose vectors have n - k - i sites in state 0 and k + i in state 1;
-    w1 = (lam_0, lam_1) are the state's eigenvalues in the kernel's frame.
-    Entries past the block's 2j + 1 levels are 0.  The weights are formed
-    in log space, since m_j = C(n, k) - C(n, k - 1) and lam^n leave the
-    double range long before n = 1000; m_j is an exact integer, so its
-    log is rounded once.
+    Returns (k, i, [m_j pi_j(rho) per level, for each state]).  Block
+    k = 0..floor(n/2) is j = n/2 - k, of n + 1 - 2k levels; its level i is
+    the S_z eigenvalue j - i, whose vectors have n - k - i sites in state
+    0 and k + i in state 1.  Each state is given as w1 = (lam_0, lam_1),
+    its eigenvalues in the kernel's frame.  The weights are formed in log
+    space, since m_j = C(n, k) - C(n, k - 1) and lam^n leave the double
+    range long before n = 1000; m_j is an exact integer, so its log is
+    rounded once.
     """
     log_mult, comb, previous = [], 1, 0
     for k in range(n // 2 + 1):
         log_mult.append(math.log(comb - previous))
         previous, comb = comb, comb * (n - k) // (k + 1)
-    k = np.arange(n // 2 + 1)[:, None]
-    ones = k + np.arange(n + 1)
-    logw = np.array(log_mult)[:, None] + _xlogy(n - ones, w1[0]) + _xlogy(ones, w1[1])
-    return np.exp(np.where(ones <= n - k, logw, -np.inf))
+    sizes = n + 1 - 2 * np.arange(n // 2 + 1)
+    k = np.repeat(np.arange(n // 2 + 1), sizes)
+    level = np.arange(len(k)) - (np.cumsum(sizes) - sizes)[k]
+    ones = k + level
+    log_mult = np.array(log_mult)[k]
+    return k, level, [np.exp(log_mult + _xlogy(n - ones, w[0]) + _xlogy(ones, w[1]))
+                      for w in weights]
 
 
 def _xlogy(count, lam):
@@ -191,43 +210,64 @@ def _xlogy(count, lam):
     return np.where(count > 0, -np.inf, 0.0)
 
 
-def _spin_stack(kernel, weights, n, budget=None):
-    """The spin blocks A_j of U_n that some state weighs, as one band stack.
+def _spin_stack(kernel, weights, n_list, budget=None):
+    """The spin blocks A_j of U_n that some state weighs, for every n of n_list, as one band stack.
 
-    Returns (bands, sizes, [weights of each state on the stack]).  Block b
-    has sizes[b] = 2j + 1 levels, zero-padded to n + 1, and is kept as its
-    2r + 1 diagonals, bands[b, r + s, i] = <i + s| A_j |i> (the layout of
-    `ccr._quadrature_times`); row b of each weights array holds its
-    `_spin_weights`.  The kernel's `_distinct_plan` is evaluated on the
-    whole stack at once.
+    Returns (bands, [weights of each state on the stack], edges).  The
+    kept blocks follow one another on one level axis with no padding, n
+    after n in n_list order and j descending within an n; the stack is
+    kept as its 2r + 1 diagonals, bands[r + s, i] = <i + s| A |i> (the
+    layout of `ccr._quadrature_times`), and its entries across a block
+    edge are 0.  The weights are those of `_spin_levels` on the kept levels,
+    and edges[m] holds the first level of every kept block of n_list[m],
+    then the end of its last.  The kernel's `_distinct_plan` is evaluated
+    once on the whole stack.
     """
     r = kernel.r
-    if n < r:
-        raise ValidationError("need n >= r, got n=%d for order %d" % (n, r))
-    check_dim_budget(n + 1, budget)
-    spin_weights = [_spin_weights(w, n) for w in weights]
-    kept = np.flatnonzero(np.any([w.any(axis=1) for w in spin_weights], axis=0))
-    sizes = n + 1 - 2 * kept
-    # the level i + s of band entry (r + s, i), and the factors J(E_ab) puts
-    # on it in each block: n/2 + S_z, n/2 - S_z, and the S_+ and S_-
-    # couplings, which are 0 past the block's edge
-    row = np.arange(n + 1) + np.arange(-r, r + 1)[:, None]
-    k, size = kept[:, None, None], sizes[:, None, None]
-    factors = (
+    if not len(n_list):
+        raise ValidationError("need at least one n")
+    columns, stack_weights, edges = [], [], []
+    for n in n_list:
+        if n < r:
+            raise ValidationError("need n >= r, got n=%d for order %d" % (n, r))
+        check_dim_budget(n + 1, budget)
+        k, level, spin_weights = _spin_levels(n, weights)
+        weighed = np.logical_or.reduceat(np.any([w != 0 for w in spin_weights], axis=0),
+                                         np.flatnonzero(level == 0))
+        kept = weighed[k]
+        k, level = k[kept], level[kept]
+        end = edges[-1][-1] if edges else 0
+        edges.append(end + np.append(np.flatnonzero(level == 0), len(k)))
+        columns.append((np.full(len(k), n), k, level,
+                        np.full(len(k), float(math.factorial(r) * binom(n, r)))))
+        stack_weights.append([w[kept] for w in spin_weights])
+    n, k, level, norm = (np.concatenate(c) for c in zip(*columns))
+    eye = np.zeros((2 * r + 1, len(n)), dtype=complex)
+    eye[r] = 1.0
+    bands = _distinct_bands(kernel._plan, _level_factors(n, k, level, r), eye)
+    bands /= norm
+    return bands, [np.concatenate(w) for w in zip(*stack_weights)], edges
+
+
+def _level_factors(n, k, level, r):
+    """The factors J(E_ab) puts on band entry (r + s, i) of a stack, on the level i + s.
+
+    They are n/2 + S_z, n/2 - S_z, and the S_+ and S_- couplings, which
+    are 0 past the edge of the entry's block; n, k and the level within
+    the block are given per level of the stack.
+    """
+    row = level + np.arange(-r, r + 1)[:, None]
+    size = n + 1 - 2 * k
+    return (
         n - k - row,
         k + row,
         np.sqrt(np.maximum((row + 1) * (size - 1 - row), 0)),
         np.sqrt(np.maximum(row * (size - row), 0)),
     )
-    eye = np.zeros((len(sizes), 2 * r + 1, n + 1), dtype=complex)
-    eye[:, r] = row[r] < sizes[:, None]
-    bands = _distinct_bands(kernel._plan, factors, eye)
-    bands /= math.factorial(r) * binom(n, r)
-    return bands, sizes, [w[kept] for w in spin_weights]
 
 
 def _collective(a, b, bands, factors):
-    """J(E_ab) M for every band M of a stack, written over it; `factors` as in `_spin_stack`.
+    """J(E_ab) M for the band stack M, written over it; `factors` as in `_level_factors`.
 
     J(E_00) = n/2 + S_z and J(E_11) = n/2 - S_z scale each row; with the
     S_z eigenvalues descending, S_+ = J(E_01) moves level i + 1 to i and
@@ -236,16 +276,16 @@ def _collective(a, b, bands, factors):
     if a == b:
         bands *= factors[a]
     elif a == 0:
-        bands[:, :-1] = factors[2][:, :-1] * bands[:, 1:]
-        bands[:, -1] = 0.0
+        bands[:-1] = factors[2][:-1] * bands[1:]
+        bands[-1] = 0.0
     else:
-        bands[:, 1:] = factors[3][:, 1:] * bands[:, :-1]
-        bands[:, 0] = 0.0
+        bands[1:] = factors[3][1:] * bands[:-1]
+        bands[0] = 0.0
     return bands
 
 
 def _distinct_bands(plan, factors, eye):
-    """The distinct-site sum of a `_distinct_plan`, on every block of a stack.
+    """The distinct-site sum of a `_distinct_plan`, on a whole band stack.
 
     `eye` is the stack's identity band; at most r collective operators act
     on it, so 2r + 1 diagonals hold every product exactly.
@@ -263,14 +303,13 @@ def _distinct_bands(plan, factors, eye):
 
 def _band_product(x, y):
     """The band stack of X Y from those of X and Y; the widths add."""
-    wx, wy = x.shape[1] // 2, y.shape[1] // 2
-    levels = x.shape[2]
-    out = np.zeros((len(x), 2 * (wx + wy) + 1, levels), dtype=complex)
+    wx, wy = len(x) // 2, len(y) // 2
+    levels = x.shape[1]
+    out = np.zeros((2 * (wx + wy) + 1, levels), dtype=complex)
     for t in range(-wy, wy + 1):
         # <i + s| X |i + t> <i + t| Y |i>, on the levels i with i + t a level
         lo, hi = max(0, -t), levels - max(0, t)
-        term = x[:, :, lo + t : hi + t] * y[:, wy + t, None, lo:hi]
-        out[:, wy + t : wy + t + 2 * wx + 1, lo:hi] += term
+        out[wy + t : wy + t + 2 * wx + 1, lo:hi] += x[:, lo + t : hi + t] * y[wy + t, lo:hi]
     return out
 
 
@@ -280,10 +319,10 @@ def _band_trace(weights, x, y):
     (X Y)_ii = sum_s X_{i, i+s} Y_{i+s, i}, and X_{i, i+s} is the conjugate
     of the band entry <i + s| X |i>.
     """
-    wx, wy = x.shape[1] // 2, y.shape[1] // 2
-    y = y[:, wy - wx : wy + wx + 1]
-    return (np.einsum("bi,bsi,bsi->", weights, x.real, y.real)
-            + np.einsum("bi,bsi,bsi->", weights, x.imag, y.imag))
+    wx, wy = len(x) // 2, len(y) // 2
+    y = y[wy - wx : wy + wx + 1]
+    return (np.einsum("i,si,si->", weights, x.real, y.real)
+            + np.einsum("i,si,si->", weights, x.imag, y.imag))
 
 
 # ---------------------------------------------------------------------------

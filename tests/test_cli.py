@@ -113,15 +113,15 @@ def test_convergence_checks_variance_and_gaps(tmp_path):
 
 
 def test_convergence_builds_the_blocks_once_per_n(tmp_path, monkeypatch):
-    """Every moment order and the variance row of one n share a single block pass."""
+    """Every n, every moment order and the variance row share a single band stack."""
     import qustat.ustat
 
     calls = []
     original = qustat.ustat._spin_stack
 
-    def counted(kernel, weights, n, budget=None):
-        calls.append(n)
-        return original(kernel, weights, n, budget)
+    def counted(kernel, weights, n_list, budget=None):
+        calls.append(list(n_list))
+        return original(kernel, weights, n_list, budget)
 
     monkeypatch.setattr(qustat.ustat, "_spin_stack", counted)
     config = {
@@ -132,11 +132,37 @@ def test_convergence_builds_the_blocks_once_per_n(tmp_path, monkeypatch):
         "p_list": [4, 2, 3],
     }
     _, result, _ = _run(tmp_path, config)
-    assert calls == [4, 6, 8]
+    assert calls == [[4, 6, 8]]
     assert [(row["p"], row["n"]) for row in result["rows"]] == [
         (p, n) for p in (2, 3, 4) for n in (4, 6, 8)
     ]
     assert [row["n"] for row in result["variance_checks"]] == [4, 6, 8]
+
+
+def test_convergence_rotates_the_kernel_once_per_run(tmp_path, monkeypatch):
+    """A non-diagonal state puts the kernel in its eigenframe once, not once per n."""
+    from qustat.operators import Kernel
+
+    calls = []
+    original = Kernel.rotated
+
+    def counted(self, u):
+        calls.append(u)
+        return original(self, u)
+
+    monkeypatch.setattr(Kernel, "rotated", counted)
+    config = {
+        "command": "convergence",
+        "state": {"eigenvalues": [0.75, 0.25], "rotation": {
+            "dim": 2, "re": [[0.6, -0.8], [0.8, 0.6]], "im": [[0.0, 0.0], [0.0, 0.0]]}},
+        "kernel": {"preset": "pauli-xy"},
+        "n_list": [8, 4, 6],
+        "p_list": [4, 2],
+    }
+    _, result, _ = _run(tmp_path, config)
+    assert len(calls) == 1
+    assert [row["n"] for row in result["variance_checks"]] == [4, 6, 8]
+    assert all(row["rel_gap"] < 1e-9 for row in result["variance_checks"])
 
 
 def test_convergence_reaches_hundreds_of_sites(tmp_path):

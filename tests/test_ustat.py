@@ -31,7 +31,7 @@ from qustat.operators import (
     tensor_weights,
     weighted_trace,
 )
-from qustat.ustat import _spin_stack, _spin_weights
+from qustat.ustat import _spin_levels, _spin_stack
 
 ATOL = 1e-12
 ROUTE_RTOL = 1e-9
@@ -86,9 +86,10 @@ def test_diagonal_kernel_moments_match_outcome_enumeration(rho_d3):
         probs = np.prod(lam[strings], axis=1)
         values = h[strings]
         u = sum(values[:, i] * values[:, j] for i, j in pairs) / len(pairs)
-        for p in (1, 2, 3):
+        (moments,) = centered_moments(k, rho_d3, [n], [1, 2, 3])
+        for p, moment in zip((1, 2, 3), moments):
             exact = float(probs @ (np.sqrt(n) * (u - theta)) ** p)
-            (moment,) = centered_moments(k, rho_d3, n, [(p, float(n) ** 0.5)])
+            moment *= (float(n) ** 0.5) ** p
             np.testing.assert_allclose(moment, exact, rtol=1e-10, atol=1e-13,
                                        err_msg="n=%d p=%d" % (n, p))
 
@@ -119,36 +120,39 @@ def test_spin_block_moments_match_dense_statistic(rho_75, paulis):
     for k in kernels:
         for rho in states:
             theta = weighted_trace(k.op.entries, rho, k.r)
-            for n in sorted({k.r, k.r + 1, 6, 9}):
+            ns = sorted({k.r, k.r + 1, 6, 9})
+            for n, blocks in zip(ns, centered_moments(k, rho, ns, range(1, 6))):
                 centered = assemble_direct(k, n).op.entries - theta * np.eye(2 ** n)
-                for p in range(1, 6):
+                for p, block in zip(range(1, 6), blocks):
                     dense = weighted_trace(centered, rho, n, p)
-                    (block,) = centered_moments(k, rho, n, [(p, 1.0)])
                     np.testing.assert_allclose(block, dense, rtol=1e-10, atol=1e-13,
                                                err_msg="r=%d n=%d p=%d" % (k.r, n, p))
     with pytest.raises(ValidationError):
-        centered_moments(kernels[2], rho_75, 2, [(2, 1.0)])
+        centered_moments(kernels[2], rho_75, [4, 2], [2])
 
 
 def test_centered_moments_one_pass_equals_separate_calls(rho_75, rho_d3, paulis):
-    """Several (p, factor) pairs in one block pass give the bits of one pair per call."""
+    """Every n and p of one call give the bits of one call per n and p."""
     sx, sy, _ = paulis
     rng = np.random.default_rng(23)
     u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
     cases = [
-        (symmetrize_kernel([sx, sy]), rho_75, 9),
-        (_random_symmetric_kernel(rng, 3), DensityMatrix.from_eigenvalues([0.7, 0.3], u), 7),
-        (goodness_kernel(rho_d3), rho_d3, 4),
+        (symmetrize_kernel([sx, sy]), rho_75, [9, 4, 12, 2, 9]),
+        (_random_symmetric_kernel(rng, 3), DensityMatrix.from_eigenvalues([0.7, 0.3], u),
+         [7, 3, 10]),
+        (goodness_kernel(rho_d3), rho_d3, [4, 2]),
     ]
-    orders = [(4, 3.0), (2, 8.0), (2, 1.0), (3, 2.5 ** 0.5), (1, 1.0), (2, 8.0)]
-    for k, rho, n in cases:
-        together = centered_moments(k, rho, n, orders)
-        apart = [centered_moments(k, rho, n, [order])[0] for order in orders]
+    orders = [4, 2, 3, 1, 2, 6]
+    for k, rho, ns in cases:
+        together = centered_moments(k, rho, ns, orders)
+        apart = [[centered_moments(k, rho, [n], [p])[0][0] for p in orders] for n in ns]
         assert together == apart
-        assert all(type(value) is float for value in together)
-    assert centered_moments(cases[0][0], rho_75, 4, []) == []
+        assert all(type(value) is float for values in together for value in values)
+    assert centered_moments(cases[0][0], rho_75, [4, 6], []) == [[], []]
     with pytest.raises(ValidationError):
-        centered_moments(cases[0][0], rho_75, 4, [(2, 1.0), (0, 1.0)])
+        centered_moments(cases[0][0], rho_75, [4], [2, 0])
+    with pytest.raises(ValidationError):
+        centered_moments(cases[0][0], rho_75, [], [2])
 
 
 def _dense_collective(a, b, mat, n, m):
@@ -201,15 +205,28 @@ def test_distinct_plan_gives_the_bits_of_the_tensor_recursion(paulis):
     ]
     for k in kernels:
         t = k.op.entries.reshape((2,) * (2 * k.r))
-        for n in (k.r, 5, 8, 13):
+        ns = (k.r, 5, 8, 13)
+        bands, _, edges = _spin_stack(k, [np.array([0.75, 0.25])], ns)
+        # every block of every n, one after another, with no padding
+        levels = sum(n + 1 - 2 * j for n in ns for j in range(n // 2 + 1))
+        assert bands.shape == (2 * k.r + 1, levels)
+        assert [e[0] for e in edges] == [0] + [e[-1] for e in edges[:-1]]
+        assert edges[-1][-1] == levels
+        block_of = np.zeros(levels, dtype=int)
+        for n, e in zip(ns, edges):
             norm = math.factorial(k.r) * math.comb(n, k.r)
-            bands, sizes, _ = _spin_stack(k, [np.array([0.75, 0.25])], n)
-            assert list(sizes) == list(range(n + 1, 0, -2))
-            for band, size in zip(bands, sizes):
+            assert list(np.diff(e)) == list(range(n + 1, 0, -2))
+            for lo, hi in zip(e[:-1], e[1:]):
+                size = hi - lo
                 m = n / 2.0 - ((n + 1 - size) // 2 + np.arange(size))
                 reference = _distinct_sum_reference(t, n, m) / norm
-                assert np.array_equal(_densify(band, size), reference)
-                assert not np.any(band[:, size:])
+                assert np.array_equal(_densify(bands[:, lo:hi], size), reference)
+                block_of[lo:hi] = lo
+        # an entry that would couple two blocks is 0
+        target = np.arange(levels) + np.arange(-k.r, k.r + 1)[:, None]
+        inside = (target >= 0) & (target < levels)
+        across = ~inside | (block_of[np.clip(target, 0, levels - 1)] != block_of)
+        assert not np.any(bands[across])
         # the plan is built once per kernel and serves every n
         assert k._plan is k._plan
         assert k._plan == _distinct_plan(t)
@@ -218,22 +235,23 @@ def test_distinct_plan_gives_the_bits_of_the_tensor_recursion(paulis):
 def test_spin_block_weights_stay_finite_at_large_n():
     # C(1100, 550) overflows a double, and 0.25^1100 underflows one
     for w1 in ([0.75, 0.25], [1.0, 0.0]):
-        weights = _spin_weights(np.array(w1), 1100)
-        assert weights.shape == (551, 1101)
+        _, _, (weights,) = _spin_levels(1100, [np.array(w1)])
+        # blocks of 1101, 1099, .., 1 levels, one after another
+        assert weights.shape == (551 * 551,)
         assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
         np.testing.assert_allclose(weights.sum(), 1.0, rtol=1e-10)
     # exact 0/1 weights leave the largest block alone in the stack
-    bands, sizes, (weights,) = _spin_stack(goodness_kernel(DensityMatrix.from_eigenvalues(
-        [0.75, 0.25])), [np.array([1.0, 0.0])], 1100)
-    assert bands.shape == (1, 5, 1101) and list(sizes) == [1101]
-    assert weights[0, 0] == 1.0 and not np.any(weights[0, 1:])
+    bands, (weights,), (edges,) = _spin_stack(goodness_kernel(DensityMatrix.from_eigenvalues(
+        [0.75, 0.25])), [np.array([1.0, 0.0])], [1100])
+    assert bands.shape == (5, 1101) and list(edges) == [0, 1101]
+    assert weights[0] == 1.0 and not np.any(weights[1:])
 
 
 def test_pair_statistic_second_moment_is_exact_at_n_1000(rho_75, paulis):
     # E[(n (U_n - theta))^2] = n^2 xi_2 / C(n, 2) with xi_2 = 0.625 for pauli-xy
     sx, sy, _ = paulis
-    (m2,) = centered_moments(symmetrize_kernel([sx, sy]), rho_75, 1000, [(2, 1000.0)])
-    np.testing.assert_allclose(m2, 1.25 * 1000 / 999, rtol=1e-12, atol=0.0)
+    ((m2,),) = centered_moments(symmetrize_kernel([sx, sy]), rho_75, [1000], [2])
+    np.testing.assert_allclose(1000.0 ** 2 * m2, 1.25 * 1000 / 999, rtol=1e-12, atol=0.0)
 
 
 def _dense_law(kernel, rho, n):
@@ -269,31 +287,45 @@ def test_finite_law_matches_dense_spectrum(rho_75, rho_d3):
     for k in kernels:
         for n in sorted({k.r, 5, 8}):
             # several states in one call share the blocks
-            atoms, probs = finite_law(k, [np.real(np.diag(s.entries)) for s in diagonal], n)
+            ((atoms, probs),) = finite_law(k, [np.real(np.diag(s.entries)) for s in diagonal], [n])
             for rho, p in zip(diagonal, probs):
                 _assert_same_law(atoms, p, *_dense_law(k, rho, n),
                                  msg="r=%d n=%d diagonal" % (k.r, n))
             # a pure state alone weighs one block
-            atoms, (p,) = finite_law(k, [np.array([0.0, 1.0])], n)
+            ((atoms, (p,)),) = finite_law(k, [np.array([0.0, 1.0])], [n])
             assert len(atoms) == n + 1
             _assert_same_law(atoms, p, *_dense_law(k, pure, n), msg="r=%d n=%d pure" % (k.r, n))
             w1, frame = eigenframe(rotated)
-            atoms, (p,) = finite_law(k.rotated(frame), [w1], n)
+            ((atoms, (p,)),) = finite_law(k.rotated(frame), [w1], [n])
             _assert_same_law(atoms, p, *_dense_law(k, rotated, n),
                              msg="r=%d n=%d rotated" % (k.r, n))
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     qutrit = DensityMatrix.from_eigenvalues([0.5, 0.3, 0.2], rotation=q)
     k = goodness_kernel(rho_d3)
     w1, frame = eigenframe(qutrit)
-    atoms, (p,) = finite_law(k.rotated(frame), [w1], 4)
+    ((atoms, (p,)),) = finite_law(k.rotated(frame), [w1], [4])
     _assert_same_law(atoms, p, *_dense_law(k, qutrit, 4), msg="qutrit rotated")
+
+
+def test_finite_law_one_call_equals_one_call_per_n(paulis):
+    """Every n of one call gives the bits of one call per n, for every state."""
+    sx, _, sz = paulis
+    rng = np.random.default_rng(31)
+    states = [np.array([0.75, 0.25]), np.array([1.0, 0.0]), np.array([0.9, 0.1])]
+    for k in (_random_symmetric_kernel(rng, 3), symmetrize_kernel([sz, sx])):
+        ns = [9, 3, 6, 9]
+        together = finite_law(k, states, ns)
+        for n, (atoms, probs) in zip(ns, together):
+            ((alone_atoms, alone_probs),) = finite_law(k, states, [n])
+            assert np.array_equal(atoms, alone_atoms)
+            assert all(np.array_equal(p, q) for p, q in zip(probs, alone_probs))
 
 
 def test_second_moment_identity_for_degenerate_pair_kernel(rho_75, paulis):
     sx, sy, _ = paulis
     k = symmetrize_kernel([sx, sy])
-    for n in (4, 8, 12):
-        (m2,) = centered_moments(k, rho_75, n, [(2, float(n - 1))])
+    for n, (m2,) in zip((4, 8, 12), centered_moments(k, rho_75, (4, 8, 12), [2])):
+        m2 *= float(n - 1) ** 2
         expected = 2.0 * (n - 1) / n * 0.625
         np.testing.assert_allclose(m2, expected, rtol=1e-12)
 
@@ -342,7 +374,8 @@ def test_classical_oracle_matches_quantum_diagonal(rho_75, paulis):
     _, _, sz = paulis
     k = Kernel(2, 2, hermitize(np.kron(sz, sz)))
     n = 6
-    (exact,) = centered_moments(k, rho_75, n, [(2, float(n) ** 0.5)])
+    ((exact,),) = centered_moments(k, rho_75, [n], [2])
+    exact *= (float(n) ** 0.5) ** 2
     h = np.array([[1.0, -1.0], [-1.0, 1.0]])
     estimate, se = classical_mc_oracle(
         h, np.array([0.75, 0.25]), n, 2, replicates=200000, seed=99, scale_exponent=1
