@@ -410,8 +410,8 @@ def run_test(spec, alternative=None, budget=None):
     for information only.  At each n the rejection rate under the null
     and, when an alternative state is given, the acceptance rate under it
     are exact Born sums over the law of n * U_n from `finite_law`, one
-    call for every n.  Nothing is drawn at random.  Returns one TestResult per n, in
-    spec.n_list order.
+    call for every n.  Nothing is drawn at random.  Returns one
+    TestResult per n, in spec.n_list order.
 
     The test is biased against purer alternatives at small n.  At null
     diag(0.75, 0.25) and alpha = 0.05, diag(0.9, 0.1) is accepted more

@@ -179,7 +179,7 @@ def _blocks(kernel, weights, n_list, budget=None):
 
 
 def _spin_levels(n, weights):
-    """The levels of the spin blocks of n qubits, block after block, and each state's weight on them.
+    """The levels of the spin blocks of n qubits, block after block, and the weights on them.
 
     Returns (k, i, [m_j pi_j(rho) per level, for each state]).  Block
     k = 0..floor(n/2) is j = n/2 - k, of n + 1 - 2k levels; its level i is
