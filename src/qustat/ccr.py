@@ -37,7 +37,9 @@ from .errors import (
 )
 from .operators import (
     DEFAULT_DIM_BUDGET,
+    _band_identity,
     _densify,
+    _ladder,
     binom,
     frobenius,
     rotate_sites,
@@ -514,7 +516,7 @@ def thermal_levels(sigma_sq, degree, budget=None):
 
 
 def _band_roots(width, levels):
-    """sqrt(k + s) (0 below level 0) for offsets s = -width..width, levels k."""
+    """The `_ladder` coupling of a: <l - 1| a |l> = sqrt(l) on l = k + s, 0 below level 0."""
     offsets = np.arange(-width, width + 1)[:, None]
     return np.sqrt(np.maximum(offsets + np.arange(levels), 0))
 
@@ -522,14 +524,12 @@ def _band_roots(width, levels):
 def _quadrature_times(kind, band, roots, scale=1.0):
     """scale * Q M or scale * P M for M kept as 2w + 1 diagonals.
 
-    band[w + s, k] = <k + s| M |k> for the levels k of a thermal state.
-    a and a^dagger shift rows: <k+s| a M |k> = sqrt(k+s+1) <k+s+1| M |k>
-    and <k+s| a^dagger M |k> = sqrt(k+s) <k+s-1| M |k>.  No level is cut
-    off above, so a product of at most w quadratures is exact.
+    band[w + s, k] = <k + s| M |k> for the levels k of a thermal state;
+    a M and a^dagger M are the two `_ladder` directions on the couplings
+    `roots` of `_band_roots`, taken on copies of the band.
     """
-    lowered, raised = np.zeros_like(band), np.zeros_like(band)
-    lowered[:-1] = roots[1:] * band[1:]
-    raised[1:] = roots[1:] * band[:-1]
+    lowered = _ladder(band.copy(), roots, -1)
+    raised = _ladder(band.copy(), roots, 1)
     if kind == "q":
         return (lowered + raised) * (scale / math.sqrt(2.0))
     return (lowered - raised) * (scale / (1j * math.sqrt(2.0)))
@@ -542,10 +542,7 @@ def _word_bands(words, roots, scale):
     visiting the words in the order of their reversals, the bands of a
     shared suffix are computed once.
     """
-    width = (len(roots) - 1) // 2
-    identity = np.zeros(roots.shape, dtype=complex)
-    identity[width] = 1.0
-    bands, previous = [identity], ()
+    bands, previous = [_band_identity(len(roots) // 2, roots.shape[1])], ()
     for suffix in sorted(word[::-1] for word in words):
         shared = 0
         while shared < min(len(previous), len(suffix)) and previous[shared] == suffix[shared]:
@@ -695,8 +692,7 @@ def _s_ordered_products(degree, roots):
     them by their first factor gives
     S[Q^a P^b] = (a Q S[Q^(a-1) P^b] + b P S[Q^a P^(b-1)]) / (a + b).
     """
-    out = {(0, 0): np.zeros(roots.shape, dtype=complex)}
-    out[0, 0][degree] = 1.0
+    out = {(0, 0): _band_identity(degree, roots.shape[1])}
     for total in range(1, degree + 1):
         for a in range(total + 1):
             b = total - a

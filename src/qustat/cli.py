@@ -305,14 +305,9 @@ def _scaling(config, report):
                 "order2 scaling needs a kernel of degeneracy order 2, got %r" % c
             )
         return 2, lambda n: float(n - 1)
-    exponent = spec.get("exponent")
-    if exponent is None:
-        if c is None:
-            raise ValidationError(
-                "kernel is fully degenerate; an explicit scaling exponent is required"
-            )
-        exponent = c
-    if c is not None and exponent != c:
+    # `_limit_setup` has rejected a fully degenerate kernel, so c is an order
+    exponent = spec.get("exponent", c)
+    if exponent != c:
         raise ValidationError(
             "scaling exponent %d does not match the degeneracy order %d"
             % (exponent, c)

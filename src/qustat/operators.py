@@ -78,20 +78,6 @@ class HermitianOperator:
     def frobenius_norm(self):
         return frobenius(self.entries)
 
-    def __add__(self, other):
-        return HermitianOperator(self.dim, self.entries + other.entries)
-
-    def __sub__(self, other):
-        return HermitianOperator(self.dim, self.entries - other.entries)
-
-    def __mul__(self, scalar):
-        s = complex(scalar)
-        if abs(s.imag) > 0:
-            raise ValidationError("scaling a hermitian operator needs a real scalar")
-        return HermitianOperator(self.dim, s.real * self.entries)
-
-    __rmul__ = __mul__
-
 
 def hermitize(matrix, check_tol=ASYMMETRY_CHECK_TOL):
     """Project a nearly-hermitian matrix onto its selfadjoint part.
@@ -466,6 +452,30 @@ def tensor_power_state(rho, n, budget=None):
     for _ in range(n - 1):
         out = np.kron(out, rho.entries)
     return out
+
+
+def _band_identity(width, levels):
+    """The identity on `levels` levels, kept as 2 width + 1 diagonals."""
+    eye = np.zeros((2 * width + 1, levels), dtype=complex)
+    eye[width] = 1.0
+    return eye
+
+
+def _ladder(band, coupling, step):
+    """A M (step -1) or A^dagger M (step +1) for a ladder A, written over the band of M.
+
+    M is kept as band[w + s, k] = <k + s| M |k>, and the real
+    coupling[w + s, k] = <l - 1| A |l> on the level l = k + s is 0 where
+    l - 1 or l is not a level, so one coupling array serves both
+    directions.  No level is cut off: w ladders on the identity are exact.
+    """
+    if step < 0:
+        band[:-1] = coupling[1:] * band[1:]
+        band[-1] = 0.0
+    else:
+        band[1:] = coupling[1:] * band[:-1]
+        band[0] = 0.0
+    return band
 
 
 def _densify(band, levels):

@@ -25,8 +25,10 @@ from .errors import ToleranceError, ValidationError
 from .operators import (
     HermitianOperator,
     Kernel,
+    _band_identity,
     _densify,
     _embedded_add,
+    _ladder,
     _weighted_power_trace,
     binom,
     check_dim_budget,
@@ -91,9 +93,9 @@ def centered_moments(kernel, rho, n_list, p_list, budget=None):
     theta = float(_weighted_power_trace(tensor_weights(w1, k.r), k.op.entries, 1).real)
     if k.d != 2:
         moments = []
-        for n in n_list:
-            shifted = assemble_direct(k, n, budget=budget).op.entries - theta * np.eye(k.d ** n)
-            weights = tensor_weights(w1, n)
+        # the one dense block of each n
+        for [(block, [weights])] in _blocks(k, [w1], n_list, budget):
+            shifted = block - theta * np.eye(len(block))
             moments.append([float(_weighted_power_trace(weights, shifted, p).real)
                             for p in p_list])
         return moments
@@ -242,45 +244,35 @@ def _spin_stack(kernel, weights, n_list, budget=None):
                         np.full(len(k), float(math.factorial(r) * binom(n, r)))))
         stack_weights.append([w[kept] for w in spin_weights])
     n, k, level, norm = (np.concatenate(c) for c in zip(*columns))
-    eye = np.zeros((2 * r + 1, len(n)), dtype=complex)
-    eye[r] = 1.0
+    eye = _band_identity(r, len(n))
     bands = _distinct_bands(kernel._plan, _level_factors(n, k, level, r), eye)
     bands /= norm
     return bands, [np.concatenate(w) for w in zip(*stack_weights)], edges
 
 
 def _level_factors(n, k, level, r):
-    """The factors J(E_ab) puts on band entry (r + s, i) of a stack, on the level i + s.
+    """What J(E_ab) puts on band entry (r + s, i), read on level l = level[i] + s of i's block.
 
-    They are n/2 + S_z, n/2 - S_z, and the S_+ and S_- couplings, which
-    are 0 past the edge of the entry's block; n, k and the level within
-    the block are given per level of the stack.
+    Returns n per level; J(E_11) = n/2 - S_z = k + l per entry (J(E_00) is
+    n minus it); and <l - 1| S_+ |l> = sqrt(l (2j + 1 - l)) per entry, the
+    `_ladder` coupling of S_+ and S_-, 0 at and past the entry's block edge.
     """
     row = level + np.arange(-r, r + 1)[:, None]
     size = n + 1 - 2 * k
-    return (
-        n - k - row,
-        k + row,
-        np.sqrt(np.maximum((row + 1) * (size - 1 - row), 0)),
-        np.sqrt(np.maximum(row * (size - row), 0)),
-    )
+    return n, k + row, np.sqrt(np.maximum(row * (size - row), 0))
 
 
 def _collective(a, b, bands, factors):
     """J(E_ab) M for the band stack M, written over it; `factors` as in `_level_factors`.
 
-    J(E_00) = n/2 + S_z and J(E_11) = n/2 - S_z scale each row; with the
-    S_z eigenvalues descending, S_+ = J(E_01) moves level i + 1 to i and
-    S_- = J(E_10) moves level i - 1 to i, so they shift the diagonals.
+    J(E_00) and J(E_11) scale each row; with the S_z eigenvalues
+    descending, S_+ = J(E_01) lowers the level and S_- = J(E_10) raises
+    it, the two directions of `_ladder`.
     """
-    if a == b:
-        bands *= factors[a]
-    elif a == 0:
-        bands[:-1] = factors[2][:-1] * bands[1:]
-        bands[-1] = 0.0
-    else:
-        bands[1:] = factors[3][1:] * bands[:-1]
-        bands[0] = 0.0
+    n, ones, coupling = factors
+    if a != b:
+        return _ladder(bands, coupling, -1 if a == 0 else 1)
+    bands *= n - ones if a == 0 else ones
     return bands
 
 
@@ -288,14 +280,19 @@ def _distinct_bands(plan, factors, eye):
     """The distinct-site sum of a `_distinct_plan`, on a whole band stack.
 
     `eye` is the stack's identity band; at most r collective operators act
-    on it, so 2r + 1 diagonals hold every product exactly.
+    on it, so 2r + 1 diagonals hold every product exactly.  The sum
+    starts from its first term; a plan with no terms is the zero operator.
     """
     if isinstance(plan, complex):
         return plan * eye
     terms, merged = plan
-    out = np.zeros_like(eye)
-    for a, b, child in terms:
-        out += _collective(a, b, _distinct_bands(child, factors, eye), factors)
+    parts = (_collective(a, b, _distinct_bands(child, factors, eye), factors)
+             for a, b, child in terms)
+    out = next(parts, None)
+    if out is None:
+        return np.zeros_like(eye)
+    for part in parts:
+        out += part
     for child in merged:
         out -= _distinct_bands(child, factors, eye)
     return out

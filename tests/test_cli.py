@@ -613,6 +613,22 @@ def test_cli_budget_violation_exits_two(tmp_path):
     assert payload["error"]["exit_code"] == 2
 
 
+def test_moments_of_a_fully_degenerate_kernel_exit_one(tmp_path):
+    # U_n = 1 has no fluctuation to scale, even with an explicit exponent
+    proc = _run_cli(tmp_path, {
+        "command": "moments",
+        "state": STATE_75,
+        "kernel": {"d": 2, "r": 2, "matrix": matrix_to_json(np.eye(4))},
+        "n_list": [4],
+        "p_list": [2],
+        "scaling": {"mode": "power", "exponent": 2},
+    })
+    assert proc.returncode == 1
+    payload = json.loads(proc.stderr.splitlines()[-1])
+    assert payload["error"]["kind"] == "ValidationError"
+    assert "kernel is fully degenerate" in payload["error"]["message"]
+
+
 def test_cli_tolerance_violation_exits_three(tmp_path):
     proc = _run_cli(tmp_path, {
         "command": "hermite-check",

@@ -18,7 +18,10 @@ from qustat import (
     symmetrize,
     symmetrize_kernel,
 )
+from qustat.ccr import _band_roots
 from qustat.operators import (
+    _densify,
+    _ladder,
     eigenframe,
     rotate_sites,
     site_permute,
@@ -26,6 +29,7 @@ from qustat.operators import (
     tensor_weights,
     weighted_trace,
 )
+from qustat.ustat import _level_factors, _spin_levels
 
 ATOL = 1e-12
 RNG = np.random.default_rng(20240817)
@@ -214,3 +218,49 @@ def test_weighted_trace_matches_dense_power():
         for p in (1, 2, 3, 4):
             want = np.trace(state @ np.linalg.matrix_power(m, p)).real
             np.testing.assert_allclose(weighted_trace(m, rho, n, p), want, rtol=1e-10, atol=ATOL)
+
+
+def _banded(m, width):
+    """The 2 width + 1 diagonals of m, band[width + s, k] = m[k + s, k] (0 off the levels)."""
+    levels = len(m)
+    band = np.zeros((2 * width + 1, levels), dtype=complex)
+    for s in range(-width, width + 1):
+        kept = np.arange(max(0, -s), levels - max(0, s))
+        band[width + s, kept] = m[kept + s, kept]
+    return band
+
+
+def test_ladder_matches_dense_ladder_matrices():
+    """Both `_ladder` directions equal dense A M and A^dagger M on spin and Fock couplings."""
+    rng = np.random.default_rng(31)
+    width = 2
+
+    def random_banded(levels):
+        m = rng.standard_normal((levels, levels)) + 1j * rng.standard_normal((levels, levels))
+        return np.triu(np.tril(m, width), -width)
+
+    # the spin blocks j = 2, 1, 0 of n = 4 qubits, one after the other on
+    # 9 levels: the band of a block-diagonal M reaches across the edges at
+    # levels 5 and 8, and S_+- must not carry it into another block
+    k, level, _ = _spin_levels(4, [])
+    _, _, spin = _level_factors(np.full(len(k), 4), k, level, width)
+    size = 5 - 2 * k
+    s_plus = np.diag(np.sqrt(level[1:] * (size[1:] - level[1:])), 1)
+    assert s_plus[4, 5] == s_plus[7, 8] == 0.0 and s_plus[3, 4] == 2.0
+    block_diagonal = np.zeros((9, 9), dtype=complex)
+    for lo, hi in ((0, 5), (5, 8), (8, 9)):
+        block_diagonal[lo:hi, lo:hi] = random_banded(hi - lo)
+    # Fock levels, with <l - 1| a |l> = sqrt(l)
+    a = np.diag(np.sqrt(np.arange(1.0, 9)), 1)
+    cases = [
+        ("spin", spin, s_plus, block_diagonal),
+        ("fock", _band_roots(width, 9), a, random_banded(9)),
+    ]
+    for name, coupling, lower, m in cases:
+        band = _banded(m, width)
+        assert np.array_equal(_densify(band, len(m)), m)
+        for step, dense in ((-1, lower), (1, lower.T)):
+            got = _ladder(band.copy(), coupling, step)
+            # the band keeps the diagonals of A M up to offset width
+            want = np.triu(np.tril(dense @ m, width), -width)
+            assert np.array_equal(_densify(got, len(m)), want), (name, step)

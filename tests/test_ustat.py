@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,40 @@ def test_pair_statistic_second_moment_is_exact_at_n_1000(rho_75, paulis):
     sx, sy, _ = paulis
     ((m2,),) = centered_moments(symmetrize_kernel([sx, sy]), rho_75, [1000], [2])
     np.testing.assert_allclose(1000.0 ** 2 * m2, 1.25 * 1000 / 999, rtol=1e-12, atol=0.0)
+
+
+def test_zero_and_identity_kernels_give_exact_zero_moments(rho_75):
+    """A plan with no terms is the zero operator; U_n = 1 has no fluctuation at all."""
+    zero = Kernel(2, 2, hermitize(np.zeros((4, 4))))
+    identity = Kernel(2, 3, hermitize(np.eye(8)))
+    ns, orders = [3, 4, 9], [1, 2, 3, 4]
+    for k in (zero, identity):
+        assert centered_moments(k, rho_75, ns, orders) == [[0.0] * len(orders)] * len(ns)
+    # every atom of the zero statistic is 0, each level carrying its block weight
+    weights = np.array([0.75, 0.25])
+    for n, (atoms, (probs,)) in zip(ns, finite_law(zero, [weights], ns)):
+        assert len(atoms) == len(probs) == (n // 2 + 1) * (n + 1 - n // 2)
+        assert not np.any(atoms)
+        np.testing.assert_allclose(probs, _spin_levels(n, [weights])[2][0], rtol=1e-14)
+
+
+def test_p4_moment_peaks_under_seven_band_arrays(rho_75, paulis):
+    """The p = 4 moment of n = 200 needs at most 7 complex (2r + 1, L) arrays at its peak.
+
+    The bands, their square, the two level factors and the intermediates of
+    the plan's recursion make up the peak; L = 101^2 levels at n = 200.
+    """
+    sx, sy, _ = paulis
+    k = symmetrize_kernel([sx, sy])
+    centered_moments(k, rho_75, [4], [4])  # builds the kernel's plan
+    tracemalloc.start()
+    try:
+        centered_moments(k, rho_75, [200], [4])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    band_array = 16 * (2 * k.r + 1) * 101 ** 2
+    assert peak <= 7 * band_array, peak / band_array
 
 
 def _dense_law(kernel, rho, n):
