@@ -38,12 +38,12 @@ from .errors import (
 from .operators import (
     DEFAULT_DIM_BUDGET,
     _band_identity,
+    _covariance_parts,
     _densify,
     _ladder,
     binom,
     frobenius,
     rotate_sites,
-    state_covariance,
 )
 
 # Internal consistency of the constructed basis (orthonormality, the
@@ -203,13 +203,18 @@ def build_ccr_basis(rho, gap_tol=1e-10):
 
 
 def _two_point_matrix(symbols, mu):
-    """Wick two-point function C[a, b] = (a, b)_rho + i sigma(a, b)."""
+    """Wick two-point function C[a, b] = (a, b)_rho + i sigma(a, b).
+
+    Tr(rho S_a S_b) for every pair comes from one batched product
+    (rho S_a) S_b, split as `operators.state_covariance` splits one pair.
+    """
+    d = len(mu)
     rho = np.diag(mu).astype(complex)
-    k = len(symbols)
-    out = np.zeros((k, k), dtype=complex)
-    for a in range(k):
-        for b in range(k):
-            out[a, b] = complex(*state_covariance(symbols[a].matrix, symbols[b].matrix, rho))
+    s = np.array([sym.matrix for sym in symbols], dtype=complex).reshape(-1, d, d)
+    t = np.trace((rho @ s)[:, None] @ s[None], axis1=-2, axis2=-1)
+    sym, skew = _covariance_parts(t, t.T)
+    out = np.empty(t.shape, dtype=complex)
+    out.real, out.imag = sym, skew
     return out
 
 

@@ -551,9 +551,8 @@ def _write_outputs(config, result, tables, out_dir):
     import numpy as np
 
     from . import __version__
-    from .serialize import dump_json, format_float
+    from .serialize import dump_csv, dump_json, replace_file
 
-    os.makedirs(out_dir, exist_ok=True)
     tables_dir = os.path.join(out_dir, "tables")
     os.makedirs(tables_dir, exist_ok=True)
 
@@ -568,28 +567,10 @@ def _write_outputs(config, result, tables, out_dir):
             "qustat": __version__,
         },
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(dump_json(manifest, indent=2))
-    with open(os.path.join(out_dir, "result.json"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(dump_json(result, indent=2))
+    replace_file(os.path.join(out_dir, "manifest.json"), dump_json(manifest, indent=2))
+    replace_file(os.path.join(out_dir, "result.json"), dump_json(result, indent=2))
     for name, (header, rows) in tables.items():
-        path = os.path.join(tables_dir, "%s.csv" % name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                cells = []
-                for col in header:
-                    val = row[col]
-                    if isinstance(val, bool):
-                        cells.append("true" if val else "false")
-                    elif isinstance(val, (int,)):
-                        cells.append(str(val))
-                    elif val is None:
-                        cells.append("nan")
-                    else:
-                        fval = float(val)
-                        cells.append("nan" if fval != fval else format_float(fval))
-                fh.write(",".join(cells) + "\n")
+        replace_file(os.path.join(tables_dir, name + ".csv"), dump_csv(header, rows))
 
 
 if __name__ == "__main__":

@@ -414,13 +414,23 @@ def state_covariance(a, b, rho):
     am = a.entries if isinstance(a, HermitianOperator) else np.asarray(a, dtype=complex)
     bm = b.entries if isinstance(b, HermitianOperator) else np.asarray(b, dtype=complex)
     rm = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    ab = np.trace(rm @ am @ bm)
-    ba = np.trace(rm @ bm @ am)
+    sym, skew = _covariance_parts(np.trace(rm @ am @ bm), np.trace(rm @ bm @ am))
+    return float(sym), float(skew)
+
+
+def _covariance_parts(ab, ba):
+    """The (re, im) of `state_covariance` from ab = Tr(rho a b) and ba = Tr(rho b a).
+
+    ab and ba are scalars or arrays of equal shape; the check that both
+    parts are real applies to every entry.
+    """
     sym = 0.5 * (ab + ba)
     skew = 0.5j * (ab - ba)
-    if abs(sym.imag) > 1e-10 * max(1.0, abs(sym)) or abs(skew.imag) > 1e-10 * max(1.0, abs(skew)):
+    if np.any(np.abs(sym.imag) > 1e-10 * np.maximum(1.0, np.abs(sym))) or np.any(
+        np.abs(skew.imag) > 1e-10 * np.maximum(1.0, np.abs(skew))
+    ):
         raise ValidationError("state_covariance expects selfadjoint operands")
-    return float(sym.real), float(skew.real)
+    return sym.real, skew.real
 
 
 def eigenframe(rho):

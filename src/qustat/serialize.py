@@ -1,9 +1,17 @@
-"""JSON encoding for matrices and deterministic numeric output.
+"""JSON encoding for matrices, deterministic numeric output, and output files.
 
 Matrices travel as {"dim": n, "re": [[...]], "im": [[...]]}.  All floats
 written by the command line tools go through format_float, which prints
 17 significant digits so outputs are byte-stable and round-trip exactly.
+dump_json and dump_csv give the text of a result document and a table;
+replace_file writes each output as a new file, so a re-run never
+truncates the previous run's file in place (a hard link or symlink to it
+keeps the old bytes) and nothing is fsynced.
 """
+
+import math
+import os
+import re
 
 import numpy as np
 
@@ -40,74 +48,125 @@ def matrix_from_json(obj):
 def format_float(x):
     """17 significant digits; enough to round-trip any double exactly."""
     x = float(x)
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValidationError("non-finite value in output: %r" % x)
     if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".17g")
+        return "0"  # -0.0 too
+    if not math.isfinite(x):
+        raise ValidationError("non-finite value in output: %r" % x)
+    return "%.17g" % x
 
 
 def dump_json(obj, indent=0):
-    """Deterministic JSON text: sorted keys, fixed float format, LF newline."""
-    pieces = []
-    _write(obj, pieces, indent, 0)
-    return "".join(pieces) + "\n"
+    """Deterministic JSON text: sorted keys, fixed float format, LF newline.
 
+    With indent > 0 every item of an object or array starts a new line,
+    indented by `indent` spaces a level; with indent=0 the text is one
+    line.
+    """
+    layouts = []  # layouts[level]: (opening break, item separator, closing break)
 
-def _write(obj, out, indent, level):
-    pad = " " * (indent * (level + 1)) if indent else ""
-    close_pad = " " * (indent * level) if indent else ""
-    nl = "\n" if indent else ""
-    sep = "," + nl
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(_escape(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{" + nl)
-        keys = sorted(obj)
-        for i, k in enumerate(keys):
-            if not isinstance(k, str):
-                raise ValidationError("JSON object keys must be strings")
-            out.append(pad + _escape(k) + ": ")
-            _write(obj[k], out, indent, level + 1)
-            out.append(sep if i + 1 < len(keys) else nl)
-        out.append(close_pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not len(obj):
-            out.append("[]")
-            return
-        out.append("[" + nl)
-        for i, item in enumerate(obj):
-            out.append(pad)
-            _write(item, out, indent, level + 1)
-            out.append(sep if i + 1 < len(obj) else nl)
-        out.append(close_pad + "]")
-    else:
+    def layout(level):
+        while len(layouts) <= level:
+            depth = len(layouts)
+            if indent:
+                inner = "\n" + " " * (indent * (depth + 1))
+                layouts.append((inner, "," + inner, "\n" + " " * (indent * depth)))
+            else:
+                layouts.append(("", ",", ""))
+        return layouts[level]
+
+    keys = {}  # key -> its escaped text and ": "
+
+    def encode(obj, level):
+        # the common types first; None, bools, numpy scalars and subclasses last
+        kind = type(obj)
+        if kind is float:
+            return format_float(obj)
+        if kind is int:
+            return str(obj)
+        if isinstance(obj, str):
+            return _escape(obj)
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            items = []
+            for key in sorted(obj):
+                prefix = keys.get(key)
+                if prefix is None:
+                    if not isinstance(key, str):
+                        raise ValidationError("JSON object keys must be strings")
+                    prefix = keys[key] = _escape(key) + ": "
+                items.append(prefix + encode(obj[key], level + 1))
+            lead, sep, tail = layout(level)
+            return "{" + lead + sep.join(items) + tail + "}"
+        if isinstance(obj, (list, tuple)):
+            if not len(obj):
+                return "[]"
+            items = [encode(item, level + 1) for item in obj]
+            lead, sep, tail = layout(level)
+            return "[" + lead + sep.join(items) + tail + "]"
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, (int, np.integer)):
+            return str(int(obj))
+        if isinstance(obj, (float, np.floating)):
+            return format_float(obj)
         raise ValidationError("cannot serialize %r" % type(obj))
+
+    return encode(obj, 0) + "\n"
+
+
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+_ESCAPES = str.maketrans(
+    {'"': '\\"', "\\": "\\\\", **{chr(c): "\\u%04x" % c for c in range(0x20)}}
+)
 
 
 def _escape(s):
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    if _NEEDS_ESCAPE.search(s) is None:
+        return '"' + s + '"'
+    return '"' + s.translate(_ESCAPES) + '"'
+
+
+def dump_csv(header, rows):
+    """CSV text: the header line, then each row's cells in header order, LF newlines.
+
+    A cell is true/false for a bool, the digits of an int, nan for None
+    or NaN, and format_float of anything else.
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join([_csv_cell(row[col]) for col in header]))
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _csv_cell(val):
+    if isinstance(val, bool):
+        return "true" if val else "false"
+    if isinstance(val, int):
+        return str(val)
+    if val is None:
+        return "nan"
+    fval = float(val)
+    return "nan" if fval != fval else format_float(fval)
+
+
+def replace_file(path, text):
+    """Write text as UTF-8 to a new file at path.
+
+    A file already at path is unlinked first, never truncated in place.
+    On ext4 (with its default auto_da_alloc) truncating a file that holds
+    data starts its writeback at close, and the next truncation waits for
+    it; a new file has no such wait.  A hard link or symlink to the old
+    file keeps the old bytes.
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    with open(path, "xb") as fh:
+        fh.write(text.encode("utf-8"))

@@ -25,12 +25,13 @@ from qustat import (
 from qustat.ccr import (
     TAIL_TOL,
     _classical_moments,
+    _two_point_matrix,
     oscillator_polynomial,
     poly_power,
     thermal_levels,
     wick_poly_moment,
 )
-from qustat.operators import hermitize
+from qustat.operators import hermitize, state_covariance
 
 ATOL = 1e-12
 ROUTE_RTOL = 1e-6
@@ -55,6 +56,27 @@ def test_basis_structure_qubit(rho_75):
     np.testing.assert_allclose(two[iq, ip], 0.5j, atol=ATOL)
     np.testing.assert_allclose(two[ip, iq], -0.5j, atol=ATOL)
     np.testing.assert_allclose(two[0, 0], 1.0, atol=ATOL)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("rotated", [False, True])
+def test_two_point_matrix_is_state_covariance_entrywise(d, rotated):
+    """The batched two-point matrix equals the pairwise state_covariance bit for bit."""
+    rng = np.random.default_rng(10 * d + rotated)
+    for _ in range(5):
+        mu = np.sort(rng.dirichlet(np.ones(d)))[::-1]
+        rotation = None
+        if rotated:
+            z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rotation = np.linalg.qr(z)[0]
+        basis = build_ccr_basis(DensityMatrix.from_eigenvalues(mu, rotation=rotation))
+        rho = np.diag(basis.eigenvalues).astype(complex)
+        expected = np.array([
+            [complex(*state_covariance(a.matrix, b.matrix, rho)) for b in basis.symbols]
+            for a in basis.symbols
+        ])
+        assert np.array_equal(_two_point_matrix(basis.symbols, basis.eigenvalues), expected)
+        assert np.array_equal(basis.two_point, expected)
 
 
 def test_basis_requires_faithful_nondegenerate_state():

@@ -473,6 +473,22 @@ def test_config_seed_lands_in_manifest(tmp_path):
     assert seeded["config_sha256"] != default["config_sha256"]
 
 
+def test_rerun_replaces_its_output_files(tmp_path):
+    """A second run writes new files; a hard link to the first run's keeps its bytes."""
+    out = tmp_path / "out"
+    config_a = {"command": "decompose", "state": STATE_75, "kernel": {"preset": "sigma-zz"}}
+    config_b = dict(config_a, kernel={"preset": "pauli-xy"})
+    run(_write_config(tmp_path, config_a, "a.json"), str(out))
+    run(_write_config(tmp_path, config_b, "b.json"), str(tmp_path / "fresh"))
+    bytes_a = (out / "result.json").read_bytes()
+    bytes_b = (tmp_path / "fresh" / "result.json").read_bytes()
+    assert bytes_a != bytes_b
+    os.link(out / "result.json", tmp_path / "kept.json")
+    run(_write_config(tmp_path, config_b, "b.json"), str(out))
+    assert (tmp_path / "kept.json").read_bytes() == bytes_a
+    assert (out / "result.json").read_bytes() == bytes_b
+
+
 def test_missing_required_field_raises(tmp_path):
     config = {
         "command": "moments",

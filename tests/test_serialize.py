@@ -1,12 +1,14 @@
 """Deterministic JSON/CSV serialization helpers."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qustat import ValidationError, matrix_from_json, matrix_to_json
-from qustat.serialize import dump_json, format_float
+from qustat.serialize import dump_csv, dump_json, format_float
 
 
 def test_matrix_roundtrip():
@@ -49,3 +51,40 @@ def test_dump_json_sorted_and_stable():
 def test_dump_json_escapes_strings():
     text = dump_json({"s": 'a"b\\c\n'}, indent=0)
     assert '"a\\"b\\\\c\\u000a"' in text
+
+
+# JSON documents without floats (the stdlib prints floats by repr, not with
+# 17 digits) and without control characters (the stdlib writes \n, not \u000a).
+_TEXT = st.text(st.characters(min_codepoint=0x20, blacklist_categories=("Cs",)), max_size=8)
+_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCS)
+def test_dump_json_layout_matches_the_stdlib(doc):
+    assert dump_json(doc, 2) == json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert dump_json(doc, 0) == json.dumps(
+        doc, sort_keys=True, ensure_ascii=False, separators=(",", ": ")
+    ) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+def test_dump_json_floats_read_back_exactly(values):
+    for indent in (0, 2):
+        assert json.loads(dump_json(values, indent)) == values
+
+
+def test_dump_csv_cells():
+    header = ["flag", "off", "count", "missing", "nan", "x", "zero"]
+    row = {"flag": True, "off": False, "count": -7, "missing": None,
+           "nan": float("nan"), "x": 0.1, "zero": -0.0}
+    assert dump_csv(header, [row]) == (
+        "flag,off,count,missing,nan,x,zero\n"
+        "true,false,-7,nan,nan,0.10000000000000001,0\n"
+    )
+    assert dump_csv(["n"], []) == "n\n"
