@@ -6,16 +6,18 @@ are printed with 17 significant digits and no command draws random
 numbers (the config seed is only recorded in the manifest), so identical
 configurations reproduce identical bytes.
 
+The config is checked against CONFIG_SCHEMA as JSON Schema draft-07.
+Importing this module loads none of numpy, jsonschema, click or
+hashlib; each is loaded by the function that first uses it, so `main`
+sets `--threads` before numpy loads.
+
 Exit codes: 1 invalid input, 2 budget exceeded, 3 tolerance violation.
 """
 
 import functools
-import hashlib
 import json
 import os
 import sys
-
-import click
 
 SCHEMA_MATRIX = {
     "type": "object",
@@ -52,7 +54,10 @@ SCHEMA_KERNEL = {
     },
 }
 
+# Draft-07 gives every keyword used here the meaning of the newer drafts,
+# and its metaschema is checked several times faster than draft 2020-12's.
 CONFIG_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
     "additionalProperties": False,
     "required": ["command"],
@@ -128,41 +133,46 @@ def _fail(exc):
     sys.exit(code)
 
 
-class _Command(click.Command):
-    """A command whose usage errors exit like any other invalid input."""
+def main(args=None):
+    """Run one experiment from the command line; args default to sys.argv[1:]."""
+    import click
 
-    def make_context(self, *args, **kwargs):
+    class _Command(click.Command):
+        """A command whose usage errors exit like any other invalid input."""
+
+        def make_context(self, *args, **kwargs):
+            try:
+                return super().make_context(*args, **kwargs)
+            except click.UsageError as exc:
+                from .errors import ValidationError
+
+                _fail(ValidationError(exc.format_message()))
+
+    @click.command("qustat", cls=_Command)
+    @click.option("--config", "config_path", required=True,
+                  type=click.Path(exists=True, dir_okay=False),
+                  help="Path to the experiment configuration JSON.")
+    @click.option("--out-dir", "out_dir", default=".", show_default=True,
+                  type=click.Path(file_okay=False),
+                  help="Directory receiving manifest.json, result.json, tables/.")
+    @click.option("--threads", "threads", default=None, type=click.IntRange(min=1),
+                  help="Cap BLAS thread counts (set before numerics load).")
+    def command(config_path, out_dir, threads):
+        """Run one experiment from a JSON config."""
+        if threads is not None:
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "NUMEXPR_NUM_THREADS"):
+                os.environ[var] = str(threads)
         try:
-            return super().make_context(*args, **kwargs)
-        except click.UsageError as exc:
-            from .errors import ValidationError
+            run(config_path, out_dir)
+        except Exception as exc:  # noqa: BLE001 - mapped to structured exit codes
+            from .errors import QuStatError
 
-            _fail(ValidationError(exc.format_message()))
+            if isinstance(exc, QuStatError):
+                _fail(exc)
+            raise
 
-
-@click.command(cls=_Command)
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Path to the experiment configuration JSON.")
-@click.option("--out-dir", "out_dir", default=".", show_default=True,
-              type=click.Path(file_okay=False),
-              help="Directory receiving manifest.json, result.json, tables/.")
-@click.option("--threads", "threads", default=None, type=click.IntRange(min=1),
-              help="Cap BLAS thread counts (set before numerics load).")
-def main(config_path, out_dir, threads):
-    """Run one experiment from a JSON config."""
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = str(threads)
-    try:
-        run(config_path, out_dir)
-    except Exception as exc:  # noqa: BLE001 - mapped to structured exit codes
-        from .errors import QuStatError
-
-        if isinstance(exc, QuStatError):
-            _fail(exc)
-        raise
+    command.main(args=args)
 
 
 @functools.lru_cache(maxsize=None)
@@ -548,13 +558,17 @@ def _canonical_config(config):
 
 
 def _write_outputs(config, result, tables, out_dir):
+    import hashlib
+
     import numpy as np
 
     from . import __version__
-    from .serialize import dump_csv, dump_json, replace_file
+    from .serialize import dump_csv, dump_json, remove_other_files, replace_file
 
     tables_dir = os.path.join(out_dir, "tables")
     os.makedirs(tables_dir, exist_ok=True)
+    # tables/ holds only the tables this run's manifest describes
+    remove_other_files(tables_dir, ".csv", [name + ".csv" for name in tables])
 
     canonical = _canonical_config(config)
     manifest = {

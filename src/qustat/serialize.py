@@ -6,7 +6,8 @@ written by the command line tools go through format_float, which prints
 dump_json and dump_csv give the text of a result document and a table;
 replace_file writes each output as a new file, so a re-run never
 truncates the previous run's file in place (a hard link or symlink to it
-keeps the old bytes) and nothing is fsynced.
+keeps the old bytes) and nothing is fsynced.  remove_other_files
+unlinks the tables an earlier run left that this run does not write.
 """
 
 import math
@@ -170,3 +171,16 @@ def replace_file(path, text):
         pass
     with open(path, "xb") as fh:
         fh.write(text.encode("utf-8"))
+
+
+def remove_other_files(directory, suffix, keep):
+    """Unlink every file in directory whose name ends with suffix and is not in keep.
+
+    Files with other names and subdirectories are left alone.
+    """
+    keep = set(keep)
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            if (entry.name.endswith(suffix) and entry.name not in keep
+                    and not entry.is_dir(follow_symlinks=False)):
+                os.unlink(entry.path)

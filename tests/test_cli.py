@@ -10,7 +10,7 @@ import pytest
 
 import qustat
 from qustat import ValidationError, symmetrize_kernel
-from qustat.cli import run
+from qustat.cli import main, run
 from qustat.serialize import matrix_to_json
 
 STATE_75 = {"eigenvalues": [0.75, 0.25]}
@@ -489,6 +489,23 @@ def test_rerun_replaces_its_output_files(tmp_path):
     assert (out / "result.json").read_bytes() == bytes_b
 
 
+def test_a_second_command_leaves_only_its_own_tables(tmp_path):
+    out = tmp_path / "out"
+    convergence = {
+        "command": "convergence",
+        "state": STATE_75,
+        "kernel": {"preset": "pauli-xy"},
+        "n_list": [4],
+        "p_list": [2],
+    }
+    run(_write_config(tmp_path, convergence, "a.json"), str(out))
+    assert sorted(p.name for p in (out / "tables").iterdir()) == ["moments.csv", "variance.csv"]
+    (out / "tables" / "notes.txt").write_text("kept", encoding="utf-8")
+    hermite = {"command": "hermite-check", "max_order": 2, "sigma_sq_list": [1.0]}
+    run(_write_config(tmp_path, hermite, "b.json"), str(out))
+    assert sorted(p.name for p in (out / "tables").iterdir()) == ["hermite.csv", "notes.txt"]
+
+
 def test_missing_required_field_raises(tmp_path):
     config = {
         "command": "moments",
@@ -536,17 +553,95 @@ def test_config_schema_is_checked_once_per_process(tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # the CLI sets BLAS thread counts before numpy loads, and builds its
-    # schema validator on first use
+    # the CLI sets BLAS thread counts before numpy loads, builds its schema
+    # validator on first use, and loads click only in main
+    modules = ("numpy", "jsonschema", "click", "hashlib")
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, qustat.cli; print('numpy' in sys.modules, 'jsonschema' in sys.modules)"],
+         "import sys, qustat.cli; print(*[m in sys.modules for m in %r])" % (modules,)],
         capture_output=True,
         text=True,
         env=_subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    assert proc.stdout.split() == ["False"] * len(modules)
+
+
+def test_config_schema_is_draft_07():
+    from jsonschema import Draft7Validator
+    from jsonschema.validators import validator_for
+
+    import qustat.cli
+
+    assert validator_for(qustat.cli.CONFIG_SCHEMA) is Draft7Validator
+    Draft7Validator.check_schema(qustat.cli.CONFIG_SCHEMA)
+
+
+_VALID = {
+    "command": "convergence",
+    "state": STATE_75,
+    "kernel": {"preset": "pauli-xy"},
+    "n_list": [4, 6],
+    "p_list": [2, 4],
+}
+_MATRIX_2 = {"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}
+
+INVALID_CONFIGS = [
+    [],
+    "convergence",
+    None,
+    {},
+    {"command": "bogus"},
+    {"command": 3},
+    {"command": "hermite-check", "trunc": 64},
+    dict(_VALID, extra=1),
+    dict(_VALID, n_list=[]),
+    dict(_VALID, n_list=[0]),
+    dict(_VALID, n_list="4"),
+    dict(_VALID, n_list=[4.5]),
+    dict(_VALID, p_list=[True]),
+    dict(_VALID, seed=-1),
+    dict(_VALID, seed=1.5),
+    dict(_VALID, alpha=0),
+    dict(_VALID, alpha=1),
+    dict(_VALID, alpha=1.5),
+    dict(_VALID, alpha="0.05"),
+    dict(_VALID, interval=[0.1]),
+    dict(_VALID, interval=[0.1, 0.2, 0.3]),
+    dict(_VALID, interval=[0.1, "x"]),
+    dict(_VALID, hermite_tol=0),
+    dict(_VALID, dim_budget=1),
+    dict(_VALID, max_order=-1),
+    dict(_VALID, sigma_sq_list=[]),
+    dict(_VALID, t="1"),
+    dict(_VALID, state="diag"),
+    dict(_VALID, state={"eigenvalues": []}),
+    dict(_VALID, state={"eigenvalues": [0.75, 0.25], "spin": 1}),
+    dict(_VALID, state={"matrix": dict(_MATRIX_2, dim=0)}),
+    dict(_VALID, state={"matrix": {"dim": 2, "re": [[1, 0], [0, 0]]}}),
+    dict(_VALID, alternative={"eigenvalues": "x"}),
+    dict(_VALID, kernel={"preset": "pauli-zz"}),
+    dict(_VALID, kernel={"d": 1, "r": 2}),
+    dict(_VALID, kernel={"matrix": dict(_MATRIX_2, im=[["0"]]), "d": 2, "r": 1}),
+    dict(_VALID, scaling={"exponent": 2}),
+    dict(_VALID, scaling={"mode": "linear"}),
+    dict(_VALID, scaling={"mode": "power", "exponent": -1}),
+    dict(_VALID, scaling={"mode": "power", "scale": 2}),
+    dict(_VALID, command="moments", n_list=[0], p_list=[], seed=-1, extra=1),
+]
+
+
+@pytest.mark.parametrize("config", INVALID_CONFIGS)
+def test_rejection_messages_match_draft_2020_12(config):
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
+
+    import qustat.cli
+
+    reference = best_match(Draft202012Validator(qustat.cli.CONFIG_SCHEMA).iter_errors(config))
+    pinned = best_match(qustat.cli._config_validator().iter_errors(config))
+    assert reference is not None and pinned is not None
+    assert pinned.message == reference.message
 
 
 def test_package_names_resolve_lazily():
@@ -571,6 +666,29 @@ def test_export_table_names_are_defined_where_listed():
             assert getattr(obj, "__module__", mod.__name__) == mod.__name__, name
             listed.append(name)
     assert sorted(listed) == qustat.__all__
+
+
+def test_main_runs_in_process(tmp_path):
+    cfg = _write_config(tmp_path, {
+        "command": "decompose",
+        "state": STATE_75,
+        "kernel": {"preset": "sigma-zz"},
+    })
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", cfg, "--out-dir", str(out)])
+    assert exc.value.code == 0
+    assert (out / "result.json").exists()
+
+
+def test_main_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith("Usage: ")
+    assert "Run one experiment from a JSON config." in text
+    assert "--config FILE" in text
 
 
 def test_cli_success_exit_zero(tmp_path):
