@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "apps": (
         "OverlapResult", "TestResult", "TestSpec", "goodness_kernel",
-        "homogeneity_kernel", "metrology_overlap", "run_test", "simulate_measurement",
+        "homogeneity_kernel", "metrology_overlap", "run_test",
     ),
     "ccr": (
         "CCRBasis", "LimitPolynomial", "build_ccr_basis", "fock_moment",
@@ -35,8 +35,8 @@ _EXPORTS = {
     "serialize": ("matrix_from_json", "matrix_to_json"),
     "ustat": (
         "FluctuationForm", "FluctuationTerm", "UStatistic", "assemble_direct",
-        "assemble_fluctuation", "centered_moments", "classical_mc_oracle",
-        "finite_law", "fluctuation_form", "variance_exact",
+        "assemble_fluctuation", "centered_moments", "finite_law",
+        "fluctuation_form", "variance_exact",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

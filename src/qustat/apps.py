@@ -34,13 +34,12 @@ from .errors import ToleranceError, ValidationError
 from .hoeffding import kernel_components
 from .operators import (
     DensityMatrix,
-    HermitianOperator,
     Kernel,
     binom,
     eigenframe,
     hermitize,
 )
-from .ustat import PROB_DEFICIT_TOL, _checked_probabilities, finite_law
+from .ustat import PROB_DEFICIT_TOL, finite_law
 
 # The exact limit law drops its least likely joint oscillator atoms up to
 # _DROPPED_MASS and leaves at most _RUBEN_REMAINDER of the Ruben series
@@ -110,25 +109,6 @@ def homogeneity_kernel(d):
         y = np.kron(x, eye) - np.kron(eye, x)
         acc += np.kron(y, y)
     return Kernel(d * d, 2, hermitize(acc))
-
-
-def simulate_measurement(op, state, replicates, seed):
-    """Sample eigenvalues of an observable under a state, Born distributed.
-
-    `state` may be a density matrix or a 1-d vector of diagonal weights.
-    Outcomes are drawn with a seeded generator; replicate i is entry i of
-    the returned array for any replicate count.
-    """
-    matrix = op.entries if isinstance(op, HermitianOperator) else np.asarray(op, dtype=complex)
-    sw = state.entries if isinstance(state, DensityMatrix) else np.asarray(state)
-    vals, vecs = np.linalg.eigh(matrix)
-    if sw.ndim == 1:
-        probs = np.einsum("i,ik->k", sw, np.abs(vecs) ** 2)
-    else:
-        probs = np.real(np.einsum("ik,ij,jk->k", vecs.conj(), sw, vecs))
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(vals), size=int(replicates), p=_checked_probabilities(probs))
-    return vals[idx]
 
 
 @dataclass(frozen=True)

@@ -110,16 +110,10 @@ class CCRBasis:
     def rotation_is_identity(self):
         return bool(np.array_equal(self.rotation, np.eye(self.d)))
 
-    def symbol_index(self, name):
-        for i, s in enumerate(self.symbols):
-            if s.name == name:
-                return i
-        raise ValidationError("no symbol named %r" % name)
 
-
-def build_ccr_basis(rho, gap_tol=1e-10):
+def build_ccr_basis(rho):
     """Construct the limit-variable basis for a faithful non-degenerate state."""
-    rho.require_positive(gap_tol)
+    rho.require_positive()
     d = rho.d
     mu = np.asarray(rho.eigenvalues, dtype=float)
     u = np.asarray(rho.eigenvectors, dtype=complex)
@@ -264,7 +258,7 @@ class LimitPolynomial:
         }
 
 
-def kernel_to_limit(kernel, report, basis, rtol=CENTERED_RESIDUE_RTOL):
+def kernel_to_limit(kernel, report, basis):
     """Read the limit polynomial off the first non-vanishing kernel component."""
     if report.c is None:
         raise ValidationError(
@@ -294,26 +288,26 @@ def kernel_to_limit(kernel, report, basis, rtol=CENTERED_RESIDUE_RTOL):
     for axis in range(c):
         t = np.moveaxis(np.tensordot(m_inv, t, axes=([1], [axis])), 0, axis)
 
-    scale = max(1.0, float(np.abs(t).max()))
+    tol = CENTERED_RESIDUE_RTOL * max(1.0, float(np.abs(t).max()))
     nsym = basis.n_symbols
     grouped = {}
     for idx in itertools.product(range(d * d), repeat=c):
         val = t[idx]
         if any(i == 0 for i in idx):
-            if abs(val) > rtol * scale:
+            if abs(val) > tol:
                 raise ToleranceError(
                     "component of order %d is not centered: identity "
                     "coefficient %r at %r" % (c, val, idx)
                 )
             continue
-        if abs(val.imag) > rtol * scale:
+        if abs(val.imag) > tol:
             raise ToleranceError("coefficient %r at %r is not real" % (val, idx))
         key = tuple(sorted(i - 1 for i in idx))
         grouped.setdefault(key, []).append(val.real)
     terms = []
     for key, vals in sorted(grouped.items()):
         spread = max(vals) - min(vals)
-        if spread > rtol * scale:
+        if spread > tol:
             raise ToleranceError(
                 "coefficients of multiset %r differ by %.3e; kernel is not "
                 "permutation symmetric in the generator basis" % (key, spread)
@@ -330,7 +324,7 @@ def kernel_to_limit(kernel, report, basis, rtol=CENTERED_RESIDUE_RTOL):
                 "expected %d arrangements of %r, saw %d" % (kappa, key, len(vals))
             )
         coeff = kappa * mean
-        if abs(coeff) > rtol * scale:
+        if abs(coeff) > tol:
             terms.append((tuple(mvec), float(coeff)))
     r = kernel.r
     return LimitPolynomial(c=c, binom_factor=binom(r, c), terms=tuple(terms))
@@ -592,20 +586,16 @@ def _classical_moments(max_degree):
     ]
 
 
-def fock_moment(target, basis, budget=None):
+def fock_moment(poly, basis, budget=None):
     """Moment of a polynomial in the limit variables, evaluated on Fock space.
 
-    `target` is a monomial dict as produced by limit_to_poly, or a single
-    ordered tuple of symbol indices.  The classical variables are i.i.d.
-    standard Gaussians in whitened coordinates and contribute their exact
-    moments; each oscillator is evaluated in its thermal state on the
-    levels `thermal_levels` keeps for the largest monomial degree, its
-    words kept as bands of diagonals.
+    `poly` is a monomial dict as produced by limit_to_poly; a single
+    monomial m is {m: 1.0}.  The classical variables are i.i.d. standard
+    Gaussians in whitened coordinates and contribute their exact moments;
+    each oscillator is evaluated in its thermal state on the levels
+    `thermal_levels` keeps for the largest monomial degree, its words
+    kept as bands of diagonals.
     """
-    if isinstance(target, dict):
-        poly = target
-    else:
-        poly = {tuple(int(s) for s in target): 1.0}
     if not poly:
         return 0.0 + 0.0j
     degree = max(len(m) for m in poly)
@@ -647,15 +637,9 @@ ROUTE_AGREEMENT_RTOL = 1e-6
 ROUTE_AGREEMENT_ATOL = 1e-9
 
 
-def limit_moment(limit, basis, p, method="wick", check=False, budget=None):
-    """E[L^p] for the limit polynomial L, via "wick" or "fock".
-
-    With check=True both routes are computed and must agree to
-    ROUTE_AGREEMENT_RTOL (absolute ROUTE_AGREEMENT_ATOL below 1e-3); the
-    Wick value is returned.
-    """
-    methods = ("wick", "fock") if check else (method,)
-    return _route_moments(limit, basis, p, methods, budget)[methods[0]]
+def limit_moment(limit, basis, p, method="wick", budget=None):
+    """E[L^p] for the limit polynomial L, via "wick" or "fock"."""
+    return _route_moments(limit, basis, p, (method,), budget)[method]
 
 
 def _route_moments(limit, basis, p, methods, budget=None):

@@ -185,6 +185,13 @@ def _config_validator():
     return cls(CONFIG_SCHEMA)
 
 
+def _reject_constant(literal):
+    """json's parse_constant hook: NaN, Infinity and -Infinity are not JSON."""
+    from .errors import ValidationError
+
+    raise ValidationError("config is not valid JSON: %s is not a JSON number" % literal)
+
+
 def run(config_path, out_dir):
     import jsonschema
 
@@ -192,7 +199,7 @@ def run(config_path, out_dir):
 
     with open(config_path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise ValidationError("config is not valid JSON: %s" % exc) from exc
     error = jsonschema.exceptions.best_match(_config_validator().iter_errors(raw))
@@ -565,11 +572,8 @@ def _write_outputs(config, result, tables, out_dir):
     from . import __version__
     from .serialize import dump_csv, dump_json, remove_other_files, replace_file
 
-    tables_dir = os.path.join(out_dir, "tables")
-    os.makedirs(tables_dir, exist_ok=True)
-    # tables/ holds only the tables this run's manifest describes
-    remove_other_files(tables_dir, ".csv", [name + ".csv" for name in tables])
-
+    # every text is formed before any file is touched, so a run that fails
+    # to serialize leaves the previous run's outputs as they were
     canonical = _canonical_config(config)
     manifest = {
         "command": config["command"],
@@ -581,10 +585,18 @@ def _write_outputs(config, result, tables, out_dir):
             "qustat": __version__,
         },
     }
-    replace_file(os.path.join(out_dir, "manifest.json"), dump_json(manifest, indent=2))
-    replace_file(os.path.join(out_dir, "result.json"), dump_json(result, indent=2))
+    tables_dir = os.path.join(out_dir, "tables")
+    texts = {
+        os.path.join(out_dir, "manifest.json"): dump_json(manifest, indent=2),
+        os.path.join(out_dir, "result.json"): dump_json(result, indent=2),
+    }
     for name, (header, rows) in tables.items():
-        replace_file(os.path.join(tables_dir, name + ".csv"), dump_csv(header, rows))
+        texts[os.path.join(tables_dir, name + ".csv")] = dump_csv(header, rows)
+    os.makedirs(tables_dir, exist_ok=True)
+    # tables/ holds only the tables this run's manifest describes
+    remove_other_files(tables_dir, ".csv", [name + ".csv" for name in tables])
+    for path, text in texts.items():
+        replace_file(path, text)
 
 
 if __name__ == "__main__":

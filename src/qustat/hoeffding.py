@@ -65,13 +65,14 @@ def _reduce_to_sites(matrix, n, d, keep, rho):
     return np.ascontiguousarray(t).reshape(d ** k, d ** k)
 
 
-def cond_expectation(op, subset, rho, n=None, d=None, budget=None):
-    """E(op | A): contract sites outside A against rho, re-embed with identity."""
+def cond_expectation(op, subset, rho, budget=None):
+    """E(op | A): contract sites outside A against rho, re-embed with identity.
+
+    op acts on n sites of rho's dimension d; n is read off its size d^n.
+    """
     matrix = op.entries if isinstance(op, HermitianOperator) else np.asarray(op, dtype=complex)
-    if d is None:
-        d = rho.d
-    if n is None:
-        n = _infer_sites(matrix.shape[0], d)
+    d = rho.d
+    n = _infer_sites(matrix.shape[0], d)
     subset = _normalize_subset(subset, n)
     check_dim_budget(d ** n, budget)
     keep = list(subset.zero_based)
@@ -84,20 +85,18 @@ def cond_expectation(op, subset, rho, n=None, d=None, budget=None):
     return hermitize(out)
 
 
-def hoeffding_project(op, subset, rho, n=None, d=None, budget=None):
+def hoeffding_project(op, subset, rho, budget=None):
     """P_A(op), the component of op supported exactly on the subset A."""
     matrix = op.entries if isinstance(op, HermitianOperator) else np.asarray(op, dtype=complex)
-    if d is None:
-        d = rho.d
-    if n is None:
-        n = _infer_sites(matrix.shape[0], d)
+    d = rho.d
+    n = _infer_sites(matrix.shape[0], d)
     subset = _normalize_subset(subset, n)
     acc = np.zeros((d ** n, d ** n), dtype=complex)
     a = subset.indices
     for size in range(len(a) + 1):
         sign = (-1) ** (len(a) - size)
         for b in itertools.combinations(a, size):
-            e = cond_expectation(matrix, SiteSubset(n, b), rho, n=n, d=d, budget=budget)
+            e = cond_expectation(matrix, SiteSubset(n, b), rho, budget=budget)
             acc += sign * e.entries
     return hermitize(acc)
 
@@ -127,10 +126,6 @@ class DegeneracyReport:
     theta: float
     c: object  # int or None when every component of order >= 1 vanishes
     components: tuple
-
-    @property
-    def fully_degenerate(self):
-        return self.c is None
 
     def to_json(self):
         from .serialize import matrix_to_json
@@ -166,7 +161,7 @@ def _remove_site_mean(matrix, n, d, s, rho):
     return out.reshape(d ** n, d ** n)
 
 
-def kernel_components(kernel, rho, tol=None):
+def kernel_components(kernel, rho):
     """Decompose a kernel into its orthogonal components K_0, ..., K_r.
 
     K_l is P_{{1..l}}(K) restricted to the first l sites; K_0 is the mean
@@ -178,15 +173,14 @@ def kernel_components(kernel, rho, tol=None):
     (1 - E_1) ... (1 - E_l), with E_s = E(. | all sites but s): expanded,
     the product is the inclusion-exclusion sum over the subsets of
     {1..l} that defines P.  The degeneracy order c is the smallest
-    l >= 1 whose component has Frobenius norm at least tol (default
-    DEGENERACY_RTOL times the kernel norm).  c is None when all of them
+    l >= 1 whose component has Frobenius norm at least DEGENERACY_RTOL
+    times max(1, the kernel norm).  c is None when all of them
     vanish, i.e. the kernel is a multiple of the identity.
     """
     d, r = kernel.d, kernel.r
     if rho.d != d:
         raise ValidationError("state dimension %d != kernel site dimension %d" % (rho.d, d))
-    if tol is None:
-        tol = DEGENERACY_RTOL * max(1.0, kernel.op.frobenius_norm())
+    tol = DEGENERACY_RTOL * max(1.0, kernel.op.frobenius_norm())
     reduced = [kernel.op.entries]
     for l in range(r, 0, -1):
         reduced.append(_reduce_to_sites(reduced[-1], l, d, range(l - 1), rho))

@@ -110,6 +110,8 @@ class DensityMatrix:
 
     PSD_TOL = -1e-12
     TRACE_TOL = 1e-12
+    # require_positive: least eigenvalue and least spectral gap
+    GAP_TOL = 1e-10
 
     def __post_init__(self):
         for name in ("entries", "eigenvalues", "eigenvectors"):
@@ -155,16 +157,16 @@ class DensityMatrix:
         off = self.entries - np.diag(np.diag(self.entries))
         return not np.any(off)
 
-    def require_positive(self, gap_tol=1e-10):
+    def require_positive(self):
         """Check the spectrum is strictly positive with distinct eigenvalues."""
         vals = self.eigenvalues
-        if vals.min() <= gap_tol:
+        if vals.min() <= self.GAP_TOL:
             raise ValidationError(
                 "state must be strictly positive; smallest eigenvalue %.3e"
                 % vals.min()
             )
         gaps = vals[:-1] - vals[1:]
-        if len(gaps) and gaps.min() <= gap_tol:
+        if len(gaps) and gaps.min() <= self.GAP_TOL:
             raise ValidationError(
                 "state spectrum must be non-degenerate; smallest gap %.3e"
                 % (gaps.min() if len(gaps) else float("inf"))
@@ -224,10 +226,6 @@ class SiteSubset:
     def size(self):
         return len(self.indices)
 
-    def complement(self):
-        inside = set(self.indices)
-        return SiteSubset(self.n, tuple(i for i in range(1, self.n + 1) if i not in inside))
-
 
 @dataclass(frozen=True)
 class Kernel:
@@ -256,10 +254,6 @@ class Kernel:
                     "kernel is not permutation symmetric: swapping sites "
                     "%d,%d changes it by %.3e" % (i + 1, i + 2, gap)
                 )
-
-    @property
-    def dim(self):
-        return self.op.dim
 
     def rotated(self, u):
         """Conjugate every site by the unitary u (kernel in the new frame)."""
@@ -315,19 +309,6 @@ def site_transpose(matrix, n, d, i):
     return np.ascontiguousarray(t).reshape(d ** n, d ** n)
 
 
-def site_permute(matrix, n, d, perm):
-    """Conjugate by the permutation operator sending site k to perm[k] (0-based).
-
-    Equivalently: result[i_{perm[0]},...][j_...] = matrix[i_0,...][j_0,...].
-    """
-    t = matrix.reshape((d,) * (2 * n))
-    inv = [0] * n
-    for k, p in enumerate(perm):
-        inv[p] = k
-    axes = [*inv, *(n + a for a in inv)]
-    return np.ascontiguousarray(t.transpose(axes)).reshape(d ** n, d ** n)
-
-
 def rotate_sites(matrix, n, d, u):
     """Apply u^dagger (.) u on every site of an operator on n sites."""
     t = matrix.reshape((d,) * (2 * n))
@@ -378,17 +359,16 @@ def symmetrize(ops):
     return hermitize(acc / count)
 
 
-def symmetrize_kernel(ops, d=None):
+def symmetrize_kernel(ops):
     """Average of tensor products of one-site operators over all orderings.
 
-    Returns a Kernel of order len(ops).
+    Returns a Kernel of order len(ops) on sites of the first operator's size.
     """
     mats = [op.entries if isinstance(op, HermitianOperator) else np.asarray(op, dtype=complex)
             for op in ops]
     if not mats:
         raise ValidationError("symmetrize_kernel needs at least one operator")
-    if d is None:
-        d = mats[0].shape[0]
+    d = mats[0].shape[0]
     for m in mats:
         if m.shape != (d, d):
             raise ValidationError("all factors must be %d x %d" % (d, d))
@@ -452,15 +432,6 @@ def tensor_weights(w, n):
     out = np.ones(1)
     for _ in range(n):
         out = np.multiply.outer(out, w).reshape(-1)
-    return out
-
-
-def tensor_power_state(rho, n, budget=None):
-    """Dense rho^{\\otimes n} (subject to the dimension budget)."""
-    check_dim_budget(rho.d ** n, budget)
-    out = rho.entries
-    for _ in range(n - 1):
-        out = np.kron(out, rho.entries)
     return out
 
 

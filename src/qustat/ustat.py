@@ -339,18 +339,6 @@ class FluctuationTerm:
     symbols: tuple
     coeff: int
 
-    def describe(self):
-        parts = " ".join(
-            "%s(%s)" % (kind, _tree_label(tree)) for kind, tree in self.symbols
-        )
-        return "%+d * n^(-%d/2) * S[%s]" % (self.coeff, self.t, parts)
-
-
-def _tree_label(tree):
-    if isinstance(tree, int):
-        return "A%d" % (tree + 1)
-    return "S[" + " ".join(_tree_label(c) for c in tree) + "]"
-
 
 def _tree_key(tree):
     if isinstance(tree, int):
@@ -404,9 +392,6 @@ class FluctuationForm:
 
     l: int
     terms: tuple
-
-    def describe(self):
-        return [term.describe() for term in self.terms]
 
     def evaluate(self, factors, rho, n, budget=None):
         """Sum the terms numerically as an operator on n sites."""
@@ -472,6 +457,10 @@ def _factor_matrices(factors, rho):
     mats = []
     for i, f in enumerate(factors):
         m = f.entries if isinstance(f, HermitianOperator) else np.asarray(f, dtype=complex)
+        if m.shape != (rho.d, rho.d):
+            raise ValidationError(
+                "factor %d is not %d x %d like the state" % (i + 1, rho.d, rho.d)
+            )
         mean = weighted_trace(m, rho, 1)
         if abs(mean) > CENTERING_TOL * max(1.0, frobenius(m)):
             raise ValidationError(
@@ -493,61 +482,6 @@ def assemble_fluctuation(factors, rho, n, budget=None):
     form = fluctuation_form(l)
     total = form.evaluate(factors, rho, n, budget=budget)
     scale = float(n) ** (l / 2.0) / (math.factorial(l) * binom(n, l))
-    kernel = symmetrize_kernel(factors, d=rho.d)
+    kernel = symmetrize_kernel(factors)
     op = HermitianOperator(total.dim, scale * total.entries)
     return form, UStatistic(n=n, kernel=kernel, op=op)
-
-
-def classical_mc_oracle(h, lam, n, p, replicates, seed, scale_exponent=1):
-    """Monte Carlo moments of a classical U-statistic, for cross-checks.
-
-    h is an order-r array over outcome tuples, lam a probability vector.
-    Estimates E[(n^(scale_exponent/2) (U_n - theta))^p] over i.i.d.
-    samples; returns (estimate, standard_error).  Replicate i always uses
-    row i of the sample matrix drawn from the seeded generator, so the
-    result does not depend on evaluation order.
-    """
-    h = np.asarray(h, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    d = lam.size
-    r = h.ndim
-    if h.shape != (d,) * r:
-        raise ValidationError("kernel shape %r incompatible with %d outcomes" % (h.shape, d))
-    if abs(lam.sum() - 1.0) > 1e-12 or lam.min() < 0:
-        raise ValidationError("lam must be a probability vector")
-    sym = np.zeros_like(h)
-    for perm in itertools.permutations(range(r)):
-        sym += h.transpose(perm)
-    h = sym / math.factorial(r)
-    theta = h
-    for _ in range(r):
-        theta = theta @ lam
-    theta = float(theta)
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(d, size=(replicates, n), p=lam)
-    counts = np.empty((replicates, d), dtype=np.int64)
-    for v in range(d):
-        counts[:, v] = (draws == v).sum(axis=1)
-    total = np.zeros(replicates)
-    for tup in itertools.product(range(d), repeat=r):
-        ways = np.ones(replicates)
-        for v, mult in _multiplicities(tup).items():
-            c = counts[:, v].astype(float)
-            for j in range(mult):
-                ways = ways * (c - j)
-        total += h[tup] * ways
-    denom = 1.0
-    for j in range(r):
-        denom *= n - j
-    u = total / denom
-    vals = (float(n) ** (scale_exponent / 2.0) * (u - theta)) ** p
-    estimate = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(replicates))
-    return estimate, se
-
-
-def _multiplicities(tup):
-    out = {}
-    for v in tup:
-        out[v] = out.get(v, 0) + 1
-    return out

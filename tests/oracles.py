@@ -1,0 +1,103 @@
+"""Independent oracles the tests check the package against.
+
+None of these is part of the package: the Monte Carlo samplers draw
+seeded random numbers, which no command does, and the dense helpers
+form matrices the package itself never needs.
+"""
+
+import itertools
+import math
+from collections import Counter
+
+import numpy as np
+
+from qustat import DensityMatrix, HermitianOperator, ValidationError
+from qustat.ustat import _checked_probabilities
+
+
+def tensor_power_state(rho, n):
+    """Dense rho^{\\otimes n}."""
+    out = rho.entries
+    for _ in range(n - 1):
+        out = np.kron(out, rho.entries)
+    return out
+
+
+def site_permute(matrix, n, d, perm):
+    """Conjugate by the permutation operator sending site k to perm[k] (0-based).
+
+    Equivalently: result[i_{perm[0]},...][j_...] = matrix[i_0,...][j_0,...].
+    """
+    t = matrix.reshape((d,) * (2 * n))
+    inv = [0] * n
+    for k, p in enumerate(perm):
+        inv[p] = k
+    axes = [*inv, *(n + a for a in inv)]
+    return np.ascontiguousarray(t.transpose(axes)).reshape(d ** n, d ** n)
+
+
+def simulate_measurement(op, state, replicates, seed):
+    """Sample eigenvalues of an observable under a state, Born distributed.
+
+    `state` may be a density matrix or a 1-d vector of diagonal weights.
+    Outcomes are drawn with a seeded generator; replicate i is entry i of
+    the returned array for any replicate count.
+    """
+    matrix = op.entries if isinstance(op, HermitianOperator) else np.asarray(op, dtype=complex)
+    sw = state.entries if isinstance(state, DensityMatrix) else np.asarray(state)
+    vals, vecs = np.linalg.eigh(matrix)
+    if sw.ndim == 1:
+        probs = np.einsum("i,ik->k", sw, np.abs(vecs) ** 2)
+    else:
+        probs = np.real(np.einsum("ik,ij,jk->k", vecs.conj(), sw, vecs))
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(len(vals), size=int(replicates), p=_checked_probabilities(probs))
+    return vals[idx]
+
+
+def classical_mc_oracle(h, lam, n, p, replicates, seed, scale_exponent=1):
+    """Monte Carlo moments of a classical U-statistic, for cross-checks.
+
+    h is an order-r array over outcome tuples, lam a probability vector.
+    Estimates E[(n^(scale_exponent/2) (U_n - theta))^p] over i.i.d.
+    samples; returns (estimate, standard_error).  Replicate i always uses
+    row i of the sample matrix drawn from the seeded generator, so the
+    result does not depend on evaluation order.
+    """
+    h = np.asarray(h, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    d = lam.size
+    r = h.ndim
+    if h.shape != (d,) * r:
+        raise ValidationError("kernel shape %r incompatible with %d outcomes" % (h.shape, d))
+    if abs(lam.sum() - 1.0) > 1e-12 or lam.min() < 0:
+        raise ValidationError("lam must be a probability vector")
+    sym = np.zeros_like(h)
+    for perm in itertools.permutations(range(r)):
+        sym += h.transpose(perm)
+    h = sym / math.factorial(r)
+    theta = h
+    for _ in range(r):
+        theta = theta @ lam
+    theta = float(theta)
+    rng = np.random.default_rng(seed)
+    draws = rng.choice(d, size=(replicates, n), p=lam)
+    counts = np.empty((replicates, d), dtype=np.int64)
+    for v in range(d):
+        counts[:, v] = (draws == v).sum(axis=1)
+    total = np.zeros(replicates)
+    for tup in itertools.product(range(d), repeat=r):
+        ways = np.ones(replicates)
+        for v, mult in Counter(tup).items():
+            c = counts[:, v].astype(float)
+            for j in range(mult):
+                ways = ways * (c - j)
+        total += h[tup] * ways
+    denom = 1.0
+    for j in range(r):
+        denom *= n - j
+    u = total / denom
+    vals = (float(n) ** (scale_exponent / 2.0) * (u - theta)) ** p
+    estimate = float(vals.mean())
+    se = float(vals.std(ddof=1) / np.sqrt(replicates))
+    return estimate, se

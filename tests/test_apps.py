@@ -26,13 +26,14 @@ from qustat import (
     limit_moment,
     metrology_overlap,
     run_test,
-    simulate_measurement,
     symmetrize_kernel,
 )
 import qustat.apps
 from qustat.apps import _law_cdf, _law_quantile, _limit_law, _split_additive
 from qustat.ccr import limit_to_poly, oscillator_polynomial, thermal_levels
 from qustat.operators import hermitize, tensor_weights
+
+from oracles import simulate_measurement
 
 ATOL = 1e-12
 

@@ -23,6 +23,8 @@ from qustat import (
     symmetrize_kernel,
 )
 from qustat.ccr import (
+    ROUTE_AGREEMENT_ATOL,
+    ROUTE_AGREEMENT_RTOL,
     TAIL_TOL,
     _classical_moments,
     _two_point_matrix,
@@ -37,6 +39,25 @@ ATOL = 1e-12
 ROUTE_RTOL = 1e-6
 
 
+def _checked_moment(limit, basis, p):
+    """The Wick moment E[L^p], after checking that the Fock route agrees with it.
+
+    The routes must agree to ROUTE_AGREEMENT_RTOL, or to ROUTE_AGREEMENT_ATOL
+    where both moments are below 1e-3, as the `limit` command requires.
+    """
+    wick = limit_moment(limit, basis, p, method="wick")
+    fock = limit_moment(limit, basis, p, method="fock")
+    gap, ref = abs(wick - fock), max(abs(wick), abs(fock))
+    bound = ROUTE_AGREEMENT_ATOL if ref < 1e-3 else ROUTE_AGREEMENT_RTOL * ref
+    assert gap <= bound, (p, wick, fock)
+    return wick
+
+
+def _symbol_indices(basis, *names):
+    symbols = [s.name for s in basis.symbols]
+    return [symbols.index(name) for name in names]
+
+
 def test_basis_structure_qubit(rho_75):
     basis = build_ccr_basis(rho_75)
     assert basis.d == 2
@@ -49,7 +70,7 @@ def test_basis_structure_qubit(rho_75):
     np.testing.assert_allclose(pair.sigma_sq, 1.0, atol=ATOL)
     np.testing.assert_allclose(basis.classical_cov, [[0.1875]], atol=ATOL)
     assert basis.rotation_is_identity
-    iq, ip = basis.symbol_index("q12"), basis.symbol_index("p12")
+    iq, ip = names.index("q12"), names.index("p12")
     two = basis.two_point
     np.testing.assert_allclose(two[iq, iq], 1.0, atol=ATOL)
     np.testing.assert_allclose(two[ip, ip], 1.0, atol=ATOL)
@@ -100,9 +121,9 @@ def test_pair_kernel_limit_polynomial(rho_75, paulis):
     (mvec, coeff), = lim.terms
     assert mvec == (0, 1, 1)
     np.testing.assert_allclose(coeff, -1.0, atol=ATOL)
-    assert limit_moment(lim, basis, 1, check=True) == pytest.approx(0.0, abs=1e-10)
-    p2 = limit_moment(lim, basis, 2, check=True)
-    p4 = limit_moment(lim, basis, 4, check=True)
+    assert _checked_moment(lim, basis, 1) == pytest.approx(0.0, abs=1e-10)
+    p2 = _checked_moment(lim, basis, 2)
+    p4 = _checked_moment(lim, basis, 4)
     np.testing.assert_allclose(p2, 1.25, rtol=1e-10)
     np.testing.assert_allclose(p4, 12.8125, rtol=1e-8)
 
@@ -114,7 +135,7 @@ def test_pair_kernel_monomial_expansion(rho_75, paulis):
     basis = build_ccr_basis(rho_75)
     lim = kernel_to_limit(k, report, basis)
     poly = limit_to_poly(lim, basis)
-    iq, ip = basis.symbol_index("q12"), basis.symbol_index("p12")
+    iq, ip = _symbol_indices(basis, "q12", "p12")
     assert set(poly) == {(iq, ip), (ip, iq)}
     np.testing.assert_allclose(poly[(iq, ip)], -0.5, atol=ATOL)
     np.testing.assert_allclose(poly[(ip, iq)], -0.5, atol=ATOL)
@@ -131,7 +152,7 @@ def test_single_degenerate_kernel_limit(rho_75, paulis):
     (mvec, coeff), = lim.terms
     assert mvec == (1, 0, 0)
     np.testing.assert_allclose(coeff, np.sqrt(0.1875), rtol=1e-12)
-    p2 = limit_moment(lim, basis, 2, check=True)
+    p2 = _checked_moment(lim, basis, 2)
     np.testing.assert_allclose(p2, 0.75, rtol=1e-10)
 
 
@@ -148,7 +169,7 @@ def test_number_operator_kernel_limit(rho_75, paulis):
     assert set(terms) == {(0, 2, 0), (0, 0, 2)}
     np.testing.assert_allclose(terms[(0, 2, 0)], 1.0, atol=1e-10)
     np.testing.assert_allclose(terms[(0, 0, 2)], 1.0, atol=1e-10)
-    p2 = limit_moment(lim, basis, 2, check=True)
+    p2 = _checked_moment(lim, basis, 2)
     np.testing.assert_allclose(p2, 3.0, rtol=1e-10)
 
 
@@ -246,7 +267,7 @@ def test_wick_route_details(rho_75):
     basis = build_ccr_basis(rho_75)
     assert quasifree_moment_wick((0,), basis) == 0.0
     np.testing.assert_allclose(quasifree_moment_wick((0, 0), basis), 1.0, atol=ATOL)
-    iq, ip = basis.symbol_index("q12"), basis.symbol_index("p12")
+    iq, ip = _symbol_indices(basis, "q12", "p12")
     np.testing.assert_allclose(quasifree_moment_wick((iq, ip), basis), 0.5j, atol=ATOL)
     with pytest.raises(ExpansionBudgetError):
         quasifree_moment_wick((0,) * 18, basis)
@@ -261,7 +282,7 @@ def test_fock_route_matches_wick_on_monomials(rho_75):
         deg = int(rng.integers(0, 7))
         mon = tuple(int(s) for s in rng.integers(0, basis.n_symbols, size=deg))
         w = quasifree_moment_wick(mon, basis)
-        f = fock_moment(mon, basis)
+        f = fock_moment({mon: 1.0}, basis)
         assert abs(w - f) <= ROUTE_RTOL * max(1.0, abs(w))
 
 

@@ -1,9 +1,11 @@
 """Command line front end: configs, outputs, exit codes."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,6 +508,64 @@ def test_a_second_command_leaves_only_its_own_tables(tmp_path):
     assert sorted(p.name for p in (out / "tables").iterdir()) == ["hermite.csv", "notes.txt"]
 
 
+def _tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _metrology_config(**fields):
+    """S[sz sx] on |+> at n = 4, as in test_metrology_from_matrix_config, with fields replaced."""
+    kernel = symmetrize_kernel([np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])])
+    config = {
+        "command": "metrology",
+        "state": {"matrix": matrix_to_json(np.array([[0.5, 0.5], [0.5, 0.5]]))},
+        "kernel": {"matrix": matrix_to_json(kernel.op.entries), "d": 2, "r": 2},
+        "n_list": [4],
+        "t": 1.0,
+        "g1": 0.5,
+        "g2": 0.0,
+    }
+    return dict(config, **fields)
+
+
+def test_a_failed_run_leaves_the_previous_outputs_intact(tmp_path):
+    """A run that cannot serialize its result touches no file of the run before it."""
+    out = tmp_path / "out"
+    convergence = {
+        "command": "convergence",
+        "state": STATE_75,
+        "kernel": {"preset": "pauli-xy"},
+        "n_list": [4, 6],
+        "p_list": [2],
+    }
+    run(_write_config(tmp_path, convergence, "a.json"), str(out))
+    before = _tree_bytes(out)
+    assert sorted(before) == ["manifest.json", "result.json", "tables/moments.csv",
+                              "tables/variance.csv"]
+    # schema-valid, but the imprint difference overflows to a nan overlap
+    metrology = _metrology_config(g1=1e308, g2=-1e308)
+    with pytest.raises(ValidationError, match="non-finite value in output"):
+        run(_write_config(tmp_path, metrology, "b.json"), str(out))
+    assert _tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("literal", [float("nan"), float("inf"), float("-inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+def test_nan_and_infinity_configs_are_not_valid_json(tmp_path, literal):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept.txt").write_text("kept", encoding="utf-8")
+    proc = _run_cli(tmp_path, _metrology_config(t=literal))
+    # json.dumps writes the non-standard literals NaN, Infinity and -Infinity
+    text = (tmp_path / "config.json").read_text(encoding="utf-8")
+    assert '"t": %s,' % json.dumps(literal) in text
+    assert proc.returncode == 1
+    payload = json.loads(proc.stderr)
+    assert payload["error"]["kind"] == "ValidationError"
+    assert payload["error"]["message"].startswith("config is not valid JSON: ")
+    assert json.dumps(literal) in payload["error"]["message"]
+    assert _tree_bytes(out) == {"kept.txt": b"kept"}
+
+
 def test_missing_required_field_raises(tmp_path):
     config = {
         "command": "moments",
@@ -651,6 +711,59 @@ def test_package_names_resolve_lazily():
     assert set(qustat.__all__) <= set(dir(qustat))
     with pytest.raises(AttributeError):
         qustat.no_such_name
+
+
+def test_public_names_are_pinned():
+    assert qustat.__all__ == [
+        "BudgetError", "CCRBasis", "DegeneracyReport", "DensityMatrix",
+        "ExpansionBudgetError", "FluctuationForm", "FluctuationTerm",
+        "HermitianOperator", "HoeffdingComponent", "Kernel", "LimitPolynomial",
+        "OverlapResult", "QuStatError", "SiteSubset", "TestResult", "TestSpec",
+        "ToleranceError", "UStatistic", "ValidationError", "assemble_direct",
+        "assemble_fluctuation", "build_ccr_basis", "centered_moments",
+        "cond_expectation", "embed", "finite_law", "fluctuation_form", "fock_moment",
+        "goodness_kernel", "hermite_orthogonality_check", "hermitize",
+        "hoeffding_project", "homogeneity_kernel", "kernel_components",
+        "kernel_to_limit", "limit_moment", "limit_to_poly", "matrix_from_json",
+        "matrix_to_json", "metrology_overlap", "quasifree_moment_wick", "run_test",
+        "state_covariance", "symmetrize", "symmetrize_kernel", "variance_exact",
+        "variance_formula",
+    ]
+
+
+def _random_number_uses(source):
+    """The lines of source that import `random` or `numpy.random`, or name them or default_rng."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [
+                "%s.%s" % (node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr] if node.attr == "default_rng" else []
+            if (node.attr == "random" and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy")):
+                names.append("numpy.random")
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        if any(name in ("random", "numpy.random", "default_rng")
+               or name.startswith(("random.", "numpy.random.")) for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_source_module_draws_random_numbers():
+    """No command draws random numbers, so the package neither imports nor calls a generator."""
+    assert _random_number_uses("import numpy as np\nrng = np.random.default_rng(0)\n") == [2, 2]
+    assert _random_number_uses("import random\nfrom numpy.random import default_rng\n") == [1, 2]
+    assert _random_number_uses("from numpy import random\n") == [1]
+    sources = sorted(Path(qustat.__file__).parent.glob("*.py"))
+    assert {"apps.py", "ustat.py"} <= {path.name for path in sources}
+    found = {path.name: _random_number_uses(path.read_text(encoding="utf-8")) for path in sources}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_export_table_names_are_defined_where_listed():

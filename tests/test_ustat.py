@@ -14,7 +14,6 @@ from qustat import (
     assemble_direct,
     assemble_fluctuation,
     centered_moments,
-    classical_mc_oracle,
     finite_law,
     fluctuation_form,
     goodness_kernel,
@@ -26,13 +25,13 @@ from qustat.operators import (
     _merge_first,
     eigenframe,
     hermitize,
-    site_permute,
     site_transpose,
-    tensor_power_state,
     tensor_weights,
     weighted_trace,
 )
 from qustat.ustat import _spin_levels, _spin_stack
+
+from oracles import classical_mc_oracle, site_permute, tensor_power_state
 
 ATOL = 1e-12
 ROUTE_RTOL = 1e-9
@@ -367,8 +366,7 @@ def test_second_moment_identity_for_degenerate_pair_kernel(rho_75, paulis):
 
 def test_fluctuation_form_structure():
     form = fluctuation_form(2)
-    labels = sorted(term.describe() for term in form.terms)
-    assert any("F" in lbl for lbl in labels)
+    assert any(kind == "F" for term in form.terms for kind, _ in term.symbols)
     assert all(term.t >= 0 for term in form.terms)
     with pytest.raises(ValidationError):
         fluctuation_form(0)
@@ -393,6 +391,12 @@ def test_fluctuation_requires_centered_factors(rho_75, paulis):
     _, _, sz = paulis
     with pytest.raises(ValidationError):
         assemble_fluctuation([sz + np.eye(2)], rho_75, 4)
+
+
+def test_fluctuation_requires_factors_of_the_state_size(rho_75, paulis):
+    _, _, sz = paulis
+    with pytest.raises(ValidationError, match="factor 2 is not 2 x 2"):
+        assemble_fluctuation([sz - 0.5 * np.eye(2), np.diag([1.0, -1.0, 0.0])], rho_75, 4)
 
 
 def test_classical_oracle_deterministic_and_consistent():
