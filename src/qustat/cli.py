@@ -200,7 +200,7 @@ def run(config_path, out_dir):
     with open(config_path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError("config is not valid JSON: %s" % exc) from exc
     error = jsonschema.exceptions.best_match(_config_validator().iter_errors(raw))
     if error is not None:

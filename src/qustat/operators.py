@@ -43,7 +43,7 @@ def _as_complex_matrix(matrix):
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("expected a square matrix, got shape %r" % (m.shape,))
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValidationError("matrix contains non-finite entries")
     return m
 
@@ -155,7 +155,7 @@ class DensityMatrix:
     @property
     def is_diagonal(self):
         off = self.entries - np.diag(np.diag(self.entries))
-        return not np.any(off)
+        return not off.any()
 
     def require_positive(self):
         """Check the spectrum is strictly positive with distinct eigenvalues."""
@@ -295,10 +295,10 @@ def _distinct_plan(t):
         (a, b, _distinct_plan(slices[a, b]))
         for a in range(2)
         for b in range(2)
-        if np.any(slices[a, b])
+        if slices[a, b].any()
     ]
     merged = [_merge_first(t, k) for k in range(1, r)]
-    return terms, [_distinct_plan(x) for x in merged if np.any(x)]
+    return terms, [_distinct_plan(x) for x in merged if x.any()]
 
 
 def site_transpose(matrix, n, d, i):
@@ -460,12 +460,15 @@ def _ladder(band, coupling, step):
 
 
 def _densify(band, levels):
-    """The levels x levels matrix of a band kept as band[w + s, k] = <k + s| M |k>."""
-    width = band.shape[0] // 2
-    out = np.zeros((levels, levels), dtype=complex)
-    for s in range(-width, width + 1):
-        kept = np.arange(max(0, -s), levels - max(0, s))
-        out[kept + s, kept] = band[width + s, kept]
+    """The levels x levels matrix of a band kept as band[..., w + s, k] = <k + s| M |k>.
+
+    Leading axes of `band` are batch axes, one matrix each.
+    """
+    width = band.shape[-2] // 2
+    row = np.arange(levels) + np.arange(-width, width + 1)[:, None]
+    kept = (row >= 0) & (row < levels)
+    out = np.zeros(band.shape[:-2] + (levels, levels), dtype=complex)
+    out[..., row[kept], np.nonzero(kept)[1]] = band[..., kept]
     return out
 
 

@@ -12,7 +12,9 @@ follow one another on one level axis, with no padding, as one band
 stack (`_spin_stack`), evaluated once from the kernel's distinct-site
 plan, which is built once per kernel.  `centered_moments` takes the band
 powers once and reads every n and moment order off them, and
-`finite_law` makes each block dense only for its eigendecomposition.
+`finite_law` makes the blocks dense only for their eigendecomposition,
+one stack of equal blocks at a time, so blocks of one dimension share
+one `eigh` call whichever n they belong to.
 """
 
 import itertools
@@ -43,6 +45,9 @@ from .operators import (
 
 CENTERING_TOL = 1e-10
 PROB_DEFICIT_TOL = 1e-10
+# Complex entries of the largest stack of equal dense blocks `finite_law`
+# forms at once, the chunk size of `apps._law_cdf`.
+_STACK_ENTRIES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -93,10 +98,10 @@ def centered_moments(kernel, rho, n_list, p_list, budget=None):
     theta = float(_weighted_power_trace(tensor_weights(w1, k.r), k.op.entries, 1).real)
     if k.d != 2:
         moments = []
-        # the one dense block of each n
-        for [(block, [weights])] in _blocks(k, [w1], n_list, budget):
+        for n in n_list:
+            block = assemble_direct(k, n, budget).op.entries
             shifted = block - theta * np.eye(len(block))
-            moments.append([float(_weighted_power_trace(weights, shifted, p).real)
+            moments.append([float(_weighted_power_trace(tensor_weights(w1, n), shifted, p).real)
                             for p in p_list])
         return moments
     bands, (weights,), edges = _spin_stack(k, [w1], n_list, budget)
@@ -120,17 +125,42 @@ def finite_law(kernel, weights, n_list, budget=None):
     (atoms, [probabilities per state]) pair per n: the eigenvalues of U_n,
     unsorted and possibly repeated, and the Born probability of each atom
     under each state.  Atoms of blocks that no state weighs are left out.
+    Qubit blocks of one dimension, of any n, are made dense and
+    diagonalized as one stack of at most _STACK_ENTRIES entries (or one
+    larger block); each atom keeps its level on the band stack.
     """
-    laws = []
-    for blocks in _blocks(kernel, weights, n_list, budget):
-        atoms, probs = [], []
-        for block, block_weights in blocks:
-            vals, vecs = np.linalg.eigh(block)
-            atoms.append(vals)
-            probs.append(np.array(block_weights) @ np.abs(vecs) ** 2)
-        laws.append((np.concatenate(atoms),
-                     [_checked_probabilities(p) for p in np.hstack(probs)]))
-    return laws
+    if kernel.d != 2:
+        laws = []
+        for n in n_list:
+            atoms, probs = _eigen_born(assemble_direct(kernel, n, budget).op.entries,
+                                       np.array([tensor_weights(w, n) for w in weights]))
+            laws.append((atoms, [_checked_probabilities(p) for p in probs]))
+        return laws
+    bands, stack_weights, edges = _spin_stack(kernel, weights, n_list, budget)
+    stack_weights = np.array(stack_weights)
+    atoms, probs = np.empty(bands.shape[1]), np.empty(stack_weights.shape)
+    starts = np.concatenate([e[:-1] for e in edges])
+    sizes = np.diff(np.append(starts, edges[-1][-1]))
+    for size in sorted(set(sizes.tolist())):
+        group = starts[sizes == size]
+        step = max(1, _STACK_ENTRIES // size ** 2)
+        for lo in range(0, len(group), step):
+            levels = group[lo : lo + step, None] + np.arange(size)
+            # each block's weights in C order, as one block alone has them,
+            # so that BLAS forms the Born product in the same order
+            atoms[levels], born = _eigen_born(
+                _densify(bands[:, levels].transpose(1, 0, 2), size),
+                np.ascontiguousarray(stack_weights[:, levels].transpose(1, 0, 2)))
+            probs[:, levels] = born.transpose(1, 0, 2)
+    return [(atoms[e[0] : e[-1]], [_checked_probabilities(p[e[0] : e[-1]]) for p in probs])
+            for e in edges]
+
+
+def _eigen_born(blocks, weights):
+    """eigh of dense blocks, stacked or not: (eigenvalues, weights @ |eigenvectors|^2)."""
+    atoms, vecs = np.linalg.eigh(blocks)
+    born = np.abs(vecs)
+    return atoms, weights @ np.square(born, out=born)
 
 
 def _checked_probabilities(probs):
@@ -143,27 +173,6 @@ def _checked_probabilities(probs):
         )
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
-
-
-def _blocks(kernel, weights, n_list, budget=None):
-    """For each n of n_list, the (dense block of U_n, [weights of each state on it]) pairs.
-
-    `kernel` and the one-site `weights` are as for `finite_law`.  For
-    qubits the blocks are the spin blocks of `_spin_stack` that some state
-    weighs, one stack for every n, made dense one block at a time as they
-    are read; for d >= 3 the dense d^n statistic is the one block of its
-    n.  Either way E f(U_n) under a state is the sum over the blocks of n
-    of Tr(diag(w) f(block)).
-    """
-    if kernel.d != 2:
-        for n in n_list:
-            stat = assemble_direct(kernel, n, budget=budget)
-            yield [(stat.op.entries, [tensor_weights(w, n) for w in weights])]
-        return
-    bands, stack_weights, edges = _spin_stack(kernel, weights, n_list, budget)
-    for e in edges:
-        yield ((_densify(bands[:, lo:hi], hi - lo), [w[lo:hi] for w in stack_weights])
-               for lo, hi in zip(e[:-1], e[1:]))
 
 
 # ---------------------------------------------------------------------------

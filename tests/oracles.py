@@ -1,8 +1,9 @@
 """Independent oracles the tests check the package against.
 
 None of these is part of the package: the Monte Carlo samplers draw
-seeded random numbers, which no command does, and the dense helpers
-form matrices the package itself never needs.
+seeded random numbers, which no command does, the dense helpers form
+matrices the package itself never needs, and `per_block_law` is the
+one-block-at-a-time route that `finite_law` stacks by dimension.
 """
 
 import itertools
@@ -12,7 +13,8 @@ from collections import Counter
 import numpy as np
 
 from qustat import DensityMatrix, HermitianOperator, ValidationError
-from qustat.ustat import _checked_probabilities
+from qustat.operators import _densify
+from qustat.ustat import _checked_probabilities, _spin_stack
 
 
 def tensor_power_state(rho, n):
@@ -34,6 +36,21 @@ def site_permute(matrix, n, d, perm):
         inv[p] = k
     axes = [*inv, *(n + a for a in inv)]
     return np.ascontiguousarray(t.transpose(axes)).reshape(d ** n, d ** n)
+
+
+def per_block_law(kernel, weights, n_list):
+    """`finite_law` for qubits, one spin block at a time: densify, eigh, Born product."""
+    bands, stack_weights, edges = _spin_stack(kernel, weights, n_list)
+    laws = []
+    for e in edges:
+        atoms, probs = [], []
+        for lo, hi in zip(e[:-1], e[1:]):
+            vals, vecs = np.linalg.eigh(_densify(bands[:, lo:hi], hi - lo))
+            atoms.append(vals)
+            probs.append(np.array([w[lo:hi] for w in stack_weights]) @ np.abs(vecs) ** 2)
+        laws.append((np.concatenate(atoms),
+                     [_checked_probabilities(p) for p in np.hstack(probs)]))
+    return laws
 
 
 def simulate_measurement(op, state, replicates, seed):

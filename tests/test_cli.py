@@ -794,6 +794,21 @@ def test_main_runs_in_process(tmp_path):
     assert (out / "result.json").exists()
 
 
+def test_main_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b'{"command": "decompose\xff"}')
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["kind"] == "ValidationError"
+    assert error["message"].startswith("config is not valid JSON: ")
+    assert "can't decode byte 0xff" in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -1,5 +1,7 @@
 """States, kernels, subset embedding and the weighted operator calculus."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,6 +229,21 @@ def _banded(m, width):
         kept = np.arange(max(0, -s), levels - max(0, s))
         band[width + s, kept] = m[kept + s, kept]
     return band
+
+
+def test_densify_of_a_stack_is_densify_of_each_item():
+    """Leading axes of a band are batch axes: one call equals one call per item."""
+    rng = np.random.default_rng(37)
+    for width, levels in ((0, 4), (1, 1), (2, 3), (2, 6), (3, 9)):
+        stack = (rng.standard_normal((2, 3, 2 * width + 1, levels))
+                 + 1j * rng.standard_normal((2, 3, 2 * width + 1, levels)))
+        dense = _densify(stack, levels)
+        assert dense.shape == (2, 3, levels, levels)
+        for i, j in itertools.product(range(2), range(3)):
+            assert np.array_equal(dense[i, j], _densify(stack[i, j], levels))
+            assert np.array_equal(_banded(dense[i, j], width),
+                                  np.where(_banded(np.ones((levels, levels)), width) != 0,
+                                           stack[i, j], 0))
 
 
 def test_ladder_matches_dense_ladder_matrices():

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qustat.ustat
 from qustat import (
     DensityMatrix,
     Kernel,
@@ -31,7 +32,7 @@ from qustat.operators import (
 )
 from qustat.ustat import _spin_levels, _spin_stack
 
-from oracles import classical_mc_oracle, site_permute, tensor_power_state
+from oracles import classical_mc_oracle, per_block_law, site_permute, tensor_power_state
 
 ATOL = 1e-12
 ROUTE_RTOL = 1e-9
@@ -353,6 +354,59 @@ def test_finite_law_one_call_equals_one_call_per_n(paulis):
             ((alone_atoms, alone_probs),) = finite_law(k, states, [n])
             assert np.array_equal(atoms, alone_atoms)
             assert all(np.array_equal(p, q) for p, q in zip(probs, alone_probs))
+
+
+def _assert_laws_equal(laws, reference, msg):
+    assert len(laws) == len(reference), msg
+    for (atoms, probs), (want_atoms, want_probs) in zip(laws, reference):
+        assert np.array_equal(atoms, want_atoms), msg
+        assert len(probs) == len(want_probs), msg
+        assert all(np.array_equal(p, q) for p, q in zip(probs, want_probs)), msg
+
+
+def test_finite_law_stacks_give_the_bits_of_one_block_at_a_time(monkeypatch, paulis):
+    """Blocks stacked by dimension, in one chunk or many, equal the per-block oracle bit for bit."""
+    sx, _, sz = paulis
+    rng = np.random.default_rng(41)
+    kernels = [_random_symmetric_kernel(rng, r) for r in (1, 2, 3)] + [
+        symmetrize_kernel([sz, sx])]
+    # two diagonal states, which keep every block, and a pure one, which keeps one
+    states = [np.array([0.75, 0.25]), np.array([0.9, 0.1]), np.array([0.0, 1.0])]
+    n_lists = [[4, 5, 6, 8, 10, 11], [9, 3, 6, 9]]
+    for k in kernels:
+        for ns in n_lists:
+            _assert_laws_equal(finite_law(k, states, ns), per_block_law(k, states, ns),
+                               "r=%d ns=%r" % (k.r, ns))
+    # a cap of 40 entries stacks two blocks of 4 levels at a time, ten of 2,
+    # and leaves the blocks of 7 levels or more alone
+    monkeypatch.setattr(qustat.ustat, "_STACK_ENTRIES", 40)
+    for k in kernels:
+        for ns in n_lists:
+            _assert_laws_equal(finite_law(k, states, ns), per_block_law(k, states, ns),
+                               "r=%d ns=%r, chunked" % (k.r, ns))
+
+
+def test_finite_law_takes_one_eigh_per_block_dimension(monkeypatch, paulis):
+    """n = 4, 6, 8, 10 have 18 spin blocks of 6 dimensions: 6 stacked eigh calls, not 18."""
+    sx, sy, _ = paulis
+    k = symmetrize_kernel([sx, sy])
+    shapes = []
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    states, ns = [np.array([0.75, 0.25]), np.array([0.6, 0.4])], [4, 6, 8, 10]
+    finite_law(k, states, ns)
+    assert shapes == [(4, 1, 1), (4, 3, 3), (4, 5, 5), (3, 7, 7), (2, 9, 9), (1, 11, 11)]
+    # a cap of 20 entries splits the stack of 3 levels in two and sends larger blocks alone
+    shapes.clear()
+    monkeypatch.setattr(qustat.ustat, "_STACK_ENTRIES", 20)
+    finite_law(k, states, ns)
+    assert shapes == ([(4, 1, 1), (2, 3, 3), (2, 3, 3)] + [(1, 5, 5)] * 4 + [(1, 7, 7)] * 3
+                      + [(1, 9, 9)] * 2 + [(1, 11, 11)])
 
 
 def test_second_moment_identity_for_degenerate_pair_kernel(rho_75, paulis):
