@@ -6,10 +6,12 @@ are printed with 17 significant digits and no command draws random
 numbers (the config seed is only recorded in the manifest), so identical
 configurations reproduce identical bytes.
 
-The config is checked against CONFIG_SCHEMA as JSON Schema draft-07.
-Importing this module loads none of numpy, jsonschema, click or
-hashlib; each is loaded by the function that first uses it, so `main`
-sets `--threads` before numpy loads.
+The config is checked against CONFIG_SCHEMA as JSON Schema draft-07 by
+`_conforms`, which reads the schema dict itself; jsonschema is loaded
+only to word the error of a config that fails, so a valid run never
+loads it.  Importing this module loads none of numpy, jsonschema, click
+or hashlib; each is loaded by the function that first uses it, so
+`main` sets `--threads` before numpy loads.
 
 Exit codes: 1 invalid input, 2 budget exceeded, 3 tolerance violation.
 """
@@ -175,6 +177,42 @@ def main(args=None):
     command.main(args=args)
 
 
+def _conforms(value, schema):
+    """Whether value satisfies schema, CONFIG_SCHEMA or one of its subschemas, as draft-07 reads it.
+
+    Interprets the keywords CONFIG_SCHEMA uses, with jsonschema's draft-07
+    types: a bool is no number, an integral float is an integer.  A value
+    of a type json.load does not make, or a schema type not handled here,
+    conforms to nothing, so jsonschema decides it.
+    """
+    kind, cls = schema.get("type"), type(value)
+    if kind in ("integer", "number"):
+        if cls is not int and cls is not float:
+            return False
+        if kind == "integer" and cls is float and not value.is_integer():
+            return False
+        return not ("minimum" in schema and value < schema["minimum"]
+                    or "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]
+                    or "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"])
+    if kind == "string":
+        return cls is str and ("enum" not in schema or value in schema["enum"])
+    if kind == "array":
+        return (cls is list
+                and schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value))
+                and ("items" not in schema
+                     or all(_conforms(item, schema["items"]) for item in value)))
+    if kind == "object":
+        if cls is not dict:
+            return False
+        properties = schema.get("properties", {})
+        if schema.get("additionalProperties") is False and not value.keys() <= properties.keys():
+            return False
+        return (all(key in value for key in schema.get("required", ()))
+                and all(_conforms(item, properties[key])
+                        for key, item in value.items() if key in properties))
+    return False
+
+
 @functools.lru_cache(maxsize=None)
 def _config_validator():
     """The CONFIG_SCHEMA validator, its schema checked once per process."""
@@ -193,8 +231,6 @@ def _reject_constant(literal):
 
 
 def run(config_path, out_dir):
-    import jsonschema
-
     from .errors import ValidationError
 
     with open(config_path, "r", encoding="utf-8") as fh:
@@ -202,9 +238,13 @@ def run(config_path, out_dir):
             raw = json.load(fh, parse_constant=_reject_constant)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError("config is not valid JSON: %s" % exc) from exc
-    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(raw))
-    if error is not None:
-        raise ValidationError("config rejected: %s" % error.message)
+    # jsonschema words a rejection, and a config it finds no error in runs
+    if not _conforms(raw, CONFIG_SCHEMA):
+        from jsonschema.exceptions import best_match
+
+        error = best_match(_config_validator().iter_errors(raw))
+        if error is not None:
+            raise ValidationError("config rejected: %s" % error.message)
 
     config = dict(DEFAULTS)
     config.update(raw)

@@ -189,10 +189,11 @@ def _checked_probabilities(probs):
 # call follow one another on one level axis as one band stack.
 
 
-def _spin_levels(n, weights):
-    """The levels of the spin blocks of n qubits, block after block, and the weights on them.
+def _spin_levels(n_list, weights):
+    """The levels of the spin blocks of each n of n_list, block after block, and the weights on them.
 
-    Returns (k, i, [m_j pi_j(rho) per level, for each state]).  Block
+    Returns (m, k, i, [m_j pi_j(rho) per level, for each state]), with the
+    levels of n = n_list[m] after those of n_list[m - 1].  Block
     k = 0..floor(n/2) is j = n/2 - k, of n + 1 - 2k levels; its level i is
     the S_z eigenvalue j - i, whose vectors have n - k - i sites in state
     0 and k + i in state 1.  Each state is given as w1 = (lam_0, lam_1),
@@ -201,17 +202,24 @@ def _spin_levels(n, weights):
     range long before n = 1000; m_j is an exact integer, so its log is
     rounded once.
     """
-    log_mult, comb, previous = [], 1, 0
-    for k in range(n // 2 + 1):
-        log_mult.append(math.log(comb - previous))
-        previous, comb = comb, comb * (n - k) // (k + 1)
-    sizes = n + 1 - 2 * np.arange(n // 2 + 1)
-    k = np.repeat(np.arange(n // 2 + 1), sizes)
-    level = np.arange(len(k)) - (np.cumsum(sizes) - sizes)[k]
+    log_mult = []
+    for n in n_list:
+        comb, previous = 1, 0
+        for k in range(n // 2 + 1):
+            log_mult.append(math.log(comb - previous))
+            previous, comb = comb, comb * (n - k) // (k + 1)
+    counts = np.array([n // 2 + 1 for n in n_list])
+    m = np.repeat(np.arange(len(counts)), counts)
+    k = np.arange(len(m)) - np.repeat(np.cumsum(counts) - counts, counts)
+    n = np.asarray(n_list)[m]
+    sizes = n + 1 - 2 * k
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    level = np.arange(len(block)) - (np.cumsum(sizes) - sizes)[block]
+    n, k = n[block], k[block]
     ones = k + level
-    log_mult = np.array(log_mult)[k]
-    return k, level, [np.exp(log_mult + _xlogy(n - ones, w[0]) + _xlogy(ones, w[1]))
-                      for w in weights]
+    log_mult = np.array(log_mult)[block]
+    return m[block], k, level, [np.exp(log_mult + _xlogy(n - ones, w[0]) + _xlogy(ones, w[1]))
+                                for w in weights]
 
 
 def _xlogy(count, lam):
@@ -237,26 +245,26 @@ def _spin_stack(kernel, weights, n_list, budget=None):
     r = kernel.r
     if not len(n_list):
         raise ValidationError("need at least one n")
-    columns, stack_weights, edges = [], [], []
     for n in n_list:
         if n < r:
             raise ValidationError("need n >= r, got n=%d for order %d" % (n, r))
         check_dim_budget(n + 1, budget)
-        k, level, spin_weights = _spin_levels(n, weights)
-        weighed = np.logical_or.reduceat(np.any([w != 0 for w in spin_weights], axis=0),
-                                         np.flatnonzero(level == 0))
-        kept = weighed[k]
-        k, level = k[kept], level[kept]
-        end = edges[-1][-1] if edges else 0
-        edges.append(end + np.append(np.flatnonzero(level == 0), len(k)))
-        columns.append((np.full(len(k), n), k, level,
-                        np.full(len(k), float(math.factorial(r) * binom(n, r)))))
-        stack_weights.append([w[kept] for w in spin_weights])
-    n, k, level, norm = (np.concatenate(c) for c in zip(*columns))
-    eye = _band_identity(r, len(n))
-    bands = _distinct_bands(kernel._plan, _level_factors(n, k, level, r), eye)
+    m, k, level, spin_weights = _spin_levels(n_list, weights)
+    top = level == 0
+    weighed = np.logical_or.reduceat(np.any([w != 0 for w in spin_weights], axis=0),
+                                     np.flatnonzero(top))
+    kept = weighed[np.cumsum(top) - 1]
+    m, k, level = m[kept], k[kept], level[kept]
+    # edges[m]: the kept block starts of n_list[m], then the end of its levels
+    ends = np.searchsorted(m, np.arange(1, len(n_list) + 1))
+    starts = np.flatnonzero(level == 0)
+    edges = [np.append(s, end) for s, end in
+             zip(np.split(starts, np.searchsorted(starts, ends[:-1])), ends)]
+    norm = np.array([float(math.factorial(r) * binom(n, r)) for n in n_list])[m]
+    eye = _band_identity(r, len(m))
+    bands = _distinct_bands(kernel._plan, _level_factors(np.asarray(n_list)[m], k, level, r), eye)
     bands /= norm
-    return bands, [np.concatenate(w) for w in zip(*stack_weights)], edges
+    return bands, [w[kept] for w in spin_weights], edges
 
 
 def _level_factors(n, k, level, r):

@@ -607,9 +607,37 @@ def test_config_schema_is_checked_once_per_process(tmp_path, monkeypatch):
     config = {"command": "decompose", "state": STATE_75, "kernel": {"preset": "sigma-zz"}}
     for name in ("first", "second"):
         run(_write_config(tmp_path, config, name="%s.json" % name), str(tmp_path / name))
+    # a valid config never builds the validator
+    assert checked == []
+    for name, bad in (("bogus", {"command": "bogus"}), ("extra", dict(config, extra=1))):
+        with pytest.raises(ValidationError, match="config rejected"):
+            run(_write_config(tmp_path, bad, name="%s.json" % name), str(tmp_path / name))
     assert len(checked) == 1
-    with pytest.raises(ValidationError, match="config rejected"):
-        run(_write_config(tmp_path, {"command": "bogus"}), str(tmp_path / "bogus"))
+
+
+def test_a_config_jsonschema_accepts_runs_whatever_conforms_says(tmp_path, monkeypatch):
+    import qustat.cli
+
+    monkeypatch.setattr(qustat.cli, "_conforms", lambda value, schema: False)
+    config = {"command": "decompose", "state": STATE_75, "kernel": {"preset": "sigma-zz"}}
+    _, result, _ = _run(tmp_path, config)
+    assert result["c"] == 1
+
+
+def test_a_valid_run_leaves_jsonschema_unloaded(tmp_path):
+    # jsonschema is loaded only to word the error of a rejected config
+    cfg = _write_config(tmp_path, _metrology_config())
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qustat.cli; qustat.cli.run(sys.argv[1], sys.argv[2]); "
+         "print('jsonschema' in sys.modules)", cfg, str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+    assert (tmp_path / "out" / "result.json").exists()
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -702,6 +730,124 @@ def test_rejection_messages_match_draft_2020_12(config):
     pinned = best_match(qustat.cli._config_validator().iter_errors(config))
     assert reference is not None and pinned is not None
     assert pinned.message == reference.message
+
+
+@pytest.mark.parametrize("config", INVALID_CONFIGS)
+def test_run_words_each_rejection_as_jsonschema_does(tmp_path, config):
+    from jsonschema import Draft7Validator
+    from jsonschema.exceptions import best_match
+
+    import qustat.cli
+
+    assert not qustat.cli._conforms(config, qustat.cli.CONFIG_SCHEMA)
+    error = best_match(Draft7Validator(qustat.cli.CONFIG_SCHEMA).iter_errors(config))
+    with pytest.raises(ValidationError) as exc:
+        run(_write_config(tmp_path, config), str(tmp_path / "out"))
+    assert str(exc.value) == "config rejected: " + error.message
+    assert not (tmp_path / "out").exists()
+
+
+# The keywords `cli._conforms` reads, by the type of the subschema.
+_CONFORMS_KEYWORDS = {
+    "integer": {"minimum", "exclusiveMinimum", "exclusiveMaximum"},
+    "number": {"minimum", "exclusiveMinimum", "exclusiveMaximum"},
+    "string": {"enum"},
+    "array": {"items", "minItems", "maxItems"},
+    "object": {"properties", "additionalProperties", "required"},
+}
+
+
+def test_conforms_reads_every_keyword_of_the_config_schema():
+    import qustat.cli
+
+    def walk(schema):
+        assert schema["type"] in _CONFORMS_KEYWORDS, schema
+        assert set(schema) - {"type"} <= _CONFORMS_KEYWORDS[schema["type"]], schema
+        assert schema.get("additionalProperties", False) is False
+        for bound in ("minimum", "exclusiveMinimum", "exclusiveMaximum"):
+            assert type(schema.get(bound, 0)) in (int, float)
+        if "items" in schema:
+            walk(schema["items"])
+        for sub in schema.get("properties", {}).values():
+            walk(sub)
+
+    schema = dict(qustat.cli.CONFIG_SCHEMA)
+    assert schema.pop("$schema") == "http://json-schema.org/draft-07/schema#"
+    walk(schema)
+
+
+_CORPUS_BASES = [
+    _VALID,
+    {"command": "test-sim", "state": {"eigenvalues": [0.74, 0.26]},
+     "alternative": {"eigenvalues": [0.59, 0.41]}, "alpha": 0.05, "n_list": [4, 6, 8, 10],
+     "mc_replicates": 10 ** 4, "limit_draws": 10 ** 6, "seed": 7, "interval": [-1.5, 2.5]},
+    {"command": "metrology",
+     "state": {"matrix": {"dim": 2, "re": [[0.5, 0.5], [0.5, 0.5]], "im": [[0, 0], [0, 0]]}},
+     "kernel": {"d": 2, "r": 2, "matrix": {
+         "dim": 4,
+         "re": [[0, 0.5, 0.5, 0], [0.5, 0, 0, -0.5], [0.5, 0, 0, -0.5], [0, -0.5, -0.5, 0]],
+         "im": [[0.0] * 4] * 4}},
+     "n_list": [4, 6, 8, 10], "t": 1.0, "g1": 0.5, "g2": 0.0, "seed": 3, "dim_budget": 4096},
+    {"command": "moments", "state": {"eigenvalues": [0.7, 0.3], "rotation": _MATRIX_2},
+     "kernel": {"preset": "homogeneity", "d": 2}, "n_list": [3], "p_list": [2],
+     "scaling": {"mode": "power", "exponent": 2}},
+    {"command": "hermite-check", "max_order": 4, "sigma_sq_list": [0.75, 2.0],
+     "hermite_tol": 1e-8},
+]
+_MUTANTS = [True, False, None, 0, 1, -1, 2, 4, 4.0, 4.5, -0.0, 0.05, 1e308, -1e308,
+            "x", "4", "pauli-xy", "power", [], [1], [0.5, 0.5], [[1.0]], {}, {"mode": "order2"}]
+
+
+def _mutate(rng, config):
+    """config with one node replaced, removed, grown or emptied; config itself is kept."""
+    config = json.loads(json.dumps(config))
+    slots = [(None, None)]
+    stack = [config] if isinstance(config, (dict, list)) else []
+    while stack:
+        node = stack.pop()
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    parent, key = rng.choice(slots)
+    if parent is None:
+        return rng.choice(_MUTANTS)
+    value, action = parent[key], rng.randrange(4)
+    if action == 0:
+        parent[key] = rng.choice(_MUTANTS)
+    elif action == 1 and isinstance(parent, dict):
+        del parent[key]
+    elif action == 1:
+        parent.append(value)
+    elif action == 2 and isinstance(value, (dict, list)):
+        value.clear()
+    elif action == 2 and isinstance(parent, dict):
+        name = rng.choice(sorted(qustat.cli.CONFIG_SCHEMA["properties"]) + ["extra"])
+        parent[name] = rng.choice(_MUTANTS)
+    else:
+        parent[key] = rng.choice([value, rng.choice(_MUTANTS)])
+    return config
+
+
+def test_conforms_agrees_with_draft_07_on_mutated_configs():
+    import random
+
+    from jsonschema import Draft7Validator
+
+    import qustat.cli
+
+    validator = Draft7Validator(qustat.cli.CONFIG_SCHEMA)
+    rng = random.Random(2024)
+    verdicts = []
+    for i in range(6000):
+        config = _CORPUS_BASES[i % len(_CORPUS_BASES)]
+        for _ in range(rng.randrange(4)):
+            config = _mutate(rng, config)
+        valid = validator.is_valid(config)
+        assert qustat.cli._conforms(config, qustat.cli.CONFIG_SCHEMA) is valid, config
+        verdicts.append(valid)
+    assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
 
 
 def test_package_names_resolve_lazily():

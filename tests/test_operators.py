@@ -258,7 +258,7 @@ def test_ladder_matches_dense_ladder_matrices():
     # the spin blocks j = 2, 1, 0 of n = 4 qubits, one after the other on
     # 9 levels: the band of a block-diagonal M reaches across the edges at
     # levels 5 and 8, and S_+- must not carry it into another block
-    k, level, _ = _spin_levels(4, [])
+    _, k, level, _ = _spin_levels([4], [])
     _, _, spin = _level_factors(np.full(len(k), 4), k, level, width)
     size = 5 - 2 * k
     s_plus = np.diag(np.sqrt(level[1:] * (size[1:] - level[1:])), 1)

@@ -236,7 +236,7 @@ def test_distinct_plan_gives_the_bits_of_the_tensor_recursion(paulis):
 def test_spin_block_weights_stay_finite_at_large_n():
     # C(1100, 550) overflows a double, and 0.25^1100 underflows one
     for w1 in ([0.75, 0.25], [1.0, 0.0]):
-        _, _, (weights,) = _spin_levels(1100, [np.array(w1)])
+        *_, (weights,) = _spin_levels([1100], [np.array(w1)])
         # blocks of 1101, 1099, .., 1 levels, one after another
         assert weights.shape == (551 * 551,)
         assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
@@ -267,7 +267,7 @@ def test_zero_and_identity_kernels_give_exact_zero_moments(rho_75):
     for n, (atoms, (probs,)) in zip(ns, finite_law(zero, [weights], ns)):
         assert len(atoms) == len(probs) == (n // 2 + 1) * (n + 1 - n // 2)
         assert not np.any(atoms)
-        np.testing.assert_allclose(probs, _spin_levels(n, [weights])[2][0], rtol=1e-14)
+        np.testing.assert_allclose(probs, _spin_levels([n], [weights])[3][0], rtol=1e-14)
 
 
 def test_p4_moment_peaks_under_seven_band_arrays(rho_75, paulis):
