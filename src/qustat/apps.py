@@ -35,11 +35,12 @@ from .hoeffding import kernel_components
 from .operators import (
     DensityMatrix,
     Kernel,
+    _pauli_pair_probes,
     binom,
     eigenframe,
     hermitize,
 )
-from .ustat import PROB_DEFICIT_TOL, finite_law
+from .ustat import _STACK_ENTRIES, PROB_DEFICIT_TOL, finite_law
 
 # The exact limit law drops its least likely joint oscillator atoms up to
 # _DROPPED_MASS and leaves at most _RUBEN_REMAINDER of the Ruben series
@@ -49,16 +50,6 @@ _DROPPED_MASS = 0.1 * PROB_DEFICIT_TOL
 _RUBEN_REMAINDER = 0.1 * PROB_DEFICIT_TOL
 _MAX_RUBEN_TERMS = 10_000
 _ROOT_RTOL = 1e-12
-
-
-def _pauli_pair_probes(d, j, k):
-    """The two selfadjoint probes of the (j, k) off-diagonal, 0-based."""
-    sym = np.zeros((d, d), dtype=complex)
-    sym[j, k] = sym[k, j] = 1.0
-    skew = np.zeros((d, d), dtype=complex)
-    skew[j, k] = 1.0j
-    skew[k, j] = -1.0j
-    return sym, skew
 
 
 def goodness_kernel(rho):
@@ -316,7 +307,7 @@ def _law_cdf(atoms, probs, mu):
     w = np.concatenate([np.full(k // 2, tails[0]), tails[1:]])
     powers = 0.5 * (k % 2) + np.arange(len(w))
     log_gamma = np.array([math.lgamma(a + 1.0) for a in powers])
-    chunk = max(1, 2 ** 20 // max(1, len(w)))
+    chunk = max(1, _STACK_ENTRIES // max(1, len(w)))
 
     def cdf(x):
         below = np.searchsorted(atoms, x)

@@ -41,6 +41,7 @@ from .operators import (
     _covariance_parts,
     _densify,
     _ladder,
+    _pauli_pair_probes,
     binom,
     frobenius,
     rotate_sites,
@@ -129,19 +130,15 @@ def build_ccr_basis(rho):
     for j, k in itertools.combinations(range(d), 2):
         delta = mu[j] - mu[k]
         norm = math.sqrt(2.0 * delta)
-        sym = np.zeros((d, d), dtype=complex)
-        sym[j, k] = sym[k, j] = 1.0 / norm
-        skew = np.zeros((d, d), dtype=complex)
-        skew[j, k] = 1.0j / norm
-        skew[k, j] = -1.0j / norm
+        sym, skew = _pauli_pair_probes(d, j, k)
         # Pair roles are assigned so the symplectic form of (q, p) is
         # +1/2, matching [Q, P] = +i for the Fock quadratures.
         pairs.append(
             OscillatorPair(
                 j=j + 1,
                 k=k + 1,
-                q_gen=sym,
-                p_gen=skew,
+                q_gen=sym / norm,
+                p_gen=skew / norm,
                 sigma_sq=(mu[j] + mu[k]) / (2.0 * delta),
             )
         )

@@ -1,13 +1,17 @@
 """Command line front end.
 
 Runs one experiment described by a JSON config and writes a manifest,
-a result document and CSV tables into the output directory.  All floats
-are printed with 17 significant digits and no command draws random
-numbers (the config seed is only recorded in the manifest), so identical
-configurations reproduce identical bytes.
+a result document and CSV tables into the output directory.  A table's
+rows are the result document's records, with test-sim's interval ends
+and metrology's abs_gap added; hermite-check tabulates the residual grid
+whose largest entry its document reports.  All floats are printed with
+17 significant digits and no command draws random numbers (the config
+seed is only recorded in the manifest), so identical configurations
+reproduce identical bytes.
 
 The config is checked against CONFIG_SCHEMA as JSON Schema draft-07 by
-`_conforms`, which reads the schema dict itself; jsonschema is loaded
+`_conforms`, which reads the schema dict itself and turns an integral
+float into an int wherever the schema says integer; jsonschema is loaded
 only to word the error of a config that fails, so a valid run never
 loads it.  Importing this module loads none of numpy, jsonschema, click
 or hashlib; each is loaded by the function that first uses it, so
@@ -178,39 +182,46 @@ def main(args=None):
 
 
 def _conforms(value, schema):
-    """Whether value satisfies schema, CONFIG_SCHEMA or one of its subschemas, as draft-07 reads it.
+    """value as draft-07 reads it under schema, or None if it does not conform.
 
-    Interprets the keywords CONFIG_SCHEMA uses, with jsonschema's draft-07
-    types: a bool is no number, an integral float is an integer.  A value
-    of a type json.load does not make, or a schema type not handled here,
-    conforms to nothing, so jsonschema decides it.
+    schema is CONFIG_SCHEMA or one of its subschemas.  Interprets the
+    keywords CONFIG_SCHEMA uses, with jsonschema's draft-07 types: a bool
+    is no number, and an integral float is an integer, returned as an int
+    where the schema says integer.  A value of a type json.load does not
+    make, or a schema type not handled here, conforms to nothing, so
+    jsonschema decides it.
     """
     kind, cls = schema.get("type"), type(value)
     if kind in ("integer", "number"):
         if cls is not int and cls is not float:
-            return False
-        if kind == "integer" and cls is float and not value.is_integer():
-            return False
-        return not ("minimum" in schema and value < schema["minimum"]
-                    or "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]
-                    or "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"])
+            return None
+        if kind == "integer" and cls is float:
+            if not value.is_integer():
+                return None
+            value = int(value)
+        if ("minimum" in schema and value < schema["minimum"]
+                or "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]
+                or "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]):
+            return None
+        return value
     if kind == "string":
-        return cls is str and ("enum" not in schema or value in schema["enum"])
+        return value if cls is str and ("enum" not in schema or value in schema["enum"]) else None
     if kind == "array":
-        return (cls is list
-                and schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value))
-                and ("items" not in schema
-                     or all(_conforms(item, schema["items"]) for item in value)))
+        if cls is not list or not (schema.get("minItems", 0) <= len(value)
+                                   <= schema.get("maxItems", len(value))):
+            return None
+        items = [_conforms(item, schema["items"]) for item in value] if "items" in schema else value
+        return None if any(item is None for item in items) else items
     if kind == "object":
-        if cls is not dict:
-            return False
+        if cls is not dict or not all(key in value for key in schema.get("required", ())):
+            return None
         properties = schema.get("properties", {})
         if schema.get("additionalProperties") is False and not value.keys() <= properties.keys():
-            return False
-        return (all(key in value for key in schema.get("required", ()))
-                and all(_conforms(item, properties[key])
-                        for key, item in value.items() if key in properties))
-    return False
+            return None
+        out = {key: _conforms(item, properties[key]) if key in properties else item
+               for key, item in value.items()}
+        return None if any(item is None for item in out.values()) else out
+    return None
 
 
 @functools.lru_cache(maxsize=None)
@@ -239,38 +250,20 @@ def run(config_path, out_dir):
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError("config is not valid JSON: %s" % exc) from exc
     # jsonschema words a rejection, and a config it finds no error in runs
-    if not _conforms(raw, CONFIG_SCHEMA):
+    checked = _conforms(raw, CONFIG_SCHEMA)
+    if checked is None:
         from jsonschema.exceptions import best_match
 
         error = best_match(_config_validator().iter_errors(raw))
         if error is not None:
             raise ValidationError("config rejected: %s" % error.message)
+        checked = raw
 
     config = dict(DEFAULTS)
-    config.update(raw)
+    config.update(checked)
 
-    result, tables = _dispatch(config)
+    result, tables = _HANDLERS[config["command"]](config)
     _write_outputs(config, result, tables, out_dir)
-
-
-def _dispatch(config):
-    from .errors import ValidationError
-
-    command = config["command"]
-    handlers = {
-        "decompose": _cmd_decompose,
-        "moments": _cmd_moments,
-        "limit": _cmd_limit,
-        "convergence": _cmd_convergence,
-        "test-sim": _cmd_test_sim,
-        "metrology": _cmd_metrology,
-        "hermite-check": _cmd_hermite_check,
-    }
-    try:
-        handler = handlers[command]
-    except KeyError:
-        raise ValidationError("unknown command %r" % command)
-    return handler(config)
 
 
 def _require(config, *fields):
@@ -378,15 +371,11 @@ def _cmd_decompose(config):
     _require(config, "state", "kernel")
     state = _load_state(config["state"])
     kernel = _load_kernel(config["kernel"], state)
-    report = kernel_components(kernel, state)
-    rows = [
-        {"l": comp.l, "norm_sq": comp.norm_sq}
-        for comp in report.components
-    ]
-    return report.to_json(), {"components": (["l", "norm_sq"], rows)}
+    result = kernel_components(kernel, state).to_json()
+    return result, {"components": (["l", "norm_sq"], result["components"])}
 
 
-def _limit_setup(config, state, kernel):
+def _limit_setup(state, kernel):
     from .ccr import build_ccr_basis, kernel_to_limit
     from .hoeffding import kernel_components
 
@@ -415,7 +404,7 @@ def _moments(config, variance=False):
     _require(config, "state", "kernel", "n_list", "p_list")
     state = _load_state(config["state"])
     kernel = _load_kernel(config["kernel"], state)
-    report, basis, limit = _limit_setup(config, state, kernel)
+    report, basis, limit = _limit_setup(state, kernel)
     exponent, factor_fn = _scaling(config, report)
     budget = config.get("dim_budget")
     ps = sorted(set(config["p_list"]))
@@ -456,7 +445,7 @@ def _cmd_limit(config):
     _require(config, "state", "kernel", "p_list")
     state = _load_state(config["state"])
     kernel = _load_kernel(config["kernel"], state)
-    report, basis, limit = _limit_setup(config, state, kernel)
+    report, basis, limit = _limit_setup(state, kernel)
     moments = []
     for p in sorted(set(config["p_list"])):
         routes = _route_moments(
@@ -524,18 +513,7 @@ def _cmd_test_sim(config):
         res.to_json()
         for res in run_test(spec, alternative=alternative, budget=config.get("dim_budget"))
     ]
-    rows = [
-        {
-            "n": r["n"],
-            "alpha_hat": r["alpha_hat"],
-            "alpha_se": r["alpha_se"],
-            "beta_hat": float("nan") if r["beta_hat"] is None else r["beta_hat"],
-            "beta_se": float("nan") if r["beta_se"] is None else r["beta_se"],
-            "interval_lo": r["interval"][0],
-            "interval_hi": r["interval"][1],
-        }
-        for r in results
-    ]
+    rows = [dict(r, interval_lo=r["interval"][0], interval_hi=r["interval"][1]) for r in results]
     header = ["n", "alpha_hat", "alpha_se", "beta_hat", "beta_se",
               "interval_lo", "interval_hi"]
     result = results[0] if len(results) == 1 else {"results": results}
@@ -548,21 +526,13 @@ def _cmd_metrology(config):
     _require(config, "state", "kernel", "n_list", "t", "g1", "g2")
     state = _load_state(config["state"])
     kernel = _load_kernel(config["kernel"], state)
-    rows = []
-    results = []
-    for res in metrology_overlap(
+    overlaps = metrology_overlap(
         kernel, state, config["t"], config["g1"], config["g2"],
         sorted(set(config["n_list"])), budget=config.get("dim_budget"),
-    ):
-        doc = res.to_json()
-        results.append(doc)
-        rows.append({
-            "n": doc["n"],
-            "overlap_re": doc["overlap_re"],
-            "overlap_im": doc["overlap_im"],
-            "limit": doc["limit"],
-            "abs_gap": abs(res.overlap - res.limit),
-        })
+    )
+    results = [res.to_json() for res in overlaps]
+    rows = [dict(doc, abs_gap=abs(res.overlap - res.limit))
+            for res, doc in zip(overlaps, results)]
     header = ["n", "overlap_re", "overlap_im", "limit", "abs_gap"]
     result = results[0] if len(results) == 1 else {"results": results}
     return result, {"metrology": (header, rows)}
@@ -598,10 +568,16 @@ def _cmd_hermite_check(config):
     return result, {"hermite": (header, rows)}
 
 
-def _canonical_config(config):
-    from .serialize import dump_json
-
-    return dump_json(config, indent=0)
+# CONFIG_SCHEMA admits exactly these commands
+_HANDLERS = {
+    "decompose": _cmd_decompose,
+    "moments": _cmd_moments,
+    "limit": _cmd_limit,
+    "convergence": _cmd_convergence,
+    "test-sim": _cmd_test_sim,
+    "metrology": _cmd_metrology,
+    "hermite-check": _cmd_hermite_check,
+}
 
 
 def _write_outputs(config, result, tables, out_dir):
@@ -614,10 +590,10 @@ def _write_outputs(config, result, tables, out_dir):
 
     # every text is formed before any file is touched, so a run that fails
     # to serialize leaves the previous run's outputs as they were
-    canonical = _canonical_config(config)
+    canonical = dump_json(config, indent=0).encode("utf-8")
     manifest = {
         "command": config["command"],
-        "config_sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+        "config_sha256": hashlib.sha256(canonical).hexdigest(),
         "seed": config["seed"],
         "versions": {
             "python": "%d.%d.%d" % sys.version_info[:3],

@@ -27,6 +27,7 @@ from .operators import (
     Kernel,
     SiteSubset,
     _embedded_add,
+    _site_subset,
     binom,
     check_dim_budget,
     hermitize,
@@ -36,16 +37,6 @@ from .operators import (
 # A component counts as vanishing when its Frobenius norm falls below
 # this fraction of the kernel's norm.
 DEGENERACY_RTOL = 1e-9
-
-
-def _normalize_subset(subset, n):
-    if isinstance(subset, SiteSubset):
-        if subset.n != n:
-            raise ValidationError(
-                "subset is over %d sites but the operator has %d" % (subset.n, n)
-            )
-        return subset
-    return SiteSubset(n, tuple(subset))
 
 
 def _reduce_to_sites(matrix, n, d, keep, rho):
@@ -73,7 +64,7 @@ def cond_expectation(op, subset, rho, budget=None):
     matrix = op.entries if isinstance(op, HermitianOperator) else np.asarray(op, dtype=complex)
     d = rho.d
     n = _infer_sites(matrix.shape[0], d)
-    subset = _normalize_subset(subset, n)
+    subset = _site_subset(subset, n)
     check_dim_budget(d ** n, budget)
     keep = list(subset.zero_based)
     reduced = _reduce_to_sites(matrix, n, d, keep, rho)
@@ -90,7 +81,7 @@ def hoeffding_project(op, subset, rho, budget=None):
     matrix = op.entries if isinstance(op, HermitianOperator) else np.asarray(op, dtype=complex)
     d = rho.d
     n = _infer_sites(matrix.shape[0], d)
-    subset = _normalize_subset(subset, n)
+    subset = _site_subset(subset, n)
     acc = np.zeros((d ** n, d ** n), dtype=complex)
     a = subset.indices
     for size in range(len(a) + 1):

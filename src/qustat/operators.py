@@ -8,6 +8,7 @@ row-major multi-index order, so site 1 is the slowest index.  Sites are
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -322,14 +323,18 @@ def rotate_sites(matrix, n, d, u):
     return np.ascontiguousarray(t).reshape(d ** n, d ** n)
 
 
+def _site_subset(beta, n):
+    """beta, a SiteSubset or 1-based site indices, as a SiteSubset of n sites."""
+    if not isinstance(beta, SiteSubset):
+        return SiteSubset(n, tuple(beta))
+    if beta.n != n:
+        raise ValidationError("subset is over %d sites but the operator has %d" % (beta.n, n))
+    return beta
+
+
 def embed(kernel, beta, n, budget=None):
     """Embed a kernel on the sites beta of an n-fold product, identity elsewhere."""
-    if isinstance(beta, SiteSubset):
-        subset = beta
-        if subset.n != n:
-            raise ValidationError("subset is over %d sites, embed target has %d" % (subset.n, n))
-    else:
-        subset = SiteSubset(n, tuple(beta))
+    subset = _site_subset(beta, n)
     if subset.size != kernel.r:
         raise ValidationError(
             "kernel has order %d but subset has %d sites" % (kernel.r, subset.size)
@@ -341,22 +346,30 @@ def embed(kernel, beta, n, budget=None):
     return HermitianOperator(d ** n, out)
 
 
-def symmetrize(ops):
-    """Average of products of the given operators over all orderings."""
+def _ordered_mean(ops, product, name):
+    """(mean over all orderings of the d x d ops of their product, d).
+
+    Each ordering's product is folded left to right by `product`, and
+    the products are summed in the order of itertools.permutations onto
+    a zero array, so every bit, the sign of a zero included, is fixed.
+    """
     mats = [op.entries if isinstance(op, HermitianOperator) else np.asarray(op, dtype=complex)
             for op in ops]
     if not mats:
-        raise ValidationError("symmetrize needs at least one operator")
-    dim = mats[0].shape[0]
-    acc = np.zeros((dim, dim), dtype=complex)
-    count = 0
-    for order in itertools.permutations(range(len(mats))):
-        prod = mats[order[0]]
-        for k in order[1:]:
-            prod = prod @ mats[k]
-        acc += prod
-        count += 1
-    return hermitize(acc / count)
+        raise ValidationError("%s needs at least one operator" % name)
+    d = mats[0].shape[0]
+    for m in mats:
+        if m.shape != (d, d):
+            raise ValidationError("all factors must be %d x %d" % (d, d))
+    acc = np.zeros((), dtype=complex)
+    for order in itertools.permutations(mats):
+        acc = acc + functools.reduce(product, order)
+    return hermitize(acc / math.factorial(len(mats))), d
+
+
+def symmetrize(ops):
+    """Average of products of the given operators over all orderings."""
+    return _ordered_mean(ops, operator.matmul, "symmetrize")[0]
 
 
 def symmetrize_kernel(ops):
@@ -364,24 +377,8 @@ def symmetrize_kernel(ops):
 
     Returns a Kernel of order len(ops) on sites of the first operator's size.
     """
-    mats = [op.entries if isinstance(op, HermitianOperator) else np.asarray(op, dtype=complex)
-            for op in ops]
-    if not mats:
-        raise ValidationError("symmetrize_kernel needs at least one operator")
-    d = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (d, d):
-            raise ValidationError("all factors must be %d x %d" % (d, d))
-    r = len(mats)
-    acc = np.zeros((d ** r, d ** r), dtype=complex)
-    count = 0
-    for order in itertools.permutations(range(r)):
-        prod = mats[order[0]]
-        for k in order[1:]:
-            prod = np.kron(prod, mats[k])
-        acc += prod
-        count += 1
-    return Kernel(d, r, hermitize(acc / count))
+    mean, d = _ordered_mean(ops, np.kron, "symmetrize_kernel")
+    return Kernel(d, len(ops), mean)
 
 
 def state_covariance(a, b, rho):
@@ -433,6 +430,16 @@ def tensor_weights(w, n):
     for _ in range(n):
         out = np.multiply.outer(out, w).reshape(-1)
     return out
+
+
+def _pauli_pair_probes(d, j, k):
+    """The two selfadjoint probes of the (j, k) off-diagonal, 0-based."""
+    sym = np.zeros((d, d), dtype=complex)
+    sym[j, k] = sym[k, j] = 1.0
+    skew = np.zeros((d, d), dtype=complex)
+    skew[j, k] = 1.0j
+    skew[k, j] = -1.0j
+    return sym, skew
 
 
 def _band_identity(width, levels):

@@ -13,7 +13,7 @@ import pytest
 import qustat
 from qustat import ValidationError, symmetrize_kernel
 from qustat.cli import main, run
-from qustat.serialize import matrix_to_json
+from qustat.serialize import format_float, matrix_to_json
 
 STATE_75 = {"eigenvalues": [0.75, 0.25]}
 # The CLI subprocess imports the same qustat package as the tests.
@@ -618,7 +618,7 @@ def test_config_schema_is_checked_once_per_process(tmp_path, monkeypatch):
 def test_a_config_jsonschema_accepts_runs_whatever_conforms_says(tmp_path, monkeypatch):
     import qustat.cli
 
-    monkeypatch.setattr(qustat.cli, "_conforms", lambda value, schema: False)
+    monkeypatch.setattr(qustat.cli, "_conforms", lambda value, schema: None)
     config = {"command": "decompose", "state": STATE_75, "kernel": {"preset": "sigma-zz"}}
     _, result, _ = _run(tmp_path, config)
     assert result["c"] == 1
@@ -739,7 +739,7 @@ def test_run_words_each_rejection_as_jsonschema_does(tmp_path, config):
 
     import qustat.cli
 
-    assert not qustat.cli._conforms(config, qustat.cli.CONFIG_SCHEMA)
+    assert qustat.cli._conforms(config, qustat.cli.CONFIG_SCHEMA) is None
     error = best_match(Draft7Validator(qustat.cli.CONFIG_SCHEMA).iter_errors(config))
     with pytest.raises(ValidationError) as exc:
         run(_write_config(tmp_path, config), str(tmp_path / "out"))
@@ -845,9 +845,102 @@ def test_conforms_agrees_with_draft_07_on_mutated_configs():
         for _ in range(rng.randrange(4)):
             config = _mutate(rng, config)
         valid = validator.is_valid(config)
-        assert qustat.cli._conforms(config, qustat.cli.CONFIG_SCHEMA) is valid, config
+        checked = qustat.cli._conforms(config, qustat.cli.CONFIG_SCHEMA)
+        assert (checked is not None) is valid, config
+        assert checked is None or checked == config
         verdicts.append(valid)
     assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
+
+
+def test_conforms_turns_integral_floats_into_ints_only_where_the_schema_says_integer():
+    import qustat.cli
+
+    config = {"command": "metrology", "n_list": [4.0, 6], "t": 2.0, "seed": 3.0,
+              "kernel": {"preset": "homogeneity", "d": 2.0}}
+    checked = qustat.cli._conforms(config, qustat.cli.CONFIG_SCHEMA)
+    assert checked == config
+    assert [type(n) for n in checked["n_list"]] == [int, int]
+    assert type(checked["seed"]) is int and type(checked["kernel"]["d"]) is int
+    assert type(checked["t"]) is float
+    # the config read from the file is left as it was
+    assert type(config["n_list"][0]) is float and type(config["kernel"]["d"]) is float
+
+
+_HOMOGENEITY_STATE = {"eigenvalues": [0.3, 0.25, 0.25, 0.2]}
+
+
+@pytest.mark.parametrize("config, twin", [
+    ({"command": "moments", "state": STATE_75, "kernel": {"preset": "pauli-xy"},
+      "n_list": [4.0], "p_list": [2]}, {"n_list": [4]}),
+    ({"command": "moments", "state": STATE_75, "kernel": {"preset": "pauli-xy"},
+      "n_list": [4], "p_list": [2.0]}, {"p_list": [2]}),
+    ({"command": "hermite-check", "max_order": 2.0}, {"max_order": 2}),
+    ({"command": "decompose", "state": _HOMOGENEITY_STATE,
+      "kernel": {"preset": "homogeneity", "d": 2.0}}, {"kernel": {"preset": "homogeneity", "d": 2}}),
+    ({"command": "test-sim", "state": STATE_75, "alpha": 0.05, "n_list": [4.0]}, {"n_list": [4]}),
+], ids=["moments-n", "moments-p", "hermite-check", "decompose", "test-sim"])
+def test_an_integral_float_count_runs_as_its_integer_twin(tmp_path, config, twin):
+    trees = []
+    for name, cfg in (("float", config), ("int", dict(config, **twin))):
+        out = tmp_path / name
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", _write_config(tmp_path, cfg, name + ".json"), "--out-dir", str(out)])
+        assert exc.value.code == 0
+        trees.append(_tree_bytes(out))
+    assert trees[0] == trees[1]
+
+
+def _table(out, name):
+    """The rows of tables/<name>.csv as {column: cell text}."""
+    header, *lines = (out / "tables" / (name + ".csv")).read_text(encoding="utf-8").splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+def _assert_row_is_record(row, record, derived=()):
+    """Each cell is format_float of the record's value, nan for a null; derived columns aside."""
+    for column, cell in row.items():
+        if column not in derived:
+            value = record[column]
+            assert cell == ("nan" if value is None else format_float(value)), column
+
+
+@pytest.mark.parametrize("alternative", [None, {"eigenvalues": [0.6, 0.4]}])
+def test_test_sim_table_rows_are_its_result_records(tmp_path, alternative):
+    config = {"command": "test-sim", "state": STATE_75, "alpha": 0.05, "n_list": [4, 6]}
+    if alternative is not None:
+        config["alternative"] = alternative
+    out, result, _ = _run(tmp_path, config)
+    rows, records = _table(out, "test"), result["results"]
+    assert len(rows) == len(records) == 2
+    for row, record in zip(rows, records):
+        _assert_row_is_record(row, record, derived={"interval_lo", "interval_hi"})
+        assert [row["interval_lo"], row["interval_hi"]] == [format_float(x) for x in record["interval"]]
+        assert (record["beta_hat"] is None) is (alternative is None)
+
+
+def test_metrology_table_rows_are_its_result_records(tmp_path):
+    # S[sz sx] + sz sz on |+> has overlaps off the real axis
+    sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    matrix = symmetrize_kernel([sz, sx]).op.entries + np.kron(sz, sz)
+    kernel = {"matrix": matrix_to_json(matrix), "d": 2, "r": 2}
+    out, result, _ = _run(tmp_path, _metrology_config(kernel=kernel, n_list=[4, 6]))
+    rows, records = _table(out, "metrology"), result["results"]
+    assert len(rows) == len(records) == 2
+    for row, record in zip(rows, records):
+        _assert_row_is_record(row, record, derived={"abs_gap"})
+        overlap = complex(record["overlap_re"], record["overlap_im"])
+        assert abs(overlap.imag) > 1e-3
+        assert row["abs_gap"] == format_float(abs(overlap - record["limit"]))
+
+
+def test_decompose_table_rows_are_its_result_records(tmp_path):
+    config = {"command": "decompose", "state": _HOMOGENEITY_STATE,
+              "kernel": {"preset": "homogeneity", "d": 2}}
+    out, result, _ = _run(tmp_path, config)
+    rows, records = _table(out, "components"), result["components"]
+    assert len(rows) == len(records) == 3
+    for row, record in zip(rows, records):
+        _assert_row_is_record(row, record)
 
 
 def test_package_names_resolve_lazily():
