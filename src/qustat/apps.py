@@ -37,7 +37,6 @@ from .operators import (
     Kernel,
     _pauli_pair_probes,
     binom,
-    eigenframe,
     hermitize,
 )
 from .ustat import _STACK_ENTRIES, PROB_DEFICIT_TOL, finite_law
@@ -449,10 +448,11 @@ def metrology_overlap(kernel, rho0, t, g1, g2, n_list, budget=None):
     scale it by t (g1 - g2) n^{1/2 - r}.  Requires a pure reference with
     vanishing kernel mean and a non-degenerate first component; these
     checks, the Gaussian limit exp(-t^2 (g1-g2)^2 xi_1 / (2 ((r-1)!)^2))
-    and the kernel in the reference's eigenframe are formed once per call.
-    Returns one OverlapResult per n, in n_list order, with the exact
-    overlap read from one `finite_law` call (one spin block per n for
-    qubits).
+    and the kernel in the reference's eigenframe (rotated by
+    `DensityMatrix.frame` unless that is None) are formed once per call;
+    in that frame the reference is the first basis vector.  Returns one
+    OverlapResult per n, in n_list order, with the exact overlap read
+    from one `finite_law` call (one spin block per n for qubits).
     """
     vals = rho0.eigenvalues
     if abs(vals[0] - 1.0) > 1e-10:
@@ -468,11 +468,11 @@ def metrology_overlap(kernel, rho0, t, g1, g2, n_list, budget=None):
     limit = math.exp(-(t * dg) ** 2 * xi1 / (2.0 * math.factorial(r - 1) ** 2))
     if t == 0.0 or dg == 0.0:
         return [OverlapResult(n=n, overlap=1.0 + 0.0j, limit=1.0) for n in n_list]
-    # In its eigenframe the reference is the basis vector of its largest
-    # weight; exact 0/1 weights keep every other block out.
-    w1, u = eigenframe(rho0)
+    # In its eigenframe the reference is the first basis vector, of the
+    # largest eigenvalue; exact 0/1 weights keep every other block out.
+    u = rho0.frame
     k = kernel if u is None else kernel.rotated(u)
-    reference = [np.eye(len(w1))[np.argmax(w1)]]
+    reference = [np.eye(rho0.d)[0]]
     results = []
     for n, (atoms, (probs,)) in zip(n_list, finite_law(k, reference, n_list, budget)):
         phases = np.exp(1j * t * dg * float(n) ** (0.5 - r) * binom(n, r) * atoms)

@@ -81,8 +81,6 @@ class Symbol:
 class OscillatorPair:
     j: int  # 1-based indices into the decreasing spectrum, j < k
     k: int
-    q_gen: np.ndarray = field(repr=False)
-    p_gen: np.ndarray = field(repr=False)
     sigma_sq: float
 
 
@@ -91,13 +89,15 @@ class CCRBasis:
     """Centered generator basis of one-site observables for a fixed state.
 
     All matrices are expressed in the frame where the state is diagonal
-    with decreasing eigenvalues; `rotation` maps that frame back to the
-    computational basis (columns are eigenvectors).
+    with decreasing eigenvalues.  `rotation` is the state's
+    `DensityMatrix.frame`: the matrix whose columns are the eigenvectors,
+    mapping that frame back to the computational basis, or None where it
+    is exactly the identity.
     """
 
     d: int
     eigenvalues: np.ndarray = field(repr=False)
-    rotation: np.ndarray = field(repr=False)
+    rotation: object = field(repr=False)  # np.ndarray or None
     classical_cov: np.ndarray = field(repr=False)
     oscillator_pairs: tuple
     symbols: tuple  # normalized variables (classical then q, p per pair)
@@ -107,17 +107,12 @@ class CCRBasis:
     def n_symbols(self):
         return len(self.symbols)
 
-    @property
-    def rotation_is_identity(self):
-        return bool(np.array_equal(self.rotation, np.eye(self.d)))
-
 
 def build_ccr_basis(rho):
     """Construct the limit-variable basis for a faithful non-degenerate state."""
     rho.require_positive()
     d = rho.d
     mu = np.asarray(rho.eigenvalues, dtype=float)
-    u = np.asarray(rho.eigenvectors, dtype=complex)
 
     classical = []
     for i in range(d - 1):
@@ -125,23 +120,6 @@ def build_ccr_basis(rho):
         g[i, i] += 1.0
         classical.append(g)
     cov = np.diag(mu[: d - 1]) - np.outer(mu[: d - 1], mu[: d - 1])
-
-    pairs = []
-    for j, k in itertools.combinations(range(d), 2):
-        delta = mu[j] - mu[k]
-        norm = math.sqrt(2.0 * delta)
-        sym, skew = _pauli_pair_probes(d, j, k)
-        # Pair roles are assigned so the symplectic form of (q, p) is
-        # +1/2, matching [Q, P] = +i for the Fock quadratures.
-        pairs.append(
-            OscillatorPair(
-                j=j + 1,
-                k=k + 1,
-                q_gen=sym / norm,
-                p_gen=skew / norm,
-                sigma_sq=(mu[j] + mu[k]) / (2.0 * delta),
-            )
-        )
 
     symbols = []
     if d > 1:
@@ -158,32 +136,32 @@ def build_ccr_basis(rho):
                     matrix=mat,
                 )
             )
-    for pid, pair in enumerate(pairs):
+
+    pairs = []
+    for pid, (j, k) in enumerate(itertools.combinations(range(d), 2)):
+        delta = mu[j] - mu[k]
+        norm = math.sqrt(2.0 * delta)
+        pair = OscillatorPair(j=j + 1, k=k + 1, sigma_sq=(mu[j] + mu[k]) / (2.0 * delta))
+        pairs.append(pair)
         s = math.sqrt(pair.sigma_sq)
-        symbols.append(
-            Symbol(
-                name="q%d%d" % (pair.j, pair.k),
-                kind="q",
-                pair_id=pid,
-                sigma_sq=pair.sigma_sq,
-                matrix=pair.q_gen / s,
+        # Pair roles are assigned so the symplectic form of (q, p) is
+        # +1/2, matching [Q, P] = +i for the Fock quadratures.
+        for kind, probe in zip("qp", _pauli_pair_probes(d, j, k)):
+            symbols.append(
+                Symbol(
+                    name="%s%d%d" % (kind, pair.j, pair.k),
+                    kind=kind,
+                    pair_id=pid,
+                    sigma_sq=pair.sigma_sq,
+                    matrix=probe / norm / s,
+                )
             )
-        )
-        symbols.append(
-            Symbol(
-                name="p%d%d" % (pair.j, pair.k),
-                kind="p",
-                pair_id=pid,
-                sigma_sq=pair.sigma_sq,
-                matrix=pair.p_gen / s,
-            )
-        )
 
     two_point = _two_point_matrix(symbols, mu)
     basis = CCRBasis(
         d=d,
         eigenvalues=mu,
-        rotation=u,
+        rotation=rho.frame,
         classical_cov=cov,
         oscillator_pairs=tuple(pairs),
         symbols=tuple(symbols),
@@ -267,7 +245,7 @@ def kernel_to_limit(kernel, report, basis):
     if comp.d != d:
         raise ValidationError("component dimension mismatch")
     mat = comp.op.entries
-    if not basis.rotation_is_identity:
+    if basis.rotation is not None:
         mat = rotate_sites(mat, c, d, basis.rotation)
 
     # change of basis on each site: columns are vec(identity), vec(symbols)

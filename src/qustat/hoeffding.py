@@ -27,33 +27,17 @@ from .operators import (
     Kernel,
     SiteSubset,
     _embedded_add,
+    _reduce_to_sites,
     _site_subset,
+    _state_trace,
     binom,
     check_dim_budget,
     hermitize,
-    weighted_trace,
 )
 
 # A component counts as vanishing when its Frobenius norm falls below
 # this fraction of the kernel's norm.
 DEGENERACY_RTOL = 1e-9
-
-
-def _reduce_to_sites(matrix, n, d, keep, rho):
-    """Contract every site not in `keep` (0-based, sorted) against rho.
-
-    Returns the reduced tensor on the kept sites as a d^k x d^k matrix.
-    """
-    t = matrix.reshape((d,) * (2 * n))
-    sites = list(range(n))
-    for s in [s for s in range(n) if s not in set(keep)][::-1]:
-        pos = sites.index(s)
-        k = len(sites)
-        # sum_{a,b} T[.., a at row pos, .., b at col pos, ..] rho[b, a]
-        t = np.tensordot(t, rho.entries, axes=([pos, k + pos], [1, 0]))
-        sites.pop(pos)
-    k = len(keep)
-    return np.ascontiguousarray(t).reshape(d ** k, d ** k)
 
 
 def cond_expectation(op, subset, rho, budget=None):
@@ -182,9 +166,10 @@ def kernel_components(kernel, rho):
         for s in range(l):
             comp = _remove_site_mean(comp, l, d, s, rho)
         comp_kernel = Kernel(d, l, hermitize(comp))
-        norm_sq = weighted_trace(comp_kernel.op.entries, rho, l, 2)
+        ent = comp_kernel.op.entries
+        norm_sq = _state_trace(ent @ ent, rho, l)
         if l == 0:
-            theta = float(comp_kernel.op.entries[0, 0].real)
+            theta = float(ent[0, 0].real)
         elif c is None and comp_kernel.op.frobenius_norm() >= tol:
             c = l
         components.append(HoeffdingComponent(l=l, kernel=comp_kernel, norm_sq=norm_sq))

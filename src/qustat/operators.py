@@ -154,6 +154,19 @@ class DensityMatrix:
         return cls.from_matrix(m)
 
     @property
+    def frame(self):
+        """The eigenvectors, or None where they are exactly the identity.
+
+        This is the state's eigenframe: rotated into it by `rotate_sites`,
+        an operator is written in the basis where the state is
+        diag(eigenvalues).  An ascending diagonal state takes a
+        permutation frame.
+        """
+        if np.array_equal(self.eigenvectors, np.eye(self.d)):
+            return None
+        return self.eigenvectors
+
+    @property
     def is_diagonal(self):
         off = self.entries - np.diag(np.diag(self.entries))
         return not off.any()
@@ -200,6 +213,29 @@ def _embedded_add(acc, block, sites, n, d, weight=1.0):
     )
     diag = np.lib.stride_tricks.as_strided(v, shape=shape, strides=strides)
     diag += weight * block.reshape((d,) * (2 * r) + (1,) * m)
+
+
+def _reduce_to_sites(matrix, n, d, keep, rho):
+    """Contract every site not in `keep` (0-based, sorted) against rho.
+
+    Returns the reduced tensor on the kept sites as a d^k x d^k matrix.
+    The sites are contracted one at a time, from the last.
+    """
+    t = matrix.reshape((d,) * (2 * n))
+    sites = list(range(n))
+    for s in [s for s in range(n) if s not in set(keep)][::-1]:
+        pos = sites.index(s)
+        k = len(sites)
+        # sum_{a,b} T[.., a at row pos, .., b at col pos, ..] rho[b, a]
+        t = np.tensordot(t, rho.entries, axes=([pos, k + pos], [1, 0]))
+        sites.pop(pos)
+    k = len(keep)
+    return np.ascontiguousarray(t).reshape(d ** k, d ** k)
+
+
+def _state_trace(matrix, rho, n):
+    """Tr(rho^{\\otimes n} matrix) for a dense matrix on n sites: every site contracted."""
+    return float(_reduce_to_sites(matrix, n, rho.d, (), rho)[0, 0].real)
 
 
 @dataclass(frozen=True)
@@ -410,19 +446,6 @@ def _covariance_parts(ab, ba):
     return sym.real, skew.real
 
 
-def eigenframe(rho):
-    """A frame where rho is diagonal: (weights, rotation).
-
-    rotation is None when rho is already diagonal, in which case the
-    weights are its diagonal in the computational basis (not sorted);
-    otherwise weights are the descending eigenvalues and rotation the
-    matching eigenvector matrix.
-    """
-    if rho.is_diagonal:
-        return np.real(np.diag(rho.entries)).copy(), None
-    return rho.eigenvalues.copy(), rho.eigenvectors
-
-
 def tensor_weights(w, n):
     """n-fold Kronecker power of a weight vector."""
     w = np.asarray(w, dtype=float)
@@ -489,18 +512,6 @@ def _weighted_power_trace(w, m, p):
         x = x @ m
     y = x if b == a else x @ m
     return complex(np.einsum("i,ij,ji->", w, x, y))
-
-
-def weighted_trace(matrix, rho, n, p=1):
-    """Tr(rho^{\\otimes n} matrix^p) for a matrix on n sites.
-
-    The matrix is rotated into the eigenframe of rho only when rho is not
-    diagonal; the trace of the power is then weighted by the product
-    eigenvalues.
-    """
-    w1, u = eigenframe(rho)
-    m = matrix if u is None else rotate_sites(matrix, n, rho.d, u)
-    return float(_weighted_power_trace(tensor_weights(w1, n), m, p).real)
 
 
 def binom(n, k):

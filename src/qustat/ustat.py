@@ -31,16 +31,15 @@ from .operators import (
     _densify,
     _embedded_add,
     _ladder,
+    _state_trace,
     _weighted_power_trace,
     binom,
     check_dim_budget,
-    eigenframe,
     frobenius,
     hermitize,
     symmetrize,
     symmetrize_kernel,
     tensor_weights,
-    weighted_trace,
 )
 
 CENTERING_TOL = 1e-10
@@ -75,15 +74,18 @@ def assemble_direct(kernel, n, budget=None):
 def variance_exact(ustat, rho):
     """Var(U_n) = Tr(rho^n U^2) - theta^2 from the dense operator."""
     m, n = ustat.op.entries, ustat.n
-    return weighted_trace(m, rho, n, 2) - weighted_trace(m, rho, n) ** 2
+    return _state_trace(m @ m, rho, n) - _state_trace(m, rho, n) ** 2
 
 
 def centered_moments(kernel, rho, n_list, p_list, budget=None):
     """[[E (U_n - theta)^p for p in p_list] for n in n_list] under rho^{otimes n}, exactly.
 
-    The kernel is rotated into the state's eigenframe and theta taken once
-    per call.  For qubits every moment is read off one band stack that
-    holds the spin blocks of every n (`_spin_stack`): the band powers of
+    theta = Tr(rho^{otimes r} K) is the site contraction of the kernel as
+    given, the theta of `kernel_components`.  The kernel is put in the
+    state's eigenframe once per call, rotated by `DensityMatrix.frame`
+    unless that is None, and weighted by the state's eigenvalues.  For
+    qubits every moment is read off one band stack that holds the spin
+    blocks of every n (`_spin_stack`): the band powers of
     A = U - theta, up to A^ceil(max p / 2), are taken once on the whole
     stack, and the moment of n is sum_i w_i (A^(p//2) A^(p - p//2))_ii
     over that n's levels.  For d >= 3 the dense d^n statistic of each n
@@ -93,9 +95,9 @@ def centered_moments(kernel, rho, n_list, p_list, budget=None):
     p_list = [int(p) for p in p_list]
     if any(p < 1 for p in p_list):
         raise ValidationError("moment order must be >= 1")
-    w1, u = eigenframe(rho)
+    w1, u = rho.eigenvalues, rho.frame
     k = kernel if u is None else kernel.rotated(u)
-    theta = float(_weighted_power_trace(tensor_weights(w1, k.r), k.op.entries, 1).real)
+    theta = _state_trace(kernel.op.entries, rho, kernel.r)
     if k.d != 2:
         moments = []
         for n in n_list:
@@ -478,7 +480,7 @@ def _factor_matrices(factors, rho):
             raise ValidationError(
                 "factor %d is not %d x %d like the state" % (i + 1, rho.d, rho.d)
             )
-        mean = weighted_trace(m, rho, 1)
+        mean = _state_trace(m, rho, 1)
         if abs(mean) > CENTERING_TOL * max(1.0, frobenius(m)):
             raise ValidationError(
                 "factor %d is not centered: mean %.3e" % (i + 1, mean)

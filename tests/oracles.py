@@ -25,6 +25,12 @@ def tensor_power_state(rho, n):
     return out
 
 
+def dense_power_trace(matrix, rho, n, p=1):
+    """Tr(rho^{\\otimes n} matrix^p) of a dense matrix on n sites, from the dense state."""
+    power = np.linalg.matrix_power(matrix, p)
+    return float(np.sum(tensor_power_state(rho, n) * power.T).real)
+
+
 def site_permute(matrix, n, d, perm):
     """Conjugate by the permutation operator sending site k to perm[k] (0-based).
 

@@ -69,7 +69,7 @@ def test_basis_structure_qubit(rho_75):
     pair = basis.oscillator_pairs[0]
     np.testing.assert_allclose(pair.sigma_sq, 1.0, atol=ATOL)
     np.testing.assert_allclose(basis.classical_cov, [[0.1875]], atol=ATOL)
-    assert basis.rotation_is_identity
+    assert basis.rotation is None
     iq, ip = names.index("q12"), names.index("p12")
     two = basis.two_point
     np.testing.assert_allclose(two[iq, iq], 1.0, atol=ATOL)

@@ -167,6 +167,36 @@ def test_convergence_rotates_the_kernel_once_per_run(tmp_path, monkeypatch):
     assert all(row["rel_gap"] < 1e-9 for row in result["variance_checks"])
 
 
+def test_only_the_kernel_and_its_limit_component_are_rotated(tmp_path, monkeypatch):
+    """Traces contract sites against the state, so no trace rotates an operator."""
+    import qustat.ccr
+    import qustat.operators
+
+    calls = []
+    original = qustat.operators.rotate_sites
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (qustat.operators, qustat.ccr):
+        monkeypatch.setattr(module, "rotate_sites", counted)
+    rotated = {"eigenvalues": [0.75, 0.25], "rotation": {
+        "dim": 2, "re": [[0.6, -0.8], [0.8, 0.6]], "im": [[0.0, 0.0], [0.0, 0.0]]}}
+    pauli_xy = {"preset": "pauli-xy"}
+    cases = [
+        ({"command": "convergence", "state": rotated, "kernel": pauli_xy,
+          "n_list": [4, 6], "p_list": [2]}, 2),
+        ({"command": "decompose", "state": rotated, "kernel": pauli_xy}, 0),
+        (_metrology_config(n_list=[4, 6]), 1),
+    ]
+    for i, (config, want) in enumerate(cases):
+        calls.clear()
+        (tmp_path / str(i)).mkdir()
+        _run(tmp_path / str(i), config)
+        assert len(calls) == want, config["command"]
+
+
 def test_convergence_reaches_hundreds_of_sites(tmp_path):
     config = {
         "command": "convergence",

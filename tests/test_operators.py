@@ -24,14 +24,13 @@ from qustat.ccr import _band_roots
 from qustat.operators import (
     _densify,
     _ladder,
-    eigenframe,
+    _state_trace,
     rotate_sites,
     tensor_weights,
-    weighted_trace,
 )
 from qustat.ustat import _level_factors, _spin_levels
 
-from oracles import site_permute, tensor_power_state
+from oracles import dense_power_trace, site_permute, tensor_power_state
 
 ATOL = 1e-12
 RNG = np.random.default_rng(20240817)
@@ -90,11 +89,19 @@ def test_density_matrix_eigenvalues_descend_with_matching_vectors():
     np.testing.assert_allclose(recon, rho.entries, atol=1e-12)
 
 
-def test_eigenframe_keeps_unsorted_diagonal_weights_in_place():
-    rho = DensityMatrix.from_matrix(np.diag([0.25, 0.75]))
-    w, u = eigenframe(rho)
-    assert u is None
-    np.testing.assert_allclose(w, [0.25, 0.75])
+def test_frame_is_none_only_where_the_eigenvectors_are_the_identity():
+    assert DensityMatrix.from_eigenvalues([0.75, 0.25]).frame is None
+    assert DensityMatrix.from_eigenvalues([0.5, 0.3, 0.2]).frame is None
+    # an ascending diagonal state takes a permutation frame
+    ascending = DensityMatrix.from_eigenvalues([0.25, 0.75])
+    np.testing.assert_array_equal(np.abs(ascending.frame), [[0.0, 1.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(ascending.eigenvalues, [0.75, 0.25])
+    u = random_unitary(3, np.random.default_rng(5))
+    rotated = DensityMatrix.from_eigenvalues([0.5, 0.3, 0.2], rotation=u)
+    frame = rotated.frame
+    np.testing.assert_allclose(
+        frame @ np.diag(rotated.eigenvalues) @ frame.conj().T, rotated.entries, atol=1e-12
+    )
 
 
 def test_require_positive_rejects_pure_states():
@@ -209,16 +216,15 @@ def test_rotate_sites_matches_global_conjugation():
     )
 
 
-def test_weighted_trace_matches_dense_power():
+def test_state_trace_matches_dense_power():
     rng = np.random.default_rng(11)
     rho = DensityMatrix.from_eigenvalues([0.5, 0.3, 0.2], rotation=random_unitary(3, rng))
     assert not rho.is_diagonal
     for n in (1, 2, 3):
         m = random_hermitian(3 ** n, rng) / 3 ** n
-        state = tensor_power_state(rho, n)
         for p in (1, 2, 3, 4):
-            want = np.trace(state @ np.linalg.matrix_power(m, p)).real
-            np.testing.assert_allclose(weighted_trace(m, rho, n, p), want, rtol=1e-10, atol=ATOL)
+            np.testing.assert_allclose(_state_trace(np.linalg.matrix_power(m, p), rho, n),
+                                       dense_power_trace(m, rho, n, p), rtol=1e-10, atol=ATOL)
 
 
 def _banded(m, width):

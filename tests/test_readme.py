@@ -1,5 +1,7 @@
-"""The README's Python example runs against the current API and prints its stated values."""
+"""The README's Python example runs and prints its stated values; its layout names resolve."""
 
+import functools
+import importlib
 import os
 import re
 import subprocess
@@ -28,3 +30,45 @@ def test_readme_quick_start_prints_its_stated_values():
     assert float(m2) == pytest.approx(1.125, rel=1e-12)
     assert float(wick) == pytest.approx(1.25, rel=1e-12)
     assert float(fock) == pytest.approx(1.25, rel=1e-8)
+
+
+def _layout_rows():
+    """(module, contents) of each row of the README's "Package layout" table."""
+    text = README.read_text(encoding="utf-8").split("## Package layout", 1)[1]
+    rows = []
+    for line in text.strip().splitlines():
+        if not line.startswith("|"):
+            break
+        module, contents = [cell.strip() for cell in line.strip("|").split("|")]
+        if module.startswith("`"):
+            rows.append((module.strip("`"), contents))
+    return rows
+
+
+def _resolves(dotted):
+    """Whether a dotted name is a module, or an attribute path on the longest module prefix."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            functools.reduce(getattr, parts[cut:], obj)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def test_readme_layout_names_resolve_in_their_module_or_the_package():
+    rows = _layout_rows()
+    assert "qustat.operators" in dict(rows)
+    names = 0
+    for module, contents in rows:
+        for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`", contents):
+            names += 1
+            assert _resolves(module + "." + name) or _resolves("qustat." + name), (
+                "README layout row %s names %s, which resolves neither there nor in qustat"
+                % (module, name))
+    assert names

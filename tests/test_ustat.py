@@ -18,21 +18,27 @@ from qustat import (
     finite_law,
     fluctuation_form,
     goodness_kernel,
+    kernel_components,
     symmetrize_kernel,
 )
 from qustat.operators import (
     _densify,
     _distinct_plan,
     _merge_first,
-    eigenframe,
+    _state_trace,
     hermitize,
     site_transpose,
     tensor_weights,
-    weighted_trace,
 )
 from qustat.ustat import _spin_levels, _spin_stack
 
-from oracles import classical_mc_oracle, per_block_law, site_permute, tensor_power_state
+from oracles import (
+    classical_mc_oracle,
+    dense_power_trace,
+    per_block_law,
+    site_permute,
+    tensor_power_state,
+)
 
 ATOL = 1e-12
 ROUTE_RTOL = 1e-9
@@ -50,7 +56,7 @@ def test_pair_statistic_spectrum_and_born_weights(rho_75, paulis):
     m = stat.op.entries
     np.testing.assert_allclose(site_transpose(m, 2, 2, 0), m, atol=ATOL)
     np.testing.assert_allclose(
-        weighted_trace(m, rho_75, 2), weighted_trace(k.op.entries, rho_75, 2), atol=ATOL
+        dense_power_trace(m, rho_75, 2), dense_power_trace(k.op.entries, rho_75, 2), atol=ATOL
     )
     vals, vecs = np.linalg.eigh(stat.op.entries)
     np.testing.assert_allclose(sorted(vals), [-1.0, 0.0, 0.0, 1.0], atol=ATOL)
@@ -95,12 +101,36 @@ def test_diagonal_kernel_moments_match_outcome_enumeration(rho_d3):
                                        err_msg="n=%d p=%d" % (n, p))
 
 
-def _random_symmetric_kernel(rng, r):
-    g = rng.standard_normal((2 ** r, 2 ** r)) + 1j * rng.standard_normal((2 ** r, 2 ** r))
+def _random_symmetric_kernel(rng, r, d=2):
+    g = rng.standard_normal((d ** r, d ** r)) + 1j * rng.standard_normal((d ** r, d ** r))
     h = (g + g.conj().T) / 2.0
     perms = list(itertools.permutations(range(r)))
-    sym = sum(site_permute(h, r, 2, perm) for perm in perms) / len(perms)
-    return Kernel(2, r, hermitize(sym))
+    sym = sum(site_permute(h, r, d, perm) for perm in perms) / len(perms)
+    return Kernel(d, r, hermitize(sym))
+
+
+def test_centered_moments_centres_on_the_theta_of_kernel_components(monkeypatch):
+    """One theta: the bits kernel_components reports are the bits centered_moments subtracts."""
+    seen = []
+
+    def recorded(matrix, rho, n):
+        seen.append(_state_trace(matrix, rho, n))
+        return seen[-1]
+
+    monkeypatch.setattr(qustat.ustat, "_state_trace", recorded)
+    rng = np.random.default_rng(37)
+    for case in range(60):
+        d = 2 + case % 2
+        r = int(rng.integers(1, 4 if d == 2 else 3))
+        vals = np.sort(rng.dirichlet(np.ones(d)))[::-1]
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        rho = [DensityMatrix.from_eigenvalues(vals),
+               DensityMatrix.from_eigenvalues(vals[::-1]),
+               DensityMatrix.from_eigenvalues(vals, rotation=u)][case % 3]
+        k = _random_symmetric_kernel(rng, r, d)
+        seen.clear()
+        centered_moments(k, rho, [r], [1])
+        assert seen == [kernel_components(k, rho).theta], "case %d: d=%d r=%d" % (case, d, r)
 
 
 def test_spin_block_moments_match_dense_statistic(rho_75, paulis):
@@ -112,6 +142,7 @@ def test_spin_block_moments_match_dense_statistic(rho_75, paulis):
         rho_75,
         DensityMatrix.from_eigenvalues([0.7, 0.3], rotation=u),
         DensityMatrix.from_eigenvalues([1.0, 0.0]),
+        DensityMatrix.from_eigenvalues([0.25, 0.75]),
     ]
     kernels = [_random_symmetric_kernel(rng, r) for r in (1, 2, 3)] + [
         symmetrize_kernel([sx, sy]),
@@ -120,12 +151,12 @@ def test_spin_block_moments_match_dense_statistic(rho_75, paulis):
     ]
     for k in kernels:
         for rho in states:
-            theta = weighted_trace(k.op.entries, rho, k.r)
+            theta = dense_power_trace(k.op.entries, rho, k.r)
             ns = sorted({k.r, k.r + 1, 6, 9})
             for n, blocks in zip(ns, centered_moments(k, rho, ns, range(1, 6))):
                 centered = assemble_direct(k, n).op.entries - theta * np.eye(2 ** n)
                 for p, block in zip(range(1, 6), blocks):
-                    dense = weighted_trace(centered, rho, n, p)
+                    dense = dense_power_trace(centered, rho, n, p)
                     np.testing.assert_allclose(block, dense, rtol=1e-10, atol=1e-13,
                                                err_msg="r=%d n=%d p=%d" % (k.r, n, p))
     with pytest.raises(ValidationError):
@@ -330,15 +361,13 @@ def test_finite_law_matches_dense_spectrum(rho_75, rho_d3):
             ((atoms, (p,)),) = finite_law(k, [np.array([0.0, 1.0])], [n])
             assert len(atoms) == n + 1
             _assert_same_law(atoms, p, *_dense_law(k, pure, n), msg="r=%d n=%d pure" % (k.r, n))
-            w1, frame = eigenframe(rotated)
-            ((atoms, (p,)),) = finite_law(k.rotated(frame), [w1], [n])
+            ((atoms, (p,)),) = finite_law(k.rotated(rotated.frame), [rotated.eigenvalues], [n])
             _assert_same_law(atoms, p, *_dense_law(k, rotated, n),
                              msg="r=%d n=%d rotated" % (k.r, n))
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     qutrit = DensityMatrix.from_eigenvalues([0.5, 0.3, 0.2], rotation=q)
     k = goodness_kernel(rho_d3)
-    w1, frame = eigenframe(qutrit)
-    ((atoms, (p,)),) = finite_law(k.rotated(frame), [w1], [4])
+    ((atoms, (p,)),) = finite_law(k.rotated(qutrit.frame), [qutrit.eigenvalues], [4])
     _assert_same_law(atoms, p, *_dense_law(k, qutrit, 4), msg="qutrit rotated")
 
 
