@@ -13,9 +13,11 @@ to a monic Hermite polynomial in the normalized generators (symmetric
 ordering for mixed quadrature monomials).
 
 Moments of the limit are computed along two independent routes: a Wick
-pair-partition sum, and on Fock space, where each oscillator keeps the
-levels `thermal_levels` derives from its variance and the degree of what
-is evaluated, and the commutative block uses the exact Gaussian moments.
+pair-partition sum, taken for every order p at once by one left-to-right
+pass over the factors of L^p, and on Fock space, where each oscillator
+keeps the levels `thermal_levels` derives from its variance and the
+degree of what is evaluated, and the commutative block uses the exact
+Gaussian moments.
 On Fock space a product of quadratures is kept as bands of diagonals,
 which reach every level it passes through: `fock_moment` takes their
 thermal traces, and `oscillator_polynomial` gives an oscillator's
@@ -55,8 +57,7 @@ BASIS_SELFCHECK_TOL = 1e-10
 CENTERED_RESIDUE_RTOL = 1e-8
 # Largest effect of an oscillator's thermal tail beyond its Fock truncation.
 TAIL_TOL = 1e-12
-# Hard caps for symbolic moment expansions.
-MAX_WICK_DEGREE = 16
+# Cap on the terms of a Fock-route expansion and the live states of the Wick pass.
 MAX_POLY_TERMS = 200_000
 
 
@@ -403,49 +404,66 @@ def quasifree_moment_wick(symbols, basis):
     for s in mon:
         if s < 0 or s >= basis.n_symbols:
             raise ValidationError("symbol index %d out of range" % s)
-    if len(mon) > MAX_WICK_DEGREE:
-        raise ExpansionBudgetError(
-            "monomial degree %d exceeds the Wick budget %d"
-            % (len(mon), MAX_WICK_DEGREE)
-        )
-    return _wick(mon, basis.two_point, {})
+    return wick_moments({mon: 1.0}, basis, 1)[1]
 
 
-def _wick(mon, c, memo):
-    """The pair-partition sum of the monomial mon under the two-point function c.
+def wick_moments(poly, basis, max_p):
+    """[E[P^t] for t = 0..max_p] of a monomial dict P, by one left-to-right Wick pass.
 
-    `memo` maps the sub-monomials already summed to their values; the
-    monomials of one moment share most of their tails, so it is kept for
-    all of them.
+    A state counts the open slots of each symbol of P.  Each factor b of
+    P^max_p, read left to right, opens a slot or closes one of the
+    count_a open slots of a symbol a with weight count_a * C[a, b]
+    (C = `basis.two_point`, left factor first): the pair-partition sum of
+    every monomial, and after the t-th copy of P the all-closed state
+    holds E[P^t].  States with more open slots than factors left to close
+    them are dropped; over MAX_POLY_TERMS live states raise
+    ExpansionBudgetError.
     """
-    k = len(mon)
-    if k % 2 == 1:
-        return 0.0 + 0.0j
-    if k == 0:
-        return 1.0 + 0.0j
-    if mon in memo:
-        return memo[mon]
-    first, rest = mon[0], mon[1:]
-    total = 0.0 + 0.0j
-    for pos in range(len(rest)):
-        pair = c[first, rest[pos]]
-        if pair != 0.0:
-            total += pair * _wick(rest[:pos] + rest[pos + 1 :], c, memo)
-    memo[mon] = total
-    return total
+    names = sorted({s for mon in poly for s in mon})
+    degree = max(map(len, poly), default=0)
+    # A state is the integer opened + sum_a count_a base^(a + 1): no more
+    # than half of all max_p * degree factors are ever open.
+    base = max_p * degree // 2 + 1
+    place = {s: base ** (a + 1) for a, s in enumerate(names)}
+    c = basis.two_point.tolist()
+    # per factor b: its place, and the (place of a, C[a, b]) of each symbol a it can close
+    steps = {b: (place[b], [(place[a], c[a][b]) for a in names if c[a][b] != 0.0]) for b in names}
+    terms = [(coeff, [steps[s] for s in mon]) for mon, coeff in poly.items()]
+    states, moments = {0: 1.0 + 0.0j}, [1.0 + 0.0j]
+    for t in range(1, max_p + 1):
+        spare = (max_p - t) * degree
+        out = {}
+        for coeff, factors in terms:
+            read = states
+            for i, (slot, closers) in enumerate(factors):
+                read = _wick_step(read, slot, closers, base, spare + len(factors) - 1 - i)
+            for key, amp in read.items():
+                out[key] = out.get(key, 0.0) + coeff * amp
+        states = out
+        moments.append(states.get(0, 0.0 + 0.0j))
+    return moments
 
 
-def wick_poly_moment(poly, basis):
-    """The Wick moment sum_m c_m <m> of a monomial dict, with one memo for all of it."""
-    total = 0.0 + 0.0j
-    memo = {}
-    for mon, coeff in poly.items():
-        if len(mon) > MAX_WICK_DEGREE:
-            raise ExpansionBudgetError(
-                "monomial degree %d exceeds the Wick budget" % len(mon)
-            )
-        total += coeff * _wick(mon, basis.two_point, memo)
-    return total
+def _wick_step(states, place, closers, base, cap):
+    """The states after a factor that opens a slot at `place` or closes one of `closers`.
+
+    States with more than `cap` open slots are dropped.
+    """
+    out = {}
+    for key, amp in states.items():
+        opened = key % base
+        if opened < cap:
+            up = key + 1 + place
+            out[up] = out.get(up, 0.0) + amp
+        if opened and opened <= cap + 1:
+            for slot, pair in closers:
+                count = key // slot % base
+                if count:
+                    down = key - 1 - slot
+                    out[down] = out.get(down, 0.0) + amp * count * pair
+    if len(out) > MAX_POLY_TERMS:
+        raise ExpansionBudgetError("Wick pass exceeded %d live states" % MAX_POLY_TERMS)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -614,35 +632,33 @@ ROUTE_AGREEMENT_ATOL = 1e-9
 
 def limit_moment(limit, basis, p, method="wick", budget=None):
     """E[L^p] for the limit polynomial L, via "wick" or "fock"."""
-    return _route_moments(limit, basis, p, (method,), budget)[method]
+    return _route_moments(limit, basis, [p], (method,), budget)[p][method]
 
 
-def _route_moments(limit, basis, p, methods, budget=None):
-    """{method: E[L^p]} with each route computed once; two routes must agree."""
-    if p < 0:
+def _route_moments(limit, basis, ps, methods, budget=None):
+    """{p: {method: E[L^p]}} for the orders ps, all from one Wick pass; two routes must agree."""
+    if min(ps) < 0:
         raise ValidationError("moment order must be >= 0")
-    poly_p = poly_power(limit_to_poly(limit, basis), p)
-    values = {}
     for name in methods:
-        if name == "wick":
-            val = wick_poly_moment(poly_p, basis)
-        elif name == "fock":
-            val = fock_moment(poly_p, basis, budget)
-        else:
+        if name not in ("wick", "fock"):
             raise ValidationError("unknown method %r" % name)
-        if abs(val.imag) > 1e-8 * max(1.0, abs(val)):
-            raise ToleranceError("moment %r of a selfadjoint polynomial is not real" % val)
-        values[name] = val
-    if len(values) == 2:
-        a, b = values["wick"], values["fock"]
-        gap = abs(a - b)
-        ref = max(abs(a), abs(b))
-        ok = gap <= ROUTE_AGREEMENT_ATOL if ref < 1e-3 else gap <= ROUTE_AGREEMENT_RTOL * ref
-        if not ok:
-            raise ToleranceError(
-                "wick %r and fock %r moments disagree (gap %.3e)" % (a, b, gap)
-            )
-    return {name: float(val.real) for name, val in values.items()}
+    poly = limit_to_poly(limit, basis)
+    wick = wick_moments(poly, basis, max(ps)) if "wick" in methods else None
+    out = {}
+    for p in ps:
+        values = {}
+        for name in methods:
+            val = wick[p] if name == "wick" else fock_moment(poly_power(poly, p), basis, budget)
+            if abs(val.imag) > 1e-8 * max(1.0, abs(val)):
+                raise ToleranceError("moment %r of a selfadjoint polynomial is not real" % val)
+            values[name] = val
+        if len(values) == 2:
+            a, b = values["wick"], values["fock"]
+            gap, ref = abs(a - b), max(abs(a), abs(b))
+            if not gap <= (ROUTE_AGREEMENT_ATOL if ref < 1e-3 else ROUTE_AGREEMENT_RTOL * ref):
+                raise ToleranceError("wick %r and fock %r disagree (gap %.3e)" % (a, b, gap))
+        out[p] = {name: float(val.real) for name, val in values.items()}
+    return out
 
 
 # ---------------------------------------------------------------------------

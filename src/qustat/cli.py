@@ -398,7 +398,7 @@ def _moments(config, variance=False):
     the variances are left empty otherwise.  The moment of
     factor(n) (U_n - theta) is factor(n)^p times the centered moment.
     """
-    from .ccr import limit_moment
+    from .ccr import _route_moments
     from .ustat import centered_moments
 
     _require(config, "state", "kernel", "n_list", "p_list")
@@ -409,7 +409,7 @@ def _moments(config, variance=False):
     budget = config.get("dim_budget")
     ps = sorted(set(config["p_list"]))
     ns = sorted(set(config["n_list"]))
-    limits = {p: limit_moment(limit, basis, p, method="wick") for p in ps}
+    limits = {p: v["wick"] for p, v in _route_moments(limit, basis, ps, ("wick",)).items()}
     orders = sorted(set(ps) | ({2} if variance else set()))
     values = centered_moments(kernel, state, ns, orders, budget=budget)
     moments, variances = {}, {}
@@ -446,13 +446,10 @@ def _cmd_limit(config):
     state = _load_state(config["state"])
     kernel = _load_kernel(config["kernel"], state)
     report, basis, limit = _limit_setup(state, kernel)
-    moments = []
-    for p in sorted(set(config["p_list"])):
-        routes = _route_moments(
-            limit, basis, p, ("wick", "fock"), budget=config.get("dim_budget")
-        )
-        wick, fock = routes["wick"], routes["fock"]
-        moments.append({"p": p, "wick": wick, "fock": fock, "abs_gap": abs(wick - fock)})
+    routes = _route_moments(limit, basis, sorted(set(config["p_list"])), ("wick", "fock"),
+                            budget=config.get("dim_budget"))
+    moments = [{"p": p, "wick": r["wick"], "fock": r["fock"], "abs_gap": abs(r["wick"] - r["fock"])}
+               for p, r in routes.items()]
     result = {"polynomial": limit.to_json(), "moments": moments}
     header = ["p", "wick", "fock", "abs_gap"]
     return result, {"limit_moments": (header, moments)}

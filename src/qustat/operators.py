@@ -121,6 +121,7 @@ class DensityMatrix:
 
     @classmethod
     def from_matrix(cls, matrix):
+        """The state of a density matrix; equal eigenvalues keep their order."""
         m = _as_complex_matrix(matrix)
         gap = np.abs(m - m.conj().T).max()
         if gap > HERMITICITY_ATOL:
@@ -129,17 +130,20 @@ class DensityMatrix:
         tr = m.trace()
         if abs(tr - 1.0) > cls.TRACE_TOL:
             raise ValidationError("density matrix trace %r is not 1" % tr)
-        vals, vecs = np.linalg.eigh(m)
+        if not (m - np.diag(np.diag(m))).any():  # diagonal: no eigensolver
+            vals, vecs = m.diagonal().real, np.eye(len(m), dtype=complex)
+        else:
+            vals, vecs = np.linalg.eigh(m)
         if vals.min() < cls.PSD_TOL:
             raise ValidationError(
                 "density matrix has negative eigenvalue %.3e" % vals.min()
             )
-        order = np.argsort(vals)[::-1]
+        order = np.argsort(-vals, kind="stable")
         return cls(
             d=m.shape[0],
             entries=m.copy(),
-            eigenvalues=vals[order].copy(),
-            eigenvectors=vecs[:, order].copy(),
+            eigenvalues=vals[order],
+            eigenvectors=vecs[:, order],
         )
 
     @classmethod

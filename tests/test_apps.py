@@ -1,6 +1,7 @@
 """Hypothesis-test simulations and the metrology overlap."""
 
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -282,6 +283,40 @@ def test_limit_law_moments_match_wick():
                 law_moment, limit_moment(limit, basis, p, method="wick"), rtol=1e-6,
                 err_msg="%r p=%d" % (eigenvalues, p),
             )
+
+
+def _law_moment(atoms, probs, mu, p):
+    """E[(A + sum_i mu_i Z_i^2)^p] for A on `atoms` with `probs`, independent of the Z_i."""
+    # moments of sum_i mu_i Z_i^2 from its cumulants 2^(m-1) (m-1)! sum_i mu_i^m
+    kappa = [0.0] + [2.0 ** (m - 1) * math.factorial(m - 1) * float(np.sum(mu ** m))
+                     for m in range(1, p + 1)]
+    gauss = [1.0]
+    for m in range(1, p + 1):
+        gauss.append(sum(math.comb(m - 1, i - 1) * kappa[i] * gauss[m - i]
+                         for i in range(1, m + 1)))
+    return sum(math.comb(p, i) * float(probs @ atoms ** i) * gauss[p - i] for i in range(p + 1))
+
+
+def test_moments_command_reaches_order_six_on_a_qutrit(tmp_path, monkeypatch):
+    from qustat.cli import run
+
+    # The law drops a mass below 1e-10 at its largest atoms; at p = 6 that
+    # moves the moment by about 2e-6 relative, so here it keeps every atom.
+    monkeypatch.setattr(qustat.apps, "_DROPPED_MASS", 0.0)
+    eigenvalues = [0.5, 0.3, 0.2]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "command": "moments",
+        "state": {"eigenvalues": eigenvalues},
+        "kernel": {"preset": "goodness"},
+        "n_list": [2],
+        "p_list": [6],
+    }), encoding="utf-8")
+    run(str(config), str(tmp_path / "out"))
+    result = json.loads((tmp_path / "out" / "result.json").read_text(encoding="utf-8"))
+    limit, basis = _goodness_limit(eigenvalues)
+    law_moment = _law_moment(*_limit_law(limit, basis), 6)
+    np.testing.assert_allclose(result["rows"][0]["limit_moment"], law_moment, rtol=1e-6)
 
 
 def test_limit_law_quantile_matches_monte_carlo():

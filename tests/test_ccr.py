@@ -31,7 +31,7 @@ from qustat.ccr import (
     oscillator_polynomial,
     poly_power,
     thermal_levels,
-    wick_poly_moment,
+    wick_moments,
 )
 from qustat.operators import hermitize, state_covariance
 
@@ -263,12 +263,15 @@ def test_hermite_forms_orthogonal_to_lower_monomials():
     assert worst < 1e-8
 
 
-def test_wick_route_details(rho_75):
+def test_wick_route_details(rho_75, monkeypatch):
+    import qustat.ccr
+
     basis = build_ccr_basis(rho_75)
     assert quasifree_moment_wick((0,), basis) == 0.0
     np.testing.assert_allclose(quasifree_moment_wick((0, 0), basis), 1.0, atol=ATOL)
     iq, ip = _symbol_indices(basis, "q12", "p12")
     np.testing.assert_allclose(quasifree_moment_wick((iq, ip), basis), 0.5j, atol=ATOL)
+    monkeypatch.setattr(qustat.ccr, "MAX_POLY_TERMS", 4)
     with pytest.raises(ExpansionBudgetError):
         quasifree_moment_wick((0,) * 18, basis)
     with pytest.raises(ValidationError):
@@ -287,7 +290,7 @@ def test_fock_route_matches_wick_on_monomials(rho_75):
 
 
 def _wick_unmemoised(mon, c):
-    """The pair-partition sum of `ccr._wick`, recomputing every sub-monomial."""
+    """The pair-partition sum of a monomial, pairing its first factor with each later one."""
     if len(mon) % 2 == 1:
         return 0.0 + 0.0j
     if not mon:
@@ -301,18 +304,18 @@ def _wick_unmemoised(mon, c):
     return total
 
 
-def test_wick_memo_gives_the_bits_of_the_plain_recursion(rho_75, paulis):
+def test_wick_pass_matches_the_plain_recursion(rho_75, paulis):
     sx, sy, _ = paulis
     basis = build_ccr_basis(rho_75)
     for kernel in (symmetrize_kernel([sx, sy]), goodness_kernel(rho_75)):
         limit = kernel_to_limit(kernel, kernel_components(kernel, rho_75), basis)
         poly = limit_to_poly(limit, basis)
+        moments = wick_moments(poly, basis, 6)
         for p in range(2, 7):
-            poly_p = poly_power(poly, p)
             expected = 0.0 + 0.0j
-            for mon, coeff in poly_p.items():
+            for mon, coeff in poly_power(poly, p).items():
                 expected += coeff * _wick_unmemoised(mon, basis.two_point)
-            assert wick_poly_moment(poly_p, basis) == expected, (p, kernel)
+            assert abs(moments[p] - expected) <= 1e-12 * abs(expected), (p, kernel)
 
 
 def test_poly_power_budget():

@@ -423,6 +423,44 @@ def test_limit_computes_each_route_once_per_order(tmp_path, monkeypatch):
     assert [row["p"] for row in result["moments"]] == [2, 4, 6]
 
 
+def test_limit_reaches_moment_order_ten(tmp_path):
+    from qustat.ccr import ROUTE_AGREEMENT_RTOL
+
+    config = {
+        "command": "limit",
+        "state": STATE_75,
+        "kernel": {"preset": "pauli-xy"},
+        "p_list": [8, 10],
+    }
+    _, result, _ = _run(tmp_path, config)
+    assert [row["p"] for row in result["moments"]] == [8, 10]
+    for row in result["moments"]:
+        assert abs(row["wick"] - row["fock"]) <= ROUTE_AGREEMENT_RTOL * abs(row["wick"])
+
+
+@pytest.mark.parametrize("command", ["convergence", "moments"])
+@pytest.mark.parametrize("state, preset, n_list", [
+    (STATE_75, "pauli-xy", [4, 6]),
+    ({"eigenvalues": [0.5, 0.3, 0.2]}, "goodness", [2, 3]),
+], ids=["pauli-xy-qubit", "goodness-qutrit"])
+def test_eigenvalue_given_states_run_without_an_eigensolver(
+        tmp_path, monkeypatch, command, state, preset, n_list):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    config = {
+        "command": command,
+        "state": state,
+        "kernel": {"preset": preset},
+        "n_list": n_list,
+        "p_list": [2, 4],
+    }
+    _, result, _ = _run(tmp_path, config)
+    assert len(result["rows"]) == 4
+
+
 def test_test_sim_reaches_hundreds_of_sites(tmp_path):
     config = {
         "command": "test-sim",

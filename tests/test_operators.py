@@ -104,6 +104,30 @@ def test_frame_is_none_only_where_the_eigenvectors_are_the_identity():
     )
 
 
+def test_equal_eigenvalues_keep_their_place():
+    assert DensityMatrix.from_eigenvalues([0.5, 0.5]).frame is None
+    assert DensityMatrix.from_matrix(np.diag([0.4, 0.3, 0.3])).frame is None
+    assert DensityMatrix.from_eigenvalues([0.4, 0.3, 0.3]).frame is None
+
+
+def test_diagonal_states_agree_across_constructors():
+    rng = np.random.default_rng(11)
+    for trial in range(1200):
+        d = int(rng.integers(2, 6))
+        v = rng.random(d)
+        if trial % 3 == 0:
+            i, j = rng.choice(d, 2, replace=False)
+            v[j] = v[i]
+        v /= v.sum()
+        a = DensityMatrix.from_matrix(np.diag(v))
+        b = DensityMatrix.from_eigenvalues(v)
+        for name in ("entries", "eigenvalues", "eigenvectors"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (v, name)
+        assert (a.frame is None) == (b.frame is None), v
+        if a.frame is not None:
+            assert a.frame.tobytes() == b.frame.tobytes(), v
+
+
 def test_require_positive_rejects_pure_states():
     pure = DensityMatrix.from_eigenvalues([1.0, 0.0])
     with pytest.raises(ValidationError):
