@@ -16,7 +16,7 @@ _EXPORTS = {
         "homogeneity_kernel", "metrology_overlap", "run_test",
     ),
     "ccr": (
-        "CCRBasis", "LimitPolynomial", "build_ccr_basis", "fock_moment",
+        "CCRBasis", "LimitPolynomial", "build_ccr_basis", "fock_moments",
         "hermite_orthogonality_check", "kernel_to_limit", "limit_moment",
         "limit_to_poly", "quasifree_moment_wick",
     ),

@@ -29,7 +29,7 @@ class BudgetError(QuStatError, RuntimeError):
 
 
 class ExpansionBudgetError(BudgetError):
-    """A polynomial moment expansion grew past the configured term budget."""
+    """A limit-moment pass grew past `ccr.MAX_POLY_TERMS` live states."""
 
 
 class ToleranceError(QuStatError, RuntimeError):

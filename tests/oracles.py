@@ -2,8 +2,10 @@
 
 None of these is part of the package: the Monte Carlo samplers draw
 seeded random numbers, which no command does, the dense helpers form
-matrices the package itself never needs, and `per_block_law` is the
-one-block-at-a-time route that `finite_law` stacks by dimension.
+matrices the package itself never needs, `per_block_law` is the
+one-block-at-a-time route that `finite_law` stacks by dimension, and
+`poly_power` is the plain expansion of L^p that the moment passes of
+`qustat.ccr` never form.
 """
 
 import itertools
@@ -57,6 +59,19 @@ def per_block_law(kernel, weights, n_list):
         laws.append((np.concatenate(atoms),
                      [_checked_probabilities(p) for p in np.hstack(probs)]))
     return laws
+
+
+def poly_power(poly, p):
+    """p-th power of a monomial dict, concatenating monomials in order."""
+    out = {(): 1.0}
+    for _ in range(p):
+        nxt = {}
+        for m1, c1 in out.items():
+            for m2, c2 in poly.items():
+                key = m1 + m2
+                nxt[key] = nxt.get(key, 0.0) + c1 * c2
+        out = nxt
+    return out
 
 
 def simulate_measurement(op, state, replicates, seed):

@@ -13,7 +13,7 @@ from qustat import (
     ValidationError,
     build_ccr_basis,
     goodness_kernel,
-    fock_moment,
+    fock_moments,
     hermite_orthogonality_check,
     kernel_components,
     kernel_to_limit,
@@ -29,11 +29,12 @@ from qustat.ccr import (
     _classical_moments,
     _two_point_matrix,
     oscillator_polynomial,
-    poly_power,
     thermal_levels,
     wick_moments,
 )
 from qustat.operators import hermitize, state_covariance
+
+from oracles import poly_power
 
 ATOL = 1e-12
 ROUTE_RTOL = 1e-6
@@ -285,7 +286,7 @@ def test_fock_route_matches_wick_on_monomials(rho_75):
         deg = int(rng.integers(0, 7))
         mon = tuple(int(s) for s in rng.integers(0, basis.n_symbols, size=deg))
         w = quasifree_moment_wick(mon, basis)
-        f = fock_moment({mon: 1.0}, basis)
+        f = fock_moments({mon: 1.0}, basis, 1)[1]
         assert abs(w - f) <= ROUTE_RTOL * max(1.0, abs(w))
 
 
@@ -318,7 +319,41 @@ def test_wick_pass_matches_the_plain_recursion(rho_75, paulis):
             assert abs(moments[p] - expected) <= 1e-12 * abs(expected), (p, kernel)
 
 
-def test_poly_power_budget():
-    poly = {(0,): 1.0, (1,): 1.0, (2,): 1.0}
+def test_fock_pass_budget(rho_75, monkeypatch):
+    import qustat.ccr
+
+    basis = build_ccr_basis(rho_75)
+    monkeypatch.setattr(qustat.ccr, "MAX_POLY_TERMS", 100)
     with pytest.raises(ExpansionBudgetError):
-        poly_power(poly, 6, max_terms=100)
+        fock_moments({(0,): 1.0, (1,): 1.0, (2,): 1.0}, basis, 6)
+
+
+def test_passes_check_the_symbol_range(rho_75):
+    basis = build_ccr_basis(rho_75)
+    for s in (-1, basis.n_symbols):
+        for moment in (
+            lambda mon: wick_moments({mon: 1.0}, basis, 1),
+            lambda mon: fock_moments({mon: 1.0}, basis, 1),
+            lambda mon: quasifree_moment_wick(mon, basis),
+        ):
+            with pytest.raises(ValidationError, match="symbol index %d out of range" % s):
+                moment((s, s))
+
+
+@pytest.mark.parametrize("eigenvalues, preset", [
+    ([0.75, 0.25], "pauli-xy"),
+    ([0.75, 0.25], "goodness"),
+    ([0.5, 0.3, 0.2], "goodness"),
+], ids=["pauli-xy", "goodness-qubit", "goodness-qutrit"])
+def test_fock_pass_matches_the_plain_expansion(paulis, eigenvalues, preset):
+    sx, sy, _ = paulis
+    rho = DensityMatrix.from_eigenvalues(eigenvalues)
+    basis = build_ccr_basis(rho)
+    kernel = symmetrize_kernel([sx, sy]) if preset == "pauli-xy" else goodness_kernel(rho)
+    poly = limit_to_poly(kernel_to_limit(kernel, kernel_components(kernel, rho), basis), basis)
+    moments = fock_moments(poly, basis, 6)
+    # the qutrit's expansion of L^6 has over a million monomials; it is checked to t = 5.
+    # E[L] = 0, so each bound is relative to max(1, |E[L^t]|).
+    for t in range(6 if basis.d > 2 else 7):
+        expected = fock_moments(poly_power(poly, t), basis, 1)[1]
+        assert abs(moments[t] - expected) <= 1e-12 * max(1.0, abs(expected)), (t, moments[t], expected)

@@ -403,7 +403,7 @@ def test_hermite_check_keeps_the_levels_sigma_sq_needs(tmp_path):
 def test_limit_computes_each_route_once_per_order(tmp_path, monkeypatch):
     import qustat.ccr
 
-    calls = {"fock_moment": 0, "poly_power": 0}
+    calls = {"wick_moments": 0, "fock_moments": 0}
     for name in calls:
         original = getattr(qustat.ccr, name)
 
@@ -419,23 +419,26 @@ def test_limit_computes_each_route_once_per_order(tmp_path, monkeypatch):
         "p_list": [2, 4, 6],
     }
     _, result, _ = _run(tmp_path, config)
-    assert calls == {"fock_moment": 3, "poly_power": 3}
+    assert calls == {"wick_moments": 1, "fock_moments": 1}
     assert [row["p"] for row in result["moments"]] == [2, 4, 6]
 
 
 def test_limit_reaches_moment_order_ten(tmp_path):
     from qustat.ccr import ROUTE_AGREEMENT_RTOL
 
-    config = {
-        "command": "limit",
-        "state": STATE_75,
-        "kernel": {"preset": "pauli-xy"},
-        "p_list": [8, 10],
-    }
-    _, result, _ = _run(tmp_path, config)
-    assert [row["p"] for row in result["moments"]] == [8, 10]
-    for row in result["moments"]:
-        assert abs(row["wick"] - row["fock"]) <= ROUTE_AGREEMENT_RTOL * abs(row["wick"])
+    # the goodness orders exceeded MAX_POLY_TERMS while the Fock route expanded L^p
+    for state, preset, p_list in (
+        (STATE_75, "pauli-xy", [8, 10]),
+        (STATE_75, "goodness", [12]),
+        ({"eigenvalues": [0.5, 0.3, 0.2]}, "goodness", [6]),
+    ):
+        config = {"command": "limit", "state": state, "kernel": {"preset": preset}, "p_list": p_list}
+        case = tmp_path / ("%s-%d" % (preset, p_list[0]))
+        case.mkdir()
+        _, result, _ = _run(case, config)
+        assert [row["p"] for row in result["moments"]] == p_list
+        for row in result["moments"]:
+            assert abs(row["wick"] - row["fock"]) <= ROUTE_AGREEMENT_RTOL * abs(row["wick"])
 
 
 @pytest.mark.parametrize("command", ["convergence", "moments"])
@@ -1028,7 +1031,7 @@ def test_public_names_are_pinned():
         "OverlapResult", "QuStatError", "SiteSubset", "TestResult", "TestSpec",
         "ToleranceError", "UStatistic", "ValidationError", "assemble_direct",
         "assemble_fluctuation", "build_ccr_basis", "centered_moments",
-        "cond_expectation", "embed", "finite_law", "fluctuation_form", "fock_moment",
+        "cond_expectation", "embed", "finite_law", "fluctuation_form", "fock_moments",
         "goodness_kernel", "hermite_orthogonality_check", "hermitize",
         "hoeffding_project", "homogeneity_kernel", "kernel_components",
         "kernel_to_limit", "limit_moment", "limit_to_poly", "matrix_from_json",
