@@ -201,9 +201,10 @@ def _limit_law(limit, basis, budget=None):
     form a discrete variable with increasing `atoms` and probabilities
     `probs`, and the commutative block is sum_i mu_i Z_i^2 for i.i.d.
     standard normals Z_i, independent of it.  Each oscillator's part is
-    diagonalized on the Fock levels `thermal_levels` keeps for degree 0
+    diagonalized on the Fock levels `thermal_levels` keeps
     (`oscillator_polynomial`), its even and odd levels apart, since words
-    of even length never couple the two (odd ones are rejected); its
+    of even length never couple the two (odd ones are rejected, and so is
+    a (q, p) form that is not definite, whose spectrum is continuous); its
     eigenvalues are weighted by their thermal Born probabilities, the
     oscillators combine by outer sum, and the least likely joint atoms
     are dropped up to a total mass _DROPPED_MASS.  The thermal tails and
@@ -224,14 +225,17 @@ def _limit_law(limit, basis, budget=None):
     mu = np.linalg.eigvalsh(form)
     atoms, probs = np.array([float(const)]), np.ones(1)
     for pid in sorted(per_pair):
-        if any(len(word) % 2 for word in per_pair[pid]):
+        words = per_pair[pid]
+        qp = 0.5 * (words.get(("q", "p"), 0.0) + words.get(("p", "q"), 0.0))
+        if (any(len(word) % 2 for word in words)
+                or words.get(("q", "q"), 0.0) * words.get(("p", "p"), 0.0) <= qp * qp):
             raise ValidationError(
-                "limit polynomial has an oscillator monomial of odd degree; "
-                "its exact law needs even degrees"
+                "limit polynomial has odd degree on oscillator %d, or a (q, p) form there that "
+                "is not definite and so has a continuous spectrum; its exact law needs neither" % pid
             )
         sigma_sq = basis.oscillator_pairs[pid].sigma_sq
-        weights, tail = thermal_levels(sigma_sq, 0, budget)
-        op = hermitize(oscillator_polynomial(per_pair[pid], sigma_sq, len(weights))).entries
+        weights, tail = thermal_levels(sigma_sq, budget)
+        op = hermitize(oscillator_polynomial(words, sigma_sq, len(weights))).entries
         thermal = weights * (1.0 - tail)
         # words of even length couple only levels of equal parity
         vals, born = [], []

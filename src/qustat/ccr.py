@@ -15,19 +15,19 @@ ordering for mixed quadrature monomials).
 Moments of the limit are computed along two independent routes, each
 taking every order up to p from one left-to-right pass over the copies
 of L whose live states are capped at MAX_POLY_TERMS: a Wick
-pair-partition sum, and on Fock space, where each oscillator keeps the
-levels `thermal_levels` derives from its variance and the degree of what
-is evaluated, and the commutative block uses the exact Gaussian moments.
-On Fock space a product of quadratures is kept as bands of diagonals,
-which reach every level it passes through: `fock_moments` takes their
-thermal traces, and `oscillator_polynomial` gives an oscillator's
-polynomial as the exact operator compressed to its kept levels, the
-form in which the exact law of an order-2 limit diagonalizes it.
+pair-partition sum over the two-point function, and a pass on Fock space
+that reads only each oscillator's variance.  There a product of
+quadratures is reordered into normal order b^dagger^i b^j with
+[b, b^dagger] = 1 / (2 sigma^2), whose thermal means are exact (Cahill &
+Glauber 1969), so no Fock level is truncated; the Hermite orthogonality
+diagnostic uses the same rule.  Only the exact law of an order-2 limit
+keeps Fock levels: `oscillator_polynomial` gives an oscillator's
+polynomial as the exact operator compressed to the levels
+`thermal_levels` keeps, which that law diagonalizes.
 """
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -318,32 +318,6 @@ def _monic_hermite_coeffs(n):
     return out
 
 
-def _distinct_arrangements(counts):
-    """All distinct orderings of a multiset given as a list of (item, count)."""
-    items = []
-    for item, cnt in counts:
-        items.extend([item] * cnt)
-    if not items:
-        yield ()
-        return
-    seen = sorted(set(items))
-    remaining = {i: items.count(i) for i in seen}
-
-    def rec(prefix, left):
-        if left == 0:
-            yield tuple(prefix)
-            return
-        for i in seen:
-            if remaining[i] > 0:
-                remaining[i] -= 1
-                prefix.append(i)
-                yield from rec(prefix, left - 1)
-                prefix.pop()
-                remaining[i] += 1
-
-    yield from rec([], len(items))
-
-
 def limit_to_poly(limit, basis):
     """Expand a LimitPolynomial into S-ordered monomials over the symbols.
 
@@ -357,12 +331,12 @@ def limit_to_poly(limit, basis):
         per_symbol = [_monic_hermite_coeffs(m[i]) for i in active]
         for choice in itertools.product(*per_symbol):
             coeff = base
-            counts = []
+            items = []
             for i, (power, hc) in zip(active, choice):
                 coeff *= hc
-                if power:
-                    counts.append((i, power))
-            arrangements = list(_distinct_arrangements(counts))
+                items += [i] * power
+            # every distinct ordering of the multiset, in lexicographic order
+            arrangements = sorted(set(itertools.permutations(items)))
             share = coeff / len(arrangements)
             for arr in arrangements:
                 poly[arr] = poly.get(arr, 0.0) + share
@@ -385,10 +359,9 @@ def quasifree_moment_wick(symbols, basis):
 
 def _check_symbols(poly, basis):
     """Raise ValidationError unless every symbol of the monomial dict indexes `basis`."""
-    for mon in poly:
-        for s in mon:
-            if s < 0 or s >= basis.n_symbols:
-                raise ValidationError("symbol index %d out of range" % s)
+    bad = [s for mon in poly for s in mon if not 0 <= s < basis.n_symbols]
+    if bad:
+        raise ValidationError("symbol index %d out of range" % bad[0])
 
 
 def wick_moments(poly, basis, max_p):
@@ -400,8 +373,7 @@ def wick_moments(poly, basis, max_p):
     (C = `basis.two_point`, left factor first): the pair-partition sum of
     every monomial, and after the t-th copy of P the all-closed state
     holds E[P^t].  States with more open slots than factors left to close
-    them are dropped; over MAX_POLY_TERMS live states raise
-    ExpansionBudgetError.
+    them are dropped (`_moment_pass`).
     """
     _check_symbols(poly, basis)
     names = sorted({s for mon in poly for s in mon})
@@ -413,19 +385,37 @@ def wick_moments(poly, basis, max_p):
     c = basis.two_point.tolist()
     # per factor b: its place, and the (place of a, C[a, b]) of each symbol a it can close
     steps = {b: (place[b], [(place[a], c[a][b]) for a in names if c[a][b] != 0.0]) for b in names}
-    terms = [(coeff, [steps[s] for s in mon]) for mon, coeff in poly.items()]
-    states, moments = {0: 1.0 + 0.0j}, [1.0 + 0.0j]
+    terms = [(coeff, [(steps[s], 1) for s in mon]) for mon, coeff in poly.items()]
+    return _moment_pass(
+        terms, 0, lambda states, factor, cap: _wick_step(states, *factor, base, cap),
+        max_p, lambda states: states.get(0, 0.0 + 0.0j))
+
+
+def _moment_pass(terms, start, step, max_p, mean):
+    """[mean(states after t copies of P)] for t = 0..max_p, reading P^max_p left to right.
+
+    P's terms are (coeff, [(factor, reach)]), a factor's reach being the
+    most it can move a state toward one of nonzero mean.  From the state
+    `start`, step(states, factor, cap) gives the states after one more
+    factor, less those the reach `cap` of the factors left cannot bring
+    to a nonzero mean.  Over MAX_POLY_TERMS live states raise ExpansionBudgetError.
+    """
+    reach = max((sum(r for _, r in factors) for _, factors in terms), default=0)
+    states = {start: 1.0 + 0.0j}
+    moments = [mean(states)]
     for t in range(1, max_p + 1):
-        spare = (max_p - t) * degree
         out = {}
         for coeff, factors in terms:
-            read = states
-            for i, (slot, closers) in enumerate(factors):
-                read = _wick_step(read, slot, closers, base, spare + len(factors) - 1 - i)
+            read, left = states, (max_p - t) * reach + sum(r for _, r in factors)
+            for factor, r in factors:
+                left -= r
+                read = step(read, factor, left)
+                if len(read) > MAX_POLY_TERMS:
+                    raise ExpansionBudgetError("moment pass exceeded %d live states" % MAX_POLY_TERMS)
             for key, amp in read.items():
                 out[key] = out.get(key, 0.0) + coeff * amp
         states = out
-        moments.append(states.get(0, 0.0 + 0.0j))
+        moments.append(mean(states))
     return moments
 
 
@@ -446,8 +436,6 @@ def _wick_step(states, place, closers, base, cap):
                 if count:
                     down = key - 1 - slot
                     out[down] = out.get(down, 0.0) + amp * count * pair
-    if len(out) > MAX_POLY_TERMS:
-        raise ExpansionBudgetError("Wick pass exceeded %d live states" % MAX_POLY_TERMS)
     return out
 
 
@@ -455,38 +443,42 @@ def _wick_step(states, place, closers, base, cap):
 # Fock route
 
 
-def thermal_levels(sigma_sq, degree, budget=None):
-    """An oscillator's thermal state on the Fock levels a degree-g evaluation needs.
+def _thermal_ladder(sigma_sq, top):
+    """(eps, [<b^dagger^j b^j> for j = 0..top]) of the thermal state of variance sigma_sq >= 1/2.
 
-    The state is exp(-beta N) / Z with beta = 2 atanh(1 / (2 sigma_sq))
-    (the vacuum at sigma_sq = 1/2).  Its tail beyond level T moves a
-    degree-g moment by about exp(-beta T) (2T + g + 1)^(g/2); the least T
-    where that is at most TAIL_TOL is kept, plus g levels (2 at least).
-    Returns (weights, tail): the normalized weights exp(-beta k) / Z_T of
-    the kept levels and the thermal mass beyond them.  The truncation is
-    capped by `budget` (default DEFAULT_DIM_BUDGET).
+    In b = a / sqrt(2 sigma_sq) the normalized quadratures are q = b +
+    b^dagger and p = -i (b - b^dagger), [b, b^dagger] = eps = 1 / (2 sigma_sq),
+    and <b^dagger^i b^j> = delta_ij i! nu^i with nu = 1/2 - eps / 2 (Cahill
+    & Glauber 1969): finite at every sigma_sq, the vacuum's 0 at 1/2.
     """
     if not 0.5 - 1e-12 <= sigma_sq < math.inf:
         raise ValidationError(
             "oscillator variance must be a finite number >= 1/2, got %r" % (sigma_sq,)
         )
+    eps = min(1.0, 0.5 / sigma_sq)
+    return eps, list(itertools.accumulate(
+        range(1, top + 1), lambda v, j: v * j * (0.5 - 0.5 * eps), initial=1.0))
+
+
+def thermal_levels(sigma_sq, budget=None):
+    """An oscillator's thermal state on the Fock levels that hold all but TAIL_TOL of its mass.
+
+    The state is exp(-beta N) / Z with beta = 2 atanh(1 / (2 sigma_sq))
+    (the vacuum at sigma_sq = 1/2), kept on the least T >= 2 levels with
+    exp(-beta T) <= TAIL_TOL, at most `budget` (default DEFAULT_DIM_BUDGET).
+    Returns (weights, tail): the normalized weights exp(-beta k) / Z_T of
+    the kept levels and the thermal mass beyond them.
+    """
+    _thermal_ladder(sigma_sq, 0)  # checks sigma_sq
     limit = DEFAULT_DIM_BUDGET if budget is None else budget
-    beta, need = math.inf, 1.0  # the vacuum fills one level
-    if sigma_sq > 0.5 + 1e-12:
-        beta = 2.0 * math.atanh(1.0 / (2.0 * sigma_sq))
-        need = -math.log(TAIL_TOL) / beta
-    # the least fixed point of T = (-ln TAIL_TOL + (g/2) ln(2T + g + 1)) / beta,
-    # approached from below since the right side grows with T
-    levels = 0
-    while levels < need:
-        if max(2.0, need + degree) > limit:
-            raise BudgetError(
-                "Fock truncation of the oscillator with sigma^2 = %.6g needs at least "
-                "%.4g levels, over the budget %d" % (sigma_sq, max(2.0, need + degree), limit)
-            )
-        levels = math.ceil(need)
-        need = (-math.log(TAIL_TOL) + 0.5 * degree * math.log(2 * levels + degree + 1)) / beta
-    trunc = max(2, levels + degree)
+    beta = 2.0 * math.atanh(1.0 / (2.0 * sigma_sq)) if sigma_sq > 0.5 + 1e-12 else math.inf
+    need = -math.log(TAIL_TOL) / beta
+    if need > limit:
+        raise BudgetError(
+            "Fock truncation of the oscillator with sigma^2 = %.6g needs at least "
+            "%.4g levels, over the budget %d" % (sigma_sq, need, limit)
+        )
+    trunc = max(2, math.ceil(need))
     # the vacuum has all its weight on level 0
     weights = np.exp(-beta * np.arange(trunc)) if beta < math.inf else np.eye(1, trunc)[0]
     return weights / weights.sum(), math.exp(-beta * trunc)
@@ -498,123 +490,134 @@ def _band_roots(width, levels):
     return np.sqrt(np.maximum(offsets + np.arange(levels), 0))
 
 
-def _quadrature_times(kind, band, roots, scale=1.0):
-    """scale * Q M or scale * P M for M kept as 2w + 1 diagonals.
-
-    band[w + s, k] = <k + s| M |k> for the levels k of a thermal state;
-    a M and a^dagger M are the two `_ladder` directions on the couplings
-    `roots` of `_band_roots`, taken on copies of the band.
-    """
-    lowered = _ladder(band.copy(), roots, -1)
-    raised = _ladder(band.copy(), roots, 1)
-    if kind == "q":
-        return (lowered + raised) * (scale / math.sqrt(2.0))
-    return (lowered - raised) * (scale / (1j * math.sqrt(2.0)))
-
-
-def _word_bands(words, roots, scale):
-    """Yield (word, band of X_1 ... X_g) for words of "q"/"p" quadratures.
-
-    Each word is applied right to left, each quadrature scaled by `scale`;
-    visiting the words in the order of their reversals, the bands of a
-    shared suffix are computed once.
-    """
-    bands, previous = [_band_identity(len(roots) // 2, roots.shape[1])], ()
-    for suffix in sorted(word[::-1] for word in words):
-        shared = 0
-        while shared < min(len(previous), len(suffix)) and previous[shared] == suffix[shared]:
-            shared += 1
-        del bands[shared + 1 :]
-        for kind in suffix[shared:]:
-            bands.append(_quadrature_times(kind, bands[-1], roots, scale))
-        yield suffix[::-1], bands[-1]
-        previous = suffix
-
-
-def _word_traces(words, sigma_sq, degree, budget):
-    """{word: <X_1 ... X_g>} for words of normalized "q"/"p" quadratures.
-
-    The expectation is taken in the thermal state of variance sigma_sq on
-    the levels `thermal_levels` keeps for `degree`.
-    """
-    weights, _ = thermal_levels(sigma_sq, degree, budget)
-    width = max(len(word) for word in words)
-    bands = _word_bands(words, _band_roots(width, len(weights)), 1.0 / math.sqrt(sigma_sq))
-    return {word: complex(np.dot(weights, band[width])) for word, band in bands}
-
-
 def oscillator_polynomial(words, sigma_sq, levels):
     """sum_w c_w X_1 ... X_g on an oscillator's first `levels` Fock levels.
 
     `words` maps words of "q"/"p" quadratures, normalized by the variance
-    sigma_sq, to their coefficients c_w.  The bands reach every level a
-    word passes through, so the dense matrix returned is the exact
-    operator compressed to the kept levels.
+    sigma_sq, to their coefficients c_w.  Each word is applied right to
+    left on bands (`_ladder`), with Q = (a + a^dagger) / sqrt(2) and
+    P = (a - a^dagger) / (i sqrt(2)); the bands reach every level a word
+    passes through, so the dense matrix returned is the exact operator
+    compressed to the kept levels.  The words are summed in the order of
+    their reversals.
     """
     width = max(len(word) for word in words)
-    bands = _word_bands(words, _band_roots(width, levels), 1.0 / math.sqrt(sigma_sq))
-    return _densify(sum(words[word] * band for word, band in bands), levels)
+    roots = _band_roots(width, levels)
+    scale = 1.0 / math.sqrt(sigma_sq)
+
+    def band(word):
+        out = _band_identity(width, levels)
+        for kind in reversed(word):
+            lowered, raised = _ladder(out.copy(), roots, -1), _ladder(out.copy(), roots, 1)
+            out = ((lowered + raised) * (scale / math.sqrt(2.0)) if kind == "q"
+                   else (lowered - raised) * (scale / (1j * math.sqrt(2.0))))
+        return out
+
+    return _densify(sum(words[w] * band(w) for w in sorted(words, key=lambda w: w[::-1])), levels)
 
 
 def _classical_moments(max_degree):
     """E[x^k] for a standard Gaussian, k = 0..max_degree: (k - 1)!! or 0."""
-    return [
-        0.0 if k % 2 else float(math.prod(range(k - 1, 0, -2)))
-        for k in range(max_degree + 1)
-    ]
+    return [0.0 if k % 2 else float(math.prod(range(k - 1, 0, -2))) for k in range(max_degree + 1)]
 
 
-def fock_moments(poly, basis, max_p, budget=None):
-    """[E[P^t] for t = 0..max_p] of a monomial dict P, by one left-to-right pass on Fock space.
+def _reorder_weights(j, i, eps):
+    """[C(j, s) C(i, s) s! eps^s]: b^j b^dagger^i = sum_s w_s b^dagger^(i - s) b^(j - s)."""
+    return [math.comb(j, s) * math.comb(i, s) * math.factorial(s) * eps ** s
+            for s in range(min(i, j) + 1 if eps else 1)]
 
-    A state holds what the copies of P read so far put on each mode of P:
-    a power of each classical variable, and a word of "q"/"p" quadratures
-    on each oscillator.  Classical variables commute with everything and
-    quadratures of different oscillators commute, so equal states merge,
-    and a state's expectation is the product of its modes': the exact
-    moment of each classical power (the classical variables are i.i.d.
-    standard Gaussians in whitened coordinates), and the thermal trace of
-    each word on the levels `thermal_levels` keeps for degree
-    max_p * deg P, every distinct word traced once after the pass.  Over
-    MAX_POLY_TERMS live states raise ExpansionBudgetError.
+
+def _ladder_term(at, spread, i, j, eps, coeff=1.0):
+    """The `_fock_step` term coeff b^dagger^i b^j of the mode whose i - j digit is at `at`."""
+    return at, i - j, j, [[coeff * w for w in _reorder_weights(top, i, eps)] for top in range(spread + 1)]
+
+
+def _fock_step(states, terms, base, spread, cap):
+    """The states times one more factor on the right, a sum of `_ladder_term` terms, in normal order.
+
+    A state is the integer imbalance + sum over modes of two digits in
+    base `base`, i - j + spread and j, for the mode's b^dagger^i b^j; a
+    classical power k is i = j = k of a commuting ladder (eps = 0).  States
+    whose imbalance, the sum of |i - j|, exceeds `cap` are dropped.
+    """
+    out = {}
+    get = out.get
+    for at, lift, j, weights in terms:
+        j_place = at * base
+        for key, amp in states.items():
+            diff = key // at % base - spread
+            moved = key + lift * at + abs(diff + lift) - abs(diff)
+            if moved % base <= cap:
+                # c b^top b^dagger^i = sum_s w_s b^dagger^(i - s) b^(top - s)
+                for s, w in enumerate(weights[key // j_place % base]):
+                    new = moved + (j - s) * j_place
+                    out[new] = get(new, 0.0) + amp * w
+    return out
+
+
+def _symbol_factors(at, spread, eps):
+    """The `_fock_step` factor of each symbol kind: q = b + b^dagger, p = -i b + i b^dagger, x."""
+    return {"q": [_ladder_term(at, spread, 0, 1, eps), _ladder_term(at, spread, 1, 0, eps)],
+            "p": [_ladder_term(at, spread, 0, 1, eps, -1j), _ladder_term(at, spread, 1, 0, eps, 1j)],
+            "classical": [_ladder_term(at, spread, 1, 1, eps)]}
+
+
+def fock_moments(poly, basis, max_p):
+    """[E[P^t] for t = 0..max_p] of a monomial dict P, by one left-to-right pass in normal order.
+
+    P is first put in normal order in each oscillator's ladder b
+    (`_thermal_ladder`): a sum of products over modes of b^dagger^i b^j
+    or classical powers, one of which a state of the pass holds
+    (`_fock_step`).  Modes commute, so equal states merge, and a state's
+    mean is its modes' delta_ij i! nu^i times (k - 1)!! for each classical
+    power k (i.i.d. standard Gaussians in whitened coordinates).  A factor
+    b^dagger^i b^j moves i - j by exactly i - j, so a state more
+    imbalanced than the factors left can undo is dropped (`_moment_pass`).
     """
     _check_symbols(poly, basis)
-    symbols = basis.symbols
-    # a mode is ("c", symbol) for a classical variable, ("o", pair_id) for an oscillator
-    mode_of = [("c", s) if sym.kind == "classical" else ("o", sym.pair_id)
-               for s, sym in enumerate(symbols)]
-    modes = sorted({mode_of[s] for mon in poly for s in mon})
-    at = {mode: i for i, mode in enumerate(modes)}
-    empty = tuple(0 if kind == "c" else "" for kind, _ in modes)
+    degree = max(map(len, poly), default=0)
+    spread = max(1, max_p) * degree
+    base = 2 * spread + 1
+    # mode: (place of its i - j digit, eps, means by j, factors of its symbols)
+    modes, factors = {}, {}
+    for s in sorted({s for mon in poly for s in mon}):
+        sym = basis.symbols[s]
+        mode = sym.name if sym.kind == "classical" else sym.pair_id
+        if mode not in modes:
+            at = base ** (1 + 2 * len(modes))
+            eps, means = ((0.0, _classical_moments(spread)) if sym.kind == "classical"
+                          else _thermal_ladder(sym.sigma_sq, spread))
+            modes[mode] = (at, eps, means, _symbol_factors(at, spread, eps))
+        factors[s] = modes[mode][3][sym.kind]
+    start = spread * sum(at for at, *_ in modes.values())
+    # P in normal order, each shared prefix of its sorted monomials taken once;
+    # a term more imbalanced than the other copies of P can undo is dropped
+    normal, reads, previous = {}, [{start: 1.0 + 0.0j}], ()
+    for mon in sorted(poly):
+        shared = next((i for i, pair in enumerate(zip(previous, mon)) if pair[0] != pair[1]),
+                      min(len(previous), len(mon)))
+        del reads[shared + 1:]
+        for s in mon[shared:]:
+            reads.append(_fock_step(reads[-1], factors[s], base, spread, spread - len(reads)))
+        for key, amp in reads[-1].items():
+            normal[key] = normal.get(key, 0.0) + poly[mon] * amp
+        previous = mon
+    # each term as one factor per mode, which reaches |i - j| toward balance
     terms = []
-    for mon, coeff in poly.items():
-        step = list(empty)
-        for s in mon:
-            kind = symbols[s].kind
-            step[at[mode_of[s]]] += 1 if kind == "classical" else kind
-        terms.append((step, coeff))
-    passes = [{empty: 1.0 + 0.0j}]
-    for _ in range(max_p):
-        out = {}
-        for state, amp in passes[-1].items():
-            for step, coeff in terms:
-                key = tuple(map(operator.add, state, step))
-                out[key] = out.get(key, 0.0) + amp * coeff
-            if len(out) > MAX_POLY_TERMS:
-                raise ExpansionBudgetError("Fock pass exceeded %d live states" % MAX_POLY_TERMS)
-        passes.append(out)
-    degree = max_p * max(map(len, poly), default=0)
-    values = [
-        _classical_moments(degree) if kind == "c" else _word_traces(
-            {state[i] for states in passes for state in states},
-            basis.oscillator_pairs[key].sigma_sq, degree, budget)
-        for i, (kind, key) in enumerate(modes)
-    ]
-    return [
-        sum((amp * math.prod(v[e] for v, e in zip(values, state)) for state, amp in states.items()),
-            0.0 + 0.0j)
-        for states in passes
-    ]
+    for key, coeff in normal.items():
+        digits = [(at, eps, key // at % base - spread, key // (at * base) % base)
+                  for at, eps, _, _ in modes.values()]
+        if coeff:
+            terms.append((coeff, [([_ladder_term(at, spread, diff + j, j, eps)], abs(diff))
+                                  for at, eps, diff, j in digits if diff or j]))
+
+    def mean(states):
+        return sum((amp * math.prod(means[key // (at * base) % base] for at, _, means, _ in modes.values())
+                    for key, amp in states.items() if key % base == 0), 0.0 + 0.0j)
+
+    return _moment_pass(
+        terms, start, lambda states, factor, cap: _fock_step(states, factor, base, spread, cap),
+        max_p, mean)
 
 
 # ---------------------------------------------------------------------------
@@ -625,24 +628,21 @@ ROUTE_AGREEMENT_RTOL = 1e-6
 ROUTE_AGREEMENT_ATOL = 1e-9
 
 
-def limit_moment(limit, basis, p, method="wick", budget=None):
+def limit_moment(limit, basis, p, method="wick"):
     """E[L^p] for the limit polynomial L, via "wick" or "fock"."""
-    return _route_moments(limit, basis, [p], (method,), budget)[p][method]
+    return _route_moments(limit, basis, [p], (method,))[p][method]
 
 
-def _route_moments(limit, basis, ps, methods, budget=None):
+def _route_moments(limit, basis, ps, methods):
     """{p: {method: E[L^p]}} for the orders ps, all from one pass per route; two routes must agree."""
     if min(ps) < 0:
         raise ValidationError("moment order must be >= 0")
+    routes = {"wick": wick_moments, "fock": fock_moments}
     for name in methods:
-        if name not in ("wick", "fock"):
+        if name not in routes:
             raise ValidationError("unknown method %r" % name)
     poly = limit_to_poly(limit, basis)
-    runs = {
-        name: wick_moments(poly, basis, max(ps)) if name == "wick"
-        else fock_moments(poly, basis, max(ps), budget)
-        for name in methods
-    }
+    runs = {name: routes[name](poly, basis, max(ps)) for name in methods}
     out = {}
     for p in ps:
         values = {}
@@ -664,49 +664,48 @@ def _route_moments(limit, basis, ps, methods, budget=None):
 # The Hermite orthogonality diagnostic
 
 
-def _s_ordered_products(degree, roots):
-    """{(a, b): S[Q^a P^b]} for a + b <= degree, as bands.
-
-    S[Q^a P^b] averages the distinct orderings of a Q's and b P's; sorting
-    them by their first factor gives
-    S[Q^a P^b] = (a Q S[Q^(a-1) P^b] + b P S[Q^a P^(b-1)]) / (a + b).
-    """
-    out = {(0, 0): _band_identity(degree, roots.shape[1])}
-    for total in range(1, degree + 1):
-        for a in range(total + 1):
-            b = total - a
-            q = a * _quadrature_times("q", out[a - 1, b], roots) if a else 0.0
-            p = b * _quadrature_times("p", out[a, b - 1], roots) if b else 0.0
-            out[a, b] = (q + p) / total
-    return out
-
-
-def hermite_orthogonality_check(n, m, sigma_sq, budget=None):
+def hermite_orthogonality_check(n, m, sigma_sq):
     """Orthogonality of the degree-(n+m) Hermite form to all lower S-monomials.
 
-    Builds X = S[He_n(Q / sigma) He_m(P / sigma)], the monic Hermite form
-    of the limit polynomials, in the thermal state phi of variance
-    sigma_sq and returns the largest |<Y, X>| / (||Y|| ||X||) over
-    Y = S[Q^a P^b] with a + b < n + m, using the complex inner product
-    <A, B> = Tr(phi A* B).  The products are kept as bands, and phi on
-    the levels `thermal_levels` keeps for the degree 2(n + m) of A* B.
+    Builds X = S[He_n(q) He_m(p)], the monic Hermite form of the limit
+    polynomials, in the normalized quadratures of the thermal state phi of
+    variance sigma_sq and returns the largest |<Y, X>| / (||Y|| ||X||)
+    over Y = S[q^a p^b] with a + b < n + m, for <A, B> = Tr(phi A B), which
+    is Tr(phi A* B) on these selfadjoint forms.  Sorting the orderings of
+    S[q^a p^b] by their last factor gives S[q^a p^b] = (a S[q^(a-1) p^b] q
+    + b S[q^a p^(b-1)] p) / (a + b), kept in normal order (`_fock_step`);
+    the traces are exact (`_reorder_weights`, `_thermal_ladder`).
     """
-    phi, _ = thermal_levels(sigma_sq, 2 * (n + m), budget)
-    products = _s_ordered_products(n + m, _band_roots(n + m, len(phi)))
-    s = math.sqrt(sigma_sq)
-    x = sum(
-        ca * cb * s ** (-(a + b)) * products[a, b]
-        for a, ca in _monic_hermite_coeffs(n)
-        for b, cb in _monic_hermite_coeffs(m)
-    )
+    size = n + m + 1
+    eps, means = _thermal_ladder(sigma_sq, 2 * size)
+    base = 2 * size + 1
+    factors = _symbol_factors(base, size, eps)
+    ys = {(0, 0): {size * base: 1.0 + 0.0j}}
+    for total in range(1, size):
+        for a in range(total + 1):
+            b = total - a
+            q = _fock_step(ys[a - 1, b], factors["q"], base, size, base) if a else {}
+            p = _fock_step(ys[a, b - 1], factors["p"], base, size, base) if b else {}
+            ys[a, b] = {key: (a * q.get(key, 0.0) + b * p.get(key, 0.0)) / total for key in q.keys() | p.keys()}
+    # y[i, j]: the coefficient of b^dagger^i b^j
+    for ab, states in ys.items():
+        ys[ab] = np.zeros((size, size), dtype=complex)
+        for key, amp in states.items():
+            j = key // base ** 2 % base
+            ys[ab][key // base % base - size + j, j] = amp
+    x = sum(ca * cb * ys[a, b] for a, ca in _monic_hermite_coeffs(n) for b, cb in _monic_hermite_coeffs(m))
+    # gram[i, j, k, l] = Tr(phi b^dagger^i b^j b^dagger^k b^l), 0 unless i + k = j + l
+    gram = np.zeros((size,) * 4)
+    for i, j, k in itertools.product(range(size), repeat=3):
+        if 0 <= i + k - j < size:
+            gram[i, j, k, i + k - j] = sum(w * means[i + k - s] for s, w in enumerate(_reorder_weights(j, k, eps)))
 
     def inner(y, z):
-        # Tr(phi Y* Z) = sum over columns k and rows k + s of phi_k conj(Y) Z
-        return complex(np.vdot(y * phi, z))
+        return complex(np.einsum("ij,ijkl,kl", y, gram, z))
 
     norm_x = math.sqrt(max(inner(x, x).real, 0.0))
     worst = 0.0
-    for (a, b), y in products.items():
+    for (a, b), y in ys.items():
         norm_y = math.sqrt(max(inner(y, y).real, 0.0))
         if a + b < n + m and norm_x > 0.0 and norm_y > 0.0:
             worst = max(worst, abs(inner(y, x)) / (norm_x * norm_y))

@@ -446,8 +446,7 @@ def _cmd_limit(config):
     state = _load_state(config["state"])
     kernel = _load_kernel(config["kernel"], state)
     report, basis, limit = _limit_setup(state, kernel)
-    routes = _route_moments(limit, basis, sorted(set(config["p_list"])), ("wick", "fock"),
-                            budget=config.get("dim_budget"))
+    routes = _route_moments(limit, basis, sorted(set(config["p_list"])), ("wick", "fock"))
     moments = [{"p": p, "wick": r["wick"], "fock": r["fock"], "abs_gap": abs(r["wick"] - r["fock"])}
                for p, r in routes.items()]
     result = {"polynomial": limit.to_json(), "moments": moments}
@@ -494,8 +493,11 @@ def _cmd_convergence(config):
 
 def _cmd_test_sim(config):
     from .apps import TestSpec, run_test
+    from .errors import ValidationError
 
     _require(config, "state", "alpha", "n_list")
+    if config.get("kernel", {"preset": "goodness"}) != {"preset": "goodness"}:
+        raise ValidationError("test-sim runs only the goodness kernel of its state")
     state = _load_state(config["state"])
     alternative = None
     if "alternative" in config:
@@ -539,22 +541,15 @@ def _cmd_hermite_check(config):
     from .ccr import hermite_orthogonality_check
     from .errors import ToleranceError
 
-    rows = []
-    worst = 0.0
-    for sigma_sq in config["sigma_sq_list"]:
-        for total in range(config["max_order"] + 1):
-            for n in range(total + 1):
-                m = total - n
-                res = hermite_orthogonality_check(
-                    n, m, sigma_sq, budget=config.get("dim_budget")
-                )
-                worst = max(worst, res)
-                rows.append({
-                    "n": n,
-                    "m": m,
-                    "sigma_sq": sigma_sq,
-                    "max_residual": res,
-                })
+    rows = [
+        {"n": n, "m": total - n, "sigma_sq": sigma_sq,
+         "max_residual": hermite_orthogonality_check(n, total - n, sigma_sq)}
+        for sigma_sq in config["sigma_sq_list"]
+        for total in range(config["max_order"] + 1)
+        for n in range(total + 1)
+    ]
+    # the first row, n = m = 0, has no lower monomial and reads 0
+    worst = max(row["max_residual"] for row in rows)
     result = {"max_residual": worst, "tolerance": config["hermite_tol"]}
     if worst > config["hermite_tol"]:
         raise ToleranceError(

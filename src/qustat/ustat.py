@@ -238,7 +238,7 @@ def _spin_stack(kernel, weights, n_list, budget=None):
     kept blocks follow one another on one level axis with no padding, n
     after n in n_list order and j descending within an n; the stack is
     kept as its 2r + 1 diagonals, bands[r + s, i] = <i + s| A |i> (the
-    layout of `ccr._quadrature_times`), and its entries across a block
+    layout of `operators._ladder`), and its entries across a block
     edge are 0.  The weights are those of `_spin_levels` on the kept levels,
     and edges[m] holds the first level of every kept block of n_list[m],
     then the end of its last.  The kernel's `_distinct_plan` is evaluated

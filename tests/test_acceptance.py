@@ -281,7 +281,7 @@ def test_criterion_06():
 
 
 def test_criterion_07():
-    """Wick pairing agrees with truncated Fock evaluation on random monomials."""
+    """Wick pairing agrees with the normal-ordered Fock evaluation on random monomials."""
     rng = np.random.default_rng(707)
     rho = DensityMatrix.from_eigenvalues([0.5, 0.3, 0.2])
     basis = build_ccr_basis(rho)

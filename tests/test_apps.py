@@ -356,7 +356,7 @@ def _full_eigh_law(limit, basis):
     const, _, per_pair = _split_additive(limit_to_poly(limit, basis), basis)
     (words,) = per_pair.values()
     sigma_sq = basis.oscillator_pairs[0].sigma_sq
-    weights, tail = thermal_levels(sigma_sq, 0)
+    weights, tail = thermal_levels(sigma_sq)
     op = hermitize(oscillator_polynomial(words, sigma_sq, len(weights))).entries
     vals, vecs = np.linalg.eigh(op)
     probs = (weights * (1.0 - tail)) @ np.abs(vecs) ** 2
@@ -390,6 +390,20 @@ def test_limit_law_rejects_odd_oscillator_words(rho_75):
         limit = LimitPolynomial(c=len(terms), binom_factor=1, terms=terms)
         with pytest.raises(ValidationError, match="odd degree"):
             _limit_law(limit, basis)
+
+
+def test_limit_law_rejects_a_form_with_a_continuous_spectrum(rho_75, paulis):
+    # pauli-xy's limit -(qp + pq) / 2 is indefinite: on kept Fock levels it
+    # gave 26 atoms with P(L <= 1) = 0.794, where the exact value is 0.876
+    sx, sy, _ = paulis
+    kernel = symmetrize_kernel([sx, sy])
+    basis = build_ccr_basis(rho_75)
+    limit = kernel_to_limit(kernel, kernel_components(kernel, rho_75), basis)
+    with pytest.raises(ValidationError, match="not definite"):
+        _limit_law(limit, basis)
+    # q^2 alone is semidefinite, its spectrum continuous too
+    with pytest.raises(ValidationError, match="not definite"):
+        _limit_law(LimitPolynomial(c=2, binom_factor=1, terms=(((2, 0, 0), 1.0), ((0, 2, 0), 1.0))), basis)
 
 
 def test_limit_law_error_bound_is_enforced():

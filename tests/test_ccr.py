@@ -14,6 +14,7 @@ from qustat import (
     build_ccr_basis,
     goodness_kernel,
     fock_moments,
+    homogeneity_kernel,
     hermite_orthogonality_check,
     kernel_components,
     kernel_to_limit,
@@ -183,10 +184,9 @@ def test_fully_degenerate_kernel_rejected(rho_75):
 
 
 def test_fock_rep_thermal_weights():
-    vac, tail = thermal_levels(0.5, 0)
+    vac, tail = thermal_levels(0.5)
     assert list(vac) == [1.0, 0.0] and tail == 0.0
-    assert len(thermal_levels(0.5, 6)[0]) == 7
-    w, tail = thermal_levels(1.0, 0)
+    w, tail = thermal_levels(1.0)
     np.testing.assert_allclose(w[1] / w[0], 1.0 / 3.0, rtol=1e-12)
     np.testing.assert_allclose(w.sum(), 1.0, rtol=1e-12)
     assert tail == pytest.approx(3.0 ** -len(w), rel=1e-12)
@@ -194,7 +194,7 @@ def test_fock_rep_thermal_weights():
     np.testing.assert_allclose(mean_n, 0.5, rtol=1e-10)
     for bad in (0.3, 0.4, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValidationError):
-            thermal_levels(bad, 0)
+            thermal_levels(bad)
 
 
 def test_oscillator_polynomial_matches_dense_ladder_operators():
@@ -218,28 +218,22 @@ def test_oscillator_polynomial_matches_dense_ladder_operators():
         )
 
 
-def _log_tail_bound(beta, levels, degree):
-    """log of exp(-beta T) (2T + g + 1)^(g/2), the tail's effect on a degree-g moment."""
-    return -beta * levels + 0.5 * degree * np.log(2 * levels + degree + 1)
-
-
 def test_thermal_levels_hold_the_tail_bound_at_the_least_truncation():
     for sigma_sq in (0.55, 0.75, 1.0, 2.0, 3.0, 12.5, 50.0):
         beta = 2.0 * np.arctanh(1.0 / (2.0 * sigma_sq))
-        for degree in (0, 1, 2, 6, 8, 12, 24):
-            weights, tail = thermal_levels(sigma_sq, degree)
-            levels = len(weights) - degree  # before the padding
-            assert _log_tail_bound(beta, levels, degree) <= np.log(TAIL_TOL)
-            assert _log_tail_bound(beta, levels - 1, degree) > np.log(TAIL_TOL)
-            assert tail == pytest.approx(np.exp(-beta * len(weights)), rel=1e-12)
+        weights, tail = thermal_levels(sigma_sq)
+        levels = len(weights)
+        assert -beta * levels <= np.log(TAIL_TOL)
+        assert -beta * (levels - 1) > np.log(TAIL_TOL)
+        assert tail == pytest.approx(np.exp(-beta * levels), rel=1e-12)
     with pytest.raises(BudgetError, match="Fock truncation"):
-        thermal_levels(50.0, 8, budget=100)
+        thermal_levels(50.0, budget=100)
     with pytest.raises(BudgetError, match="Fock truncation"):
-        thermal_levels(1e300, 0)
-    trunc = len(thermal_levels(2.0, 6)[0])
-    assert len(thermal_levels(2.0, 6, budget=trunc)[0]) == trunc
+        thermal_levels(1e300)
+    trunc = len(thermal_levels(2.0)[0])
+    assert len(thermal_levels(2.0, budget=trunc)[0]) == trunc
     with pytest.raises(BudgetError, match="Fock truncation"):
-        thermal_levels(2.0, 6, budget=trunc - 1)
+        thermal_levels(2.0, budget=trunc - 1)
 
 
 def test_thermal_levels_at_degree_zero_keep_the_tail_mass_rule():
@@ -248,7 +242,7 @@ def test_thermal_levels_at_degree_zero_keep_the_tail_mass_rule():
         sigma_sq = 1.0 / (2.0 * (2.0 * lam - 1.0))
         beta = 2.0 * math.atanh(1.0 / (2.0 * sigma_sq))
         expected = max(2, math.ceil(-math.log(TAIL_TOL) / beta))
-        weights, tail = thermal_levels(sigma_sq, 0)
+        weights, tail = thermal_levels(sigma_sq)
         assert len(weights) == expected
         assert tail == math.exp(-beta * expected)
 
@@ -262,6 +256,17 @@ def test_classical_moments_are_exact_double_factorials():
 def test_hermite_forms_orthogonal_to_lower_monomials():
     worst = hermite_orthogonality_check(1, 1, 1.0)
     assert worst < 1e-8
+
+
+def test_hermite_check_is_exact_at_every_variance():
+    # the vacuum, a variance whose old Fock truncation took 0.66 s, and one no truncation reaches
+    for sigma_sq in (0.5, 50.0, 1e300):
+        worst = max(hermite_orthogonality_check(n, total - n, sigma_sq)
+                    for total in range(7) for n in range(total + 1))
+        assert worst < 1e-14, sigma_sq
+    for bad in (0.3, 0.4, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="oscillator variance"):
+            hermite_orthogonality_check(1, 1, bad)
 
 
 def test_wick_route_details(rho_75, monkeypatch):
@@ -323,7 +328,8 @@ def test_fock_pass_budget(rho_75, monkeypatch):
     import qustat.ccr
 
     basis = build_ccr_basis(rho_75)
-    monkeypatch.setattr(qustat.ccr, "MAX_POLY_TERMS", 100)
+    # the normal-ordered pass of c1 + q12 + p12 peaks at 16 live states at p = 6
+    monkeypatch.setattr(qustat.ccr, "MAX_POLY_TERMS", 10)
     with pytest.raises(ExpansionBudgetError):
         fock_moments({(0,): 1.0, (1,): 1.0, (2,): 1.0}, basis, 6)
 
@@ -357,3 +363,38 @@ def test_fock_pass_matches_the_plain_expansion(paulis, eigenvalues, preset):
     for t in range(6 if basis.d > 2 else 7):
         expected = fock_moments(poly_power(poly, t), basis, 1)[1]
         assert abs(moments[t] - expected) <= 1e-12 * max(1.0, abs(expected)), (t, moments[t], expected)
+
+
+def _preset_poly(eigenvalues, preset, paulis):
+    sx, sy, sz = paulis
+    rho = DensityMatrix.from_eigenvalues(eigenvalues)
+    basis = build_ccr_basis(rho)
+    kernel = {
+        "pauli-xy": lambda: symmetrize_kernel([sx, sy]),
+        "pauli-xx-yy": lambda: Kernel(2, 2, hermitize(np.kron(sx, sx) + np.kron(sy, sy))),
+        "sigma-zz": lambda: Kernel(2, 2, hermitize(np.kron(sz, sz))),
+        "goodness": lambda: goodness_kernel(rho),
+        # at diag(0.75, 0.25) on one source and diag(0.6, 0.4) on the other
+        "homogeneity": lambda: homogeneity_kernel(2),
+    }[preset]()
+    poly = limit_to_poly(kernel_to_limit(kernel, kernel_components(kernel, rho), basis), basis)
+    return poly, basis
+
+
+@pytest.mark.parametrize("eigenvalues, preset, max_p", [
+    ([0.75, 0.25], "pauli-xy", 12),
+    ([0.75, 0.25], "pauli-xx-yy", 12),
+    ([0.75, 0.25], "sigma-zz", 12),
+    ([0.75, 0.25], "goodness", 12),
+    ([0.45, 0.3, 0.15, 0.1], "homogeneity", 12),
+    ([0.5, 0.3, 0.2], "goodness", 10),
+    ([0.505, 0.495], "goodness", 12),
+    ([0.500001, 0.499999], "goodness", 12),
+])
+def test_fock_pass_in_normal_order_is_exact(paulis, eigenvalues, preset, max_p):
+    """The Fock route keeps no truncation: it matches Wick to rounding at every order."""
+    poly, basis = _preset_poly(eigenvalues, preset, paulis)
+    wick = wick_moments(poly, basis, max_p)
+    fock = fock_moments(poly, basis, max_p)
+    for t, (w, f) in enumerate(zip(wick, fock)):
+        assert abs(w - f) <= 1e-12 * max(1.0, abs(w)), (t, w, f)

@@ -377,8 +377,7 @@ def test_limit_runs_where_a_fixed_fock_truncation_fell_short(
     tmp_path, eigenvalues, preset, p_list
 ):
     # at 64 Fock levels the thermal tails of these states are 5.4e-12,
-    # 2.6e-6 and 0.28; each oscillator now keeps the levels its variance
-    # and the moment's degree need (3139 at diag(0.505, 0.495), p = 4)
+    # 2.6e-6 and 0.28; the route in normal order keeps no levels
     config = {
         "command": "limit",
         "state": {"eigenvalues": eigenvalues},
@@ -392,7 +391,7 @@ def test_limit_runs_where_a_fixed_fock_truncation_fell_short(
 
 
 def test_hermite_check_keeps_the_levels_sigma_sq_needs(tmp_path):
-    # 64 levels left a thermal tail of 4.4e-10 at sigma^2 = 3
+    # 64 levels left a thermal tail of 4.4e-10 at sigma^2 = 3; no levels are kept now
     config = {"command": "hermite-check", "max_order": 4, "sigma_sq_list": [3.0]}
     out, result, _ = _run(tmp_path, config)
     assert result["max_residual"] < 1e-8
@@ -1202,10 +1201,11 @@ def test_moments_of_a_fully_degenerate_kernel_exit_one(tmp_path):
 
 
 def test_cli_tolerance_violation_exits_three(tmp_path):
+    # the residuals are rounding alone: 0 up to order 4 at sigma^2 = 1, 1.8e-16 here
     proc = _run_cli(tmp_path, {
         "command": "hermite-check",
-        "max_order": 2,
-        "sigma_sq_list": [1.0],
+        "max_order": 6,
+        "sigma_sq_list": [0.75],
         "hermite_tol": 1e-30,
     })
     assert proc.returncode == 3
@@ -1232,16 +1232,77 @@ def test_hermite_check_below_half_variance_exits_one(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_limit_fock_truncation_over_budget_exits_two(tmp_path):
+def test_limit_fock_route_truncates_no_levels_under_any_budget(tmp_path):
+    # a truncation of the oscillator of variance 5 needed about 150 Fock
+    # levels, over this budget; the route in normal order keeps none
     proc = _run_cli(tmp_path, {
         "command": "limit",
         "state": {"eigenvalues": [0.55, 0.45]},
         "kernel": {"preset": "pauli-xy"},
         "p_list": [2],
-        # the oscillator of variance 5 needs about 150 Fock levels
         "dim_budget": 16,
     })
-    assert proc.returncode == 2
+    assert proc.returncode == 0, proc.stderr
+    (row,) = json.loads((tmp_path / "out" / "result.json").read_text(encoding="utf-8"))["moments"]
+    assert row["abs_gap"] <= 1e-12 * abs(row["wick"]), row
+
+
+def test_limit_runs_on_a_nearly_degenerate_qubit(tmp_path):
+    # a Fock truncation of the oscillator of variance 250000 needed 6.9e6 levels
+    proc = _run_cli(tmp_path, {
+        "command": "limit",
+        "state": {"eigenvalues": [0.500001, 0.499999]},
+        "kernel": {"preset": "goodness"},
+        "p_list": [2, 4, 6, 8, 10],
+    })
+    assert proc.returncode == 0, proc.stderr
+    moments = json.loads((tmp_path / "out" / "result.json").read_text(encoding="utf-8"))["moments"]
+    assert [row["p"] for row in moments] == [2, 4, 6, 8, 10]
+    for row in moments:
+        assert row["abs_gap"] <= 1e-12 * max(1.0, abs(row["wick"])), row
+
+
+def test_hermite_check_runs_at_any_finite_variance(tmp_path):
+    proc = _run_cli(tmp_path, {"command": "hermite-check", "sigma_sq_list": [50.0, 1e300]})
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((tmp_path / "out" / "result.json").read_text(encoding="utf-8"))
+    assert 0.0 <= result["max_residual"] < result["tolerance"] == 1e-8
+
+
+def test_hermite_check_infinite_variance_exits_one(tmp_path):
+    # 1e400 is a JSON number that reads as inf
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"command": "hermite-check", "sigma_sq_list": [1e400]}', encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qustat.cli", "--config", str(cfg), "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_subprocess_env(),
+    )
+    assert proc.returncode == 1
     payload = json.loads(proc.stderr.splitlines()[-1])
-    assert payload["error"]["kind"] == "BudgetError"
-    assert "Fock truncation" in payload["error"]["message"]
+    assert payload["error"]["kind"] == "ValidationError"
+    assert "oscillator variance" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("kernel", [
+    {"preset": "pauli-xy"},
+    {"preset": "sigma-zz"},
+    {"preset": "homogeneity", "d": 2},
+    {"d": 2, "r": 2, "matrix": matrix_to_json(np.eye(4))},
+], ids=["pauli-xy", "sigma-zz", "homogeneity", "matrix"])
+def test_test_sim_rejects_a_kernel_it_would_ignore(tmp_path, kernel):
+    proc = _run_cli(tmp_path, {
+        "command": "test-sim", "state": STATE_75, "alpha": 0.05, "n_list": [4], "kernel": kernel,
+    })
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    payload = json.loads(proc.stderr)
+    assert payload["error"]["kind"] == "ValidationError"
+    assert "goodness kernel" in payload["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_test_sim_accepts_the_goodness_kernel_it_runs(tmp_path):
+    config = {"command": "test-sim", "state": STATE_75, "alpha": 0.05, "n_list": [4]}
+    _, without, _ = _run(tmp_path, config)
+    _, with_kernel, _ = _run(tmp_path, dict(config, kernel={"preset": "goodness"}))
+    assert with_kernel == without

@@ -29,7 +29,7 @@ def test_readme_quick_start_prints_its_stated_values():
     assert c == "2"
     assert float(m2) == pytest.approx(1.125, rel=1e-12)
     assert float(wick) == pytest.approx(1.25, rel=1e-12)
-    assert float(fock) == pytest.approx(1.25, rel=1e-8)
+    assert float(fock) == pytest.approx(1.25, rel=1e-12)
 
 
 def _layout_rows():
