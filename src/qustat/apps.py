@@ -6,10 +6,12 @@ is n (U_n - 0) and its null distribution converges to a quadratic
 polynomial in the limit variables.  The kernels estimate a distance that
 is zero exactly at the null, so only large values of n U_n speak against
 it: the default critical region is the upper tail beyond the (1 - alpha)
-quantile of that limit law.  The law is exact: a discrete variable (the
-thermal Born law of each oscillator's spectrum, summed over oscillators)
-plus an independent weighted sum of chi-square(1) variables for the
-commutative block, whose CDF is Ruben's chi-square mixture.  It is built
+quantile of that limit law.  The law is exact and reads only the
+polynomial's constant and its symmetric coefficient matrix: a discrete
+variable (the thermal Born law of the spectrum of each oscillator's
+quadratic form, summed over oscillators) plus an independent weighted
+sum of chi-square(1) variables for the commutative block, whose CDF is
+Ruben's chi-square mixture.  It is built
 once per test run and serves every sample size; the level and power at
 each n are exact Born sums over the law of n U_n from `ustat.finite_law`.
 Nothing is sampled.  The metrology overlap is read from `finite_law`
@@ -23,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ccr import (
+    _oscillator_form,
     build_ccr_basis,
     kernel_to_limit,
     limit_moment,
     limit_to_poly,
-    oscillator_polynomial,
     thermal_levels,
 )
 from .errors import ToleranceError, ValidationError
@@ -164,80 +166,63 @@ class TestResult:
         }
 
 
-def _split_additive(poly, basis):
-    """Split monomials into constant, commutative, and per-oscillator parts.
-
-    Each oscillator's part maps words of its "q"/"p" quadratures to their
-    coefficients.  Raises when a monomial mixes blocks; the exact limit
-    law relies on additivity across the independent blocks of the limit
-    algebra.
-    """
-    const = 0.0
-    classical = {}
-    per_pair = {}
-    for mon, coeff in poly.items():
-        if not mon:
-            const += coeff
-            continue
-        kinds = {basis.symbols[s].kind for s in mon}
-        pids = {basis.symbols[s].pair_id for s in mon}
-        if kinds <= {"classical"}:
-            classical[mon] = classical.get(mon, 0.0) + coeff
-        elif "classical" not in kinds and len(pids) == 1:
-            word = tuple(basis.symbols[s].kind for s in mon)
-            per_pair.setdefault(pids.pop(), {})[word] = coeff
-        else:
-            raise ValidationError(
-                "limit polynomial has a monomial spanning several "
-                "independent blocks; its law is not a sum over blocks"
-            )
-    return const, classical, per_pair
-
-
 def _limit_law(limit, basis, budget=None):
     """Exact law of an order-2 limit polynomial that is additive across blocks.
 
     Returns (atoms, probs, mu): the constant plus the oscillator blocks
     form a discrete variable with increasing `atoms` and probabilities
     `probs`, and the commutative block is sum_i mu_i Z_i^2 for i.i.d.
-    standard normals Z_i, independent of it.  Each oscillator's part is
-    diagonalized on the Fock levels `thermal_levels` keeps
-    (`oscillator_polynomial`), its even and odd levels apart, since words
-    of even length never couple the two (odd ones are rejected, and so is
-    a (q, p) form that is not definite, whose spectrum is continuous); its
+    standard normals Z_i, independent of it.  The polynomial
+    (`limit_to_poly`) is read as a constant plus x^T F x over the symbols
+    with F symmetric; it must have no monomial of degree other than 0 or
+    2, and F no entry linking two blocks (the commutative block, each
+    oscillator), since the law is a sum over the independent blocks.  mu
+    are the eigenvalues of F's commutative block.  Each oscillator's 2 x 2
+    block must be a definite (q, p) form, as one that is not has a
+    continuous spectrum; it is written on the Fock levels
+    `thermal_levels` keeps (`ccr._oscillator_form`) and diagonalized with
+    its even and odd levels apart, which it never couples.  Its
     eigenvalues are weighted by their thermal Born probabilities, the
     oscillators combine by outer sum, and the least likely joint atoms
     are dropped up to a total mass _DROPPED_MASS.  The thermal tails and
     the dropped atoms are the deficit 1 - sum(probs).
     """
-    poly = limit_to_poly(limit, basis)
-    const, classical, per_pair = _split_additive(poly, basis)
-    n_cl = sum(1 for s in basis.symbols if s.kind == "classical")
-    form = np.zeros((n_cl, n_cl))
-    for mon, coeff in classical.items():
-        if len(mon) != 2:
+    const, form = 0.0, np.zeros((basis.n_symbols, basis.n_symbols))
+    for mon, coeff in limit_to_poly(limit, basis).items():
+        if not mon:
+            const += coeff
+        elif len(mon) == 2:
+            form[mon[0], mon[1]] += 0.5 * coeff
+            form[mon[1], mon[0]] += 0.5 * coeff
+        else:
             raise ValidationError(
-                "limit polynomial has a commutative monomial of degree %d; "
-                "its exact law needs degree 2" % len(mon)
+                "limit polynomial has a monomial of degree %d, an odd degree or one "
+                "above 2; its exact law needs degree 0 or 2" % len(mon)
             )
-        form[mon[0], mon[1]] += 0.5 * coeff
-        form[mon[1], mon[0]] += 0.5 * coeff
-    mu = np.linalg.eigvalsh(form)
+    # the block of each symbol: its oscillator, or -1 for the commutative block
+    block = np.array([s.pair_id for s in basis.symbols])
+    if np.any(form[block[:, None] != block[None, :]]):
+        raise ValidationError(
+            "limit polynomial has a monomial spanning several "
+            "independent blocks; its law is not a sum over blocks"
+        )
+    classical = block == -1
+    mu = np.linalg.eigvalsh(form[np.ix_(classical, classical)])
+    reached = [pid for pid in range(len(basis.oscillator_pairs)) if np.any(form[block == pid])]
     atoms, probs = np.array([float(const)]), np.ones(1)
-    for pid in sorted(per_pair):
-        words = per_pair[pid]
-        qp = 0.5 * (words.get(("q", "p"), 0.0) + words.get(("p", "q"), 0.0))
-        if (any(len(word) % 2 for word in words)
-                or words.get(("q", "q"), 0.0) * words.get(("p", "p"), 0.0) <= qp * qp):
+    for pid in reached:
+        q, p = np.flatnonzero(block == pid)
+        f_qq, f_pp, f_qp = form[q, q], form[p, p], form[q, p]
+        if f_qq * f_pp <= f_qp * f_qp:
             raise ValidationError(
-                "limit polynomial has odd degree on oscillator %d, or a (q, p) form there that "
-                "is not definite and so has a continuous spectrum; its exact law needs neither" % pid
+                "limit polynomial has a (q, p) form on oscillator %d that is not definite "
+                "and so has a continuous spectrum; its exact law needs a definite one" % pid
             )
         sigma_sq = basis.oscillator_pairs[pid].sigma_sq
         weights, tail = thermal_levels(sigma_sq, budget)
-        op = hermitize(oscillator_polynomial(words, sigma_sq, len(weights))).entries
+        op = _oscillator_form(f_qq, f_pp, f_qp, sigma_sq, len(weights))
         thermal = weights * (1.0 - tail)
-        # words of even length couple only levels of equal parity
+        # a quadratic form couples only levels of equal parity
         vals, born = [], []
         for par in range(2):
             par_vals, vecs = np.linalg.eigh(op[par::2, par::2])
@@ -251,7 +236,7 @@ def _limit_law(limit, basis, budget=None):
         probs = np.multiply.outer(probs, born[order]).ravel()
         order = np.argsort(probs)
         dropped = np.searchsorted(
-            np.cumsum(probs[order]), _DROPPED_MASS / len(per_pair), side="right"
+            np.cumsum(probs[order]), _DROPPED_MASS / len(reached), side="right"
         )
         atoms, probs = atoms[order[dropped:]], probs[order[dropped:]]
     order = np.argsort(atoms)
@@ -395,6 +380,10 @@ def run_test(spec, alternative=None, budget=None):
     often than the null at every n from 2 to 200.
     """
     rho = spec.null_state
+    if alternative is not None and alternative.d != rho.d:
+        raise ValidationError(
+            "alternative state has dimension %d, the null state %d" % (alternative.d, rho.d)
+        )
     if alternative is not None and not alternative.is_diagonal:
         raise ValidationError("alternative state must be diagonal too")
     kernel = goodness_kernel(rho)

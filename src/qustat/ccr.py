@@ -20,10 +20,10 @@ that reads only each oscillator's variance.  There a product of
 quadratures is reordered into normal order b^dagger^i b^j with
 [b, b^dagger] = 1 / (2 sigma^2), whose thermal means are exact (Cahill &
 Glauber 1969), so no Fock level is truncated; the Hermite orthogonality
-diagnostic uses the same rule.  Only the exact law of an order-2 limit
-keeps Fock levels: `oscillator_polynomial` gives an oscillator's
-polynomial as the exact operator compressed to the levels
-`thermal_levels` keeps, which that law diagonalizes.
+diagnostic uses the same rule.  Normal order also writes the one
+oscillator operator that keeps Fock levels: the exact law of an order-2
+limit diagonalizes each oscillator's quadratic form, in closed form
+(`_oscillator_form`), on the levels `thermal_levels` keeps.
 """
 
 import itertools
@@ -40,10 +40,7 @@ from .errors import (
 )
 from .operators import (
     DEFAULT_DIM_BUDGET,
-    _band_identity,
     _covariance_parts,
-    _densify,
-    _ladder,
     _pauli_pair_probes,
     binom,
     frobenius,
@@ -484,36 +481,23 @@ def thermal_levels(sigma_sq, budget=None):
     return weights / weights.sum(), math.exp(-beta * trunc)
 
 
-def _band_roots(width, levels):
-    """The `_ladder` coupling of a: <l - 1| a |l> = sqrt(l) on l = k + s, 0 below level 0."""
-    offsets = np.arange(-width, width + 1)[:, None]
-    return np.sqrt(np.maximum(offsets + np.arange(levels), 0))
+def _oscillator_form(f_qq, f_pp, f_qp, sigma_sq, levels):
+    """f_qq q^2 + f_pp p^2 + f_qp (qp + pq) on an oscillator's first `levels` Fock levels.
 
-
-def oscillator_polynomial(words, sigma_sq, levels):
-    """sum_w c_w X_1 ... X_g on an oscillator's first `levels` Fock levels.
-
-    `words` maps words of "q"/"p" quadratures, normalized by the variance
-    sigma_sq, to their coefficients c_w.  Each word is applied right to
-    left on bands (`_ladder`), with Q = (a + a^dagger) / sqrt(2) and
-    P = (a - a^dagger) / (i sqrt(2)); the bands reach every level a word
-    passes through, so the dense matrix returned is the exact operator
-    compressed to the kept levels.  The words are summed in the order of
-    their reversals.
+    In normal order (`_thermal_ladder`) q^2 = b^2 + b^dagger^2 + 2 b^dagger b
+    + eps, p^2 = -b^2 - b^dagger^2 + 2 b^dagger b + eps and qp + pq = 2i
+    (b^dagger^2 - b^2), with b = sqrt(eps) a on the levels l = a^dagger a.
+    So the form is eps (f_qq + f_pp) (2l + 1) on the diagonal and
+    <l| . |l + 2> = eps (f_qq - f_pp - 2i f_qp) sqrt((l + 1) (l + 2)): the
+    exact operator compressed to the kept levels.
     """
-    width = max(len(word) for word in words)
-    roots = _band_roots(width, levels)
-    scale = 1.0 / math.sqrt(sigma_sq)
-
-    def band(word):
-        out = _band_identity(width, levels)
-        for kind in reversed(word):
-            lowered, raised = _ladder(out.copy(), roots, -1), _ladder(out.copy(), roots, 1)
-            out = ((lowered + raised) * (scale / math.sqrt(2.0)) if kind == "q"
-                   else (lowered - raised) * (scale / (1j * math.sqrt(2.0))))
-        return out
-
-    return _densify(sum(words[w] * band(w) for w in sorted(words, key=lambda w: w[::-1])), levels)
+    eps, _ = _thermal_ladder(sigma_sq, 0)
+    level = np.arange(levels)
+    out = np.diag(eps * (f_qq + f_pp) * (2.0 * level + 1.0)).astype(complex)
+    low = level[:-2]
+    out[low, low + 2] = eps * (f_qq - f_pp - 2j * f_qp) * np.sqrt((low + 1.0) * (low + 2.0))
+    out[low + 2, low] = out[low, low + 2].conj()
+    return out
 
 
 def _classical_moments(max_degree):

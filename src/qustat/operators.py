@@ -469,43 +469,6 @@ def _pauli_pair_probes(d, j, k):
     return sym, skew
 
 
-def _band_identity(width, levels):
-    """The identity on `levels` levels, kept as 2 width + 1 diagonals."""
-    eye = np.zeros((2 * width + 1, levels), dtype=complex)
-    eye[width] = 1.0
-    return eye
-
-
-def _ladder(band, coupling, step):
-    """A M (step -1) or A^dagger M (step +1) for a ladder A, written over the band of M.
-
-    M is kept as band[w + s, k] = <k + s| M |k>, and the real
-    coupling[w + s, k] = <l - 1| A |l> on the level l = k + s is 0 where
-    l - 1 or l is not a level, so one coupling array serves both
-    directions.  No level is cut off: w ladders on the identity are exact.
-    """
-    if step < 0:
-        band[:-1] = coupling[1:] * band[1:]
-        band[-1] = 0.0
-    else:
-        band[1:] = coupling[1:] * band[:-1]
-        band[0] = 0.0
-    return band
-
-
-def _densify(band, levels):
-    """The levels x levels matrix of a band kept as band[..., w + s, k] = <k + s| M |k>.
-
-    Leading axes of `band` are batch axes, one matrix each.
-    """
-    width = band.shape[-2] // 2
-    row = np.arange(levels) + np.arange(-width, width + 1)[:, None]
-    kept = (row >= 0) & (row < levels)
-    out = np.zeros(band.shape[:-2] + (levels, levels), dtype=complex)
-    out[..., row[kept], np.nonzero(kept)[1]] = band[..., kept]
-    return out
-
-
 def _weighted_power_trace(w, m, p):
     """Tr(diag(w) m^p) using one split; no product larger than m itself."""
     if p == 1:

@@ -27,10 +27,7 @@ from .errors import ToleranceError, ValidationError
 from .operators import (
     HermitianOperator,
     Kernel,
-    _band_identity,
-    _densify,
     _embedded_add,
-    _ladder,
     _state_trace,
     _weighted_power_trace,
     binom,
@@ -231,6 +228,43 @@ def _xlogy(count, lam):
     return np.where(count > 0, -np.inf, 0.0)
 
 
+def _band_identity(width, levels):
+    """The identity on `levels` levels, kept as 2 width + 1 diagonals."""
+    eye = np.zeros((2 * width + 1, levels), dtype=complex)
+    eye[width] = 1.0
+    return eye
+
+
+def _ladder(band, coupling, step):
+    """A M (step -1) or A^dagger M (step +1) for a ladder A, written over the band of M.
+
+    M is kept as band[w + s, k] = <k + s| M |k>, and the real
+    coupling[w + s, k] = <l - 1| A |l> on the level l = k + s is 0 where
+    l - 1 or l is not a level, so one coupling array serves both
+    directions.  No level is cut off: w ladders on the identity are exact.
+    """
+    if step < 0:
+        band[:-1] = coupling[1:] * band[1:]
+        band[-1] = 0.0
+    else:
+        band[1:] = coupling[1:] * band[:-1]
+        band[0] = 0.0
+    return band
+
+
+def _densify(band, levels):
+    """The levels x levels matrix of a band kept as band[..., w + s, k] = <k + s| M |k>.
+
+    Leading axes of `band` are batch axes, one matrix each.
+    """
+    width = band.shape[-2] // 2
+    row = np.arange(levels) + np.arange(-width, width + 1)[:, None]
+    kept = (row >= 0) & (row < levels)
+    out = np.zeros(band.shape[:-2] + (levels, levels), dtype=complex)
+    out[..., row[kept], np.nonzero(kept)[1]] = band[..., kept]
+    return out
+
+
 def _spin_stack(kernel, weights, n_list, budget=None):
     """The spin blocks A_j of U_n that some state weighs, for every n of n_list, as one band stack.
 
@@ -238,7 +272,7 @@ def _spin_stack(kernel, weights, n_list, budget=None):
     kept blocks follow one another on one level axis with no padding, n
     after n in n_list order and j descending within an n; the stack is
     kept as its 2r + 1 diagonals, bands[r + s, i] = <i + s| A |i> (the
-    layout of `operators._ladder`), and its entries across a block
+    layout of `_ladder`), and its entries across a block
     edge are 0.  The weights are those of `_spin_levels` on the kept levels,
     and edges[m] holds the first level of every kept block of n_list[m],
     then the end of its last.  The kernel's `_distinct_plan` is evaluated

@@ -15,8 +15,7 @@ from collections import Counter
 import numpy as np
 
 from qustat import DensityMatrix, HermitianOperator, ValidationError
-from qustat.operators import _densify
-from qustat.ustat import _checked_probabilities, _spin_stack
+from qustat.ustat import _checked_probabilities, _densify, _spin_stack
 
 
 def tensor_power_state(rho, n):

@@ -36,7 +36,7 @@ from qustat import (
     variance_exact,
     variance_formula,
 )
-from qustat.ccr import oscillator_polynomial
+from qustat.ccr import _oscillator_form
 from qustat.cli import run as cli_run
 from qustat.operators import hermitize, tensor_weights
 
@@ -246,9 +246,7 @@ def test_criterion_05():
     levels = 32
     sigma_sq = basis.oscillator_pairs[0].sigma_sq
     np.testing.assert_allclose(sigma_sq, 1.0, atol=1e-12)
-    built = oscillator_polynomial(
-        {("q", "q"): 1.0, ("p", "p"): 1.0, (): -2.0}, sigma_sq, levels
-    )
+    built = _oscillator_form(1.0, 1.0, 0.0, sigma_sq, levels) - 2.0 * np.eye(levels)
     lam = 0.75
     mean_n = 0.5
     target = 4.0 * (2.0 * lam - 1.0) * np.diag(np.arange(levels) - mean_n)

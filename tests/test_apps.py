@@ -30,8 +30,8 @@ from qustat import (
     symmetrize_kernel,
 )
 import qustat.apps
-from qustat.apps import _law_cdf, _law_quantile, _limit_law, _split_additive
-from qustat.ccr import limit_to_poly, oscillator_polynomial, thermal_levels
+from qustat.apps import _law_cdf, _law_quantile, _limit_law
+from qustat.ccr import thermal_levels
 from qustat.operators import hermitize, tensor_weights
 
 from oracles import simulate_measurement
@@ -344,24 +344,44 @@ def test_limit_law_quantile_matches_monte_carlo():
 def test_limit_law_rejects_cross_block_monomials(rho_75):
     basis = build_ccr_basis(rho_75)
     mixed = LimitPolynomial(c=2, binom_factor=1, terms=(((1, 1, 0), 1.0),))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="several independent blocks"):
         _limit_law(mixed, basis)
     linear = LimitPolynomial(c=1, binom_factor=1, terms=(((1, 0, 0), 1.0),))
     with pytest.raises(ValidationError):
         _limit_law(linear, basis)
+    # q12 p13 links two oscillators of a qutrit, over (c1, c2, q12, p12, q13, p13, q23, p23)
+    qutrit = build_ccr_basis(DensityMatrix.from_eigenvalues([0.5, 0.3, 0.2]))
+    linked = LimitPolynomial(c=2, binom_factor=1, terms=(((0, 0, 1, 0, 0, 1, 0, 0), 1.0),))
+    with pytest.raises(ValidationError, match="several independent blocks"):
+        _limit_law(linked, qutrit)
 
 
-def _full_eigh_law(limit, basis):
-    """The one-oscillator law of `_limit_law` from one eigh of all kept Fock levels."""
-    const, _, per_pair = _split_additive(limit_to_poly(limit, basis), basis)
-    (words,) = per_pair.values()
-    sigma_sq = basis.oscillator_pairs[0].sigma_sq
+def test_limit_law_rejects_a_degree_four_oscillator_term(rho_75):
+    # He_4(q) = q^4 - 6 q^2 + 3 has a definite q^2 part, but its law is
+    # not that of a quadratic form
+    limit = LimitPolynomial(c=4, binom_factor=1, terms=(((2, 0, 0), 1.0), ((0, 4, 0), 1.0)))
+    with pytest.raises(ValidationError, match="degree 4"):
+        _limit_law(limit, build_ccr_basis(rho_75))
+
+
+def _full_eigh_law(sigma_sq):
+    """The discrete part of the law of the form below, from one eigh of all kept Fock levels.
+
+    q^2 + 0.4 (qp + pq) + 0.5 p^2 is built from dense ladder matrices on
+    two more levels than kept, which every product of two quadratures
+    passes through, and compressed.  The Hermite constants of c1^2 - 1,
+    q^2 - 1 and 0.5 (p^2 - 1) add -2.5 to its atoms.
+    """
     weights, tail = thermal_levels(sigma_sq)
-    op = hermitize(oscillator_polynomial(words, sigma_sq, len(weights))).entries
+    levels = len(weights)
+    a = np.diag(np.sqrt(np.arange(1.0, levels + 2)), 1)
+    q = (a + a.T) / np.sqrt(2.0 * sigma_sq)
+    p = (a - a.T) / (1j * np.sqrt(2.0 * sigma_sq))
+    op = (q @ q + 0.4 * (q @ p + p @ q) + 0.5 * p @ p)[:levels, :levels]
     vals, vecs = np.linalg.eigh(op)
     probs = (weights * (1.0 - tail)) @ np.abs(vecs) ** 2
     order = np.argsort(vals)
-    return const + vals[order], probs[order]
+    return -2.5 + vals[order], probs[order]
 
 
 def test_limit_law_parity_blocks_match_one_full_eigh(monkeypatch):
@@ -375,7 +395,7 @@ def test_limit_law_parity_blocks_match_one_full_eigh(monkeypatch):
         basis = build_ccr_basis(DensityMatrix.from_eigenvalues([lam, 1.0 - lam]))
         assert basis.oscillator_pairs[0].sigma_sq == pytest.approx(sigma_sq, rel=1e-12)
         atoms, probs, mu = _limit_law(limit, basis)
-        ref_atoms, ref_probs = _full_eigh_law(limit, basis)
+        ref_atoms, ref_probs = _full_eigh_law(basis.oscillator_pairs[0].sigma_sq)
         assert len(atoms) == len(ref_atoms) >= 10
         scale = float(np.abs(ref_atoms).max())
         np.testing.assert_allclose(atoms, ref_atoms, rtol=0.0, atol=1e-12 * scale)

@@ -28,8 +28,8 @@ from qustat.ccr import (
     ROUTE_AGREEMENT_RTOL,
     TAIL_TOL,
     _classical_moments,
+    _oscillator_form,
     _two_point_matrix,
-    oscillator_polynomial,
     thermal_levels,
     wick_moments,
 )
@@ -197,25 +197,22 @@ def test_fock_rep_thermal_weights():
             thermal_levels(bad)
 
 
-def test_oscillator_polynomial_matches_dense_ladder_operators():
-    # a reference on two more levels than kept sees every level a word of
-    # length 2 passes through, so its leading block is the exact operator
+def test_oscillator_form_matches_dense_ladder_operators():
+    # a reference on two more levels than kept sees every level a product
+    # of two quadratures passes through, so its leading block is the exact operator
     levels = 12
     a = np.diag(np.sqrt(np.arange(1.0, levels + 2)), 1)
     quad = {"q": (a + a.T) / np.sqrt(2.0), "p": (a - a.T) / (1j * np.sqrt(2.0))}
-    for sigma_sq in (0.5, 1.0, 3.0):
-        ref = {kind: x / np.sqrt(sigma_sq) for kind, x in quad.items()}
-        words = {("q", "q"): 0.7, ("p", "p"): -1.3, ("q", "p"): 0.4, ("p", "q"): 2.1}
-        for word in words:
-            dense = (ref[word[0]] @ ref[word[1]])[:levels, :levels]
+    for sigma_sq in (0.5, 1.0, 3.0, 50.0):
+        q, p = (x / np.sqrt(sigma_sq) for x in quad.values())
+        forms = {"q^2": ((1.0, 0.0, 0.0), q @ q), "p^2": ((0.0, 1.0, 0.0), p @ p),
+                 "qp + pq": ((0.0, 0.0, 1.0), q @ p + p @ q)}
+        forms["their sum"] = ((1.0, 1.0, 1.0), sum(dense for _, dense in forms.values()))
+        for name, (coeffs, dense) in forms.items():
             np.testing.assert_allclose(
-                oscillator_polynomial({word: 1.0}, sigma_sq, levels), dense, atol=ATOL,
-                err_msg="%s at sigma^2 = %g" % ("".join(word), sigma_sq),
+                _oscillator_form(*coeffs, sigma_sq, levels), dense[:levels, :levels], atol=ATOL,
+                err_msg="%s at sigma^2 = %g" % (name, sigma_sq),
             )
-        dense = sum(c * ref[w[0]] @ ref[w[1]] for w, c in words.items())[:levels, :levels]
-        np.testing.assert_allclose(
-            oscillator_polynomial(words, sigma_sq, levels), dense, atol=ATOL
-        )
 
 
 def test_thermal_levels_hold_the_tail_bound_at_the_least_truncation():

@@ -1214,6 +1214,26 @@ def test_cli_tolerance_violation_exits_three(tmp_path):
     assert payload["error"]["exit_code"] == 3
 
 
+@pytest.mark.parametrize("state, alternative", [
+    ([0.75, 0.25], [0.5, 0.3, 0.2]),
+    ([0.5, 0.3, 0.2], [0.75, 0.25]),
+])
+def test_test_sim_with_an_alternative_of_another_dimension_exits_one(tmp_path, state, alternative):
+    proc = _run_cli(tmp_path, {
+        "command": "test-sim",
+        "state": {"eigenvalues": state},
+        "alternative": {"eigenvalues": alternative},
+        "alpha": 0.05,
+        "n_list": [4],
+    })
+    assert proc.returncode == 1
+    payload = json.loads(proc.stderr.splitlines()[-1])
+    assert payload["error"]["kind"] == "ValidationError"
+    assert payload["error"]["exit_code"] == 1
+    assert "dimension" in payload["error"]["message"]
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_rejects_the_removed_trunc_key(tmp_path):
     # each oscillator's truncation follows from its variance; no key sets it
     proc = _run_cli(tmp_path, {"command": "hermite-check", "trunc": 64})

@@ -20,15 +20,12 @@ from qustat import (
     symmetrize,
     symmetrize_kernel,
 )
-from qustat.ccr import _band_roots
 from qustat.operators import (
-    _densify,
-    _ladder,
     _state_trace,
     rotate_sites,
     tensor_weights,
 )
-from qustat.ustat import _level_factors, _spin_levels
+from qustat.ustat import _densify, _ladder, _level_factors, _spin_levels
 
 from oracles import dense_power_trace, site_permute, tensor_power_state
 
@@ -296,11 +293,12 @@ def test_ladder_matches_dense_ladder_matrices():
     block_diagonal = np.zeros((9, 9), dtype=complex)
     for lo, hi in ((0, 5), (5, 8), (8, 9)):
         block_diagonal[lo:hi, lo:hi] = random_banded(hi - lo)
-    # Fock levels, with <l - 1| a |l> = sqrt(l)
+    # Fock levels, with <l - 1| a |l> = sqrt(l) on l = k + s, 0 below level 0
     a = np.diag(np.sqrt(np.arange(1.0, 9)), 1)
+    roots = np.sqrt(np.maximum(np.arange(-width, width + 1)[:, None] + np.arange(9), 0))
     cases = [
         ("spin", spin, s_plus, block_diagonal),
-        ("fock", _band_roots(width, 9), a, random_banded(9)),
+        ("fock", roots, a, random_banded(9)),
     ]
     for name, coupling, lower, m in cases:
         band = _banded(m, width)

@@ -22,7 +22,6 @@ from qustat import (
     symmetrize_kernel,
 )
 from qustat.operators import (
-    _densify,
     _distinct_plan,
     _merge_first,
     _state_trace,
@@ -30,7 +29,7 @@ from qustat.operators import (
     site_transpose,
     tensor_weights,
 )
-from qustat.ustat import _spin_levels, _spin_stack
+from qustat.ustat import _densify, _spin_levels, _spin_stack
 
 from oracles import (
     classical_mc_oracle,
