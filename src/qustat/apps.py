@@ -39,6 +39,7 @@ from .operators import (
     Kernel,
     _pauli_pair_probes,
     binom,
+    check_dim_budget,
     hermitize,
 )
 from .ustat import _STACK_ENTRIES, PROB_DEFICIT_TOL, finite_law
@@ -53,13 +54,14 @@ _MAX_RUBEN_TERMS = 10_000
 _ROOT_RTOL = 1e-12
 
 
-def goodness_kernel(rho):
+def goodness_kernel(rho, budget=None):
     """Order-2 kernel whose mean under sigma^{otimes 2} is ||sigma - rho||_2^2.
 
     Requires rho diagonal in the working basis; rotate first otherwise.
     The probe family is the diagonal set lambda_i 1 - E_ii together with
     both off-diagonal probes per pair, scaled by 1/sqrt(2) so that the
-    probe squares resolve the squared Frobenius norm exactly.
+    probe squares resolve the squared Frobenius norm exactly.  Its d^2 x
+    d^2 matrix is checked against `budget` before it is allocated.
     """
     if not rho.is_diagonal:
         raise ValidationError(
@@ -67,6 +69,7 @@ def goodness_kernel(rho):
             "to its eigenbasis first"
         )
     d = rho.d
+    check_dim_budget(d * d, budget)
     lam = np.real(np.diag(rho.entries))
     acc = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
@@ -79,13 +82,15 @@ def goodness_kernel(rho):
     return Kernel(d, 2, hermitize(acc))
 
 
-def homogeneity_kernel(d):
+def homogeneity_kernel(d, budget=None):
     """Order-2 kernel on pairs of systems estimating ||sigma1 - sigma2||_2^2.
 
     Each site is C^d x C^d carrying one sample from each source.  Probes
     are X x 1 - 1 x X over an orthonormal hermitian basis X, so the mean
     under (sigma1 x sigma2)^{otimes 2} is exact for every pair of states.
+    Its d^4 x d^4 matrix is checked against `budget` before it is allocated.
     """
+    check_dim_budget(d ** 4, budget)
     probes = []
     for i in range(d):
         e = np.zeros((d, d), dtype=complex)
@@ -180,8 +185,9 @@ def _limit_law(limit, basis, budget=None):
     are the eigenvalues of F's commutative block.  Each oscillator's 2 x 2
     block must be a definite (q, p) form, as one that is not has a
     continuous spectrum; it is written on the Fock levels
-    `thermal_levels` keeps (`ccr._oscillator_form`) and diagonalized with
-    its even and odd levels apart, which it never couples.  Its
+    `thermal_levels` keeps as a real symmetric matrix
+    (`ccr._oscillator_form`) and diagonalized with its even and odd
+    levels apart, which it never couples.  Its
     eigenvalues are weighted by their thermal Born probabilities, the
     oscillators combine by outer sum, and the least likely joint atoms
     are dropped up to a total mass _DROPPED_MASS.  The thermal tails and
@@ -227,7 +233,7 @@ def _limit_law(limit, basis, budget=None):
         for par in range(2):
             par_vals, vecs = np.linalg.eigh(op[par::2, par::2])
             vals.append(par_vals)
-            born.append(thermal[par::2] @ np.abs(vecs) ** 2)
+            born.append(thermal[par::2] @ vecs ** 2)
         # ascending, as one eigh of all levels orders them, so that the
         # joint atoms below are summed in the same order
         vals, born = np.concatenate(vals), np.concatenate(born)
@@ -386,7 +392,7 @@ def run_test(spec, alternative=None, budget=None):
         )
     if alternative is not None and not alternative.is_diagonal:
         raise ValidationError("alternative state must be diagonal too")
-    kernel = goodness_kernel(rho)
+    kernel = goodness_kernel(rho, budget)
     basis = build_ccr_basis(rho)
     limit = kernel_to_limit(kernel, kernel_components(kernel, rho), basis)
     kernel_second = limit_moment(limit, basis, 2, method="wick")

@@ -271,11 +271,11 @@ def kernel_to_limit(kernel, report, basis):
             if abs(val) > tol:
                 raise ToleranceError(
                     "component of order %d is not centered: identity "
-                    "coefficient %r at %r" % (c, val, idx)
+                    "coefficient %r at %r" % (c, complex(val), idx)
                 )
             continue
         if abs(val.imag) > tol:
-            raise ToleranceError("coefficient %r at %r is not real" % (val, idx))
+            raise ToleranceError("coefficient %r at %r is not real" % (complex(val), idx))
         key = tuple(sorted(i - 1 for i in idx))
         grouped.setdefault(key, []).append(val.real)
     terms = []
@@ -482,21 +482,24 @@ def thermal_levels(sigma_sq, budget=None):
 
 
 def _oscillator_form(f_qq, f_pp, f_qp, sigma_sq, levels):
-    """f_qq q^2 + f_pp p^2 + f_qp (qp + pq) on an oscillator's first `levels` Fock levels.
+    """f_qq q^2 + f_pp p^2 + f_qp (qp + pq) on an oscillator's first `levels` levels, made real.
 
     In normal order (`_thermal_ladder`) q^2 = b^2 + b^dagger^2 + 2 b^dagger b
     + eps, p^2 = -b^2 - b^dagger^2 + 2 b^dagger b + eps and qp + pq = 2i
     (b^dagger^2 - b^2), with b = sqrt(eps) a on the levels l = a^dagger a.
     So the form is eps (f_qq + f_pp) (2l + 1) on the diagonal and
-    <l| . |l + 2> = eps (f_qq - f_pp - 2i f_qp) sqrt((l + 1) (l + 2)): the
-    exact operator compressed to the kept levels.
+    <l| . |l + 2> = eps z sqrt((l + 1) (l + 2)), z = f_qq - f_pp - 2i f_qp:
+    the exact operator compressed to the kept levels.  Taking level l as
+    e^{-il phi/2} |l>, phi = arg z, makes it real symmetric (off-diagonal
+    eps |z| sqrt(...)) and changes no eigenvalue, nor any Born weight of
+    the thermal state, which is diagonal in the Fock basis.
     """
     eps, _ = _thermal_ladder(sigma_sq, 0)
     level = np.arange(levels)
-    out = np.diag(eps * (f_qq + f_pp) * (2.0 * level + 1.0)).astype(complex)
+    out = np.diag(eps * (f_qq + f_pp) * (2.0 * level + 1.0))
     low = level[:-2]
-    out[low, low + 2] = eps * (f_qq - f_pp - 2j * f_qp) * np.sqrt((low + 1.0) * (low + 2.0))
-    out[low + 2, low] = out[low, low + 2].conj()
+    out[low, low + 2] = out[low + 2, low] = (
+        eps * math.hypot(f_qq - f_pp, 2.0 * f_qp) * np.sqrt((low + 1.0) * (low + 2.0)))
     return out
 
 
@@ -633,13 +636,15 @@ def _route_moments(limit, basis, ps, methods):
         for name in methods:
             val = runs[name][p]
             if abs(val.imag) > 1e-8 * max(1.0, abs(val)):
-                raise ToleranceError("moment %r of a selfadjoint polynomial is not real" % val)
+                raise ToleranceError("moment %r of a selfadjoint polynomial is not real"
+                                     % complex(val))
             values[name] = val
         if len(values) == 2:
             a, b = values["wick"], values["fock"]
             gap, ref = abs(a - b), max(abs(a), abs(b))
             if not gap <= (ROUTE_AGREEMENT_ATOL if ref < 1e-3 else ROUTE_AGREEMENT_RTOL * ref):
-                raise ToleranceError("wick %r and fock %r disagree (gap %.3e)" % (a, b, gap))
+                raise ToleranceError("wick %r and fock %r disagree (gap %.3e)"
+                                     % (complex(a), complex(b), gap))
         out[p] = {name: float(val.real) for name, val in values.items()}
     return out
 

@@ -9,18 +9,17 @@ whose largest entry its document reports.  All floats are printed with
 seed is only recorded in the manifest), so identical configurations
 reproduce identical bytes.
 
-The config is checked against CONFIG_SCHEMA as JSON Schema draft-07 by
-`_conforms`, which reads the schema dict itself and turns an integral
-float into an int wherever the schema says integer; jsonschema is loaded
-only to word the error of a config that fails, so a valid run never
-loads it.  Importing this module loads none of numpy, jsonschema, click
-or hashlib; each is loaded by the function that first uses it, so
-`main` sets `--threads` before numpy loads.
+`_conforms` checks the config against CONFIG_SCHEMA as JSON Schema
+draft-07: it reads the schema dict itself, turns an integral float into
+an int wherever the schema says integer, and words the first violation
+as draft-07 does, after its key path.  `main` parses its options with
+argparse.  Importing this module loads neither numpy nor hashlib; each
+is loaded by the function that first uses it, so `main` sets `--threads`
+before numpy loads.
 
 Exit codes: 1 invalid input, 2 budget exceeded, 3 tolerance violation.
 """
 
-import functools
 import json
 import os
 import sys
@@ -60,8 +59,7 @@ SCHEMA_KERNEL = {
     },
 }
 
-# Draft-07 gives every keyword used here the meaning of the newer drafts,
-# and its metaschema is checked several times faster than draft 2020-12's.
+# Draft-07 gives every keyword used here the meaning of the newer drafts.
 CONFIG_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
@@ -91,7 +89,6 @@ CONFIG_SCHEMA = {
             "required": ["mode"],
             "properties": {
                 "mode": {"type": "string", "enum": ["power", "order2"]},
-                "exponent": {"type": "integer", "minimum": 0},
             },
         },
         "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
@@ -141,97 +138,111 @@ def _fail(exc):
 
 def main(args=None):
     """Run one experiment from the command line; args default to sys.argv[1:]."""
-    import click
+    import argparse
 
-    class _Command(click.Command):
-        """A command whose usage errors exit like any other invalid input."""
+    from .errors import QuStatError, ValidationError
 
-        def make_context(self, *args, **kwargs):
-            try:
-                return super().make_context(*args, **kwargs)
-            except click.UsageError as exc:
-                from .errors import ValidationError
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # a usage error exits like any other invalid input
+            _fail(ValidationError(message))
 
-                _fail(ValidationError(exc.format_message()))
+    parser = Parser(prog="qustat", description="Run one experiment from a JSON config.",
+                    allow_abbrev=False)
+    parser.add_argument("--config", required=True, metavar="FILE",
+                        help="Path to the experiment configuration JSON.")
+    parser.add_argument("--out-dir", default=".", metavar="DIRECTORY",
+                        help="Directory receiving manifest.json, result.json, tables/ "
+                             "(default: .).")
+    parser.add_argument("--threads", type=int, metavar="N",
+                        help="Cap BLAS thread counts (set before numerics load).")
+    opts = parser.parse_args(args)
+    if not os.path.isfile(opts.config):
+        parser.error("argument --config: %r is not a file" % opts.config)
+    if os.path.isfile(opts.out_dir):
+        parser.error("argument --out-dir: %r is a file" % opts.out_dir)
+    if opts.threads is not None:
+        if opts.threads < 1:
+            parser.error("argument --threads: %d is less than 1" % opts.threads)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS"):
+            os.environ[var] = str(opts.threads)
+    try:
+        run(opts.config, opts.out_dir)
+    except QuStatError as exc:
+        _fail(exc)
+    sys.exit(0)
 
-    @click.command("qustat", cls=_Command)
-    @click.option("--config", "config_path", required=True,
-                  type=click.Path(exists=True, dir_okay=False),
-                  help="Path to the experiment configuration JSON.")
-    @click.option("--out-dir", "out_dir", default=".", show_default=True,
-                  type=click.Path(file_okay=False),
-                  help="Directory receiving manifest.json, result.json, tables/.")
-    @click.option("--threads", "threads", default=None, type=click.IntRange(min=1),
-                  help="Cap BLAS thread counts (set before numerics load).")
-    def command(config_path, out_dir, threads):
-        """Run one experiment from a JSON config."""
-        if threads is not None:
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                        "NUMEXPR_NUM_THREADS"):
-                os.environ[var] = str(threads)
-        try:
-            run(config_path, out_dir)
-        except Exception as exc:  # noqa: BLE001 - mapped to structured exit codes
-            from .errors import QuStatError
 
-            if isinstance(exc, QuStatError):
-                _fail(exc)
-            raise
+# The Python types of the values json.load gives each schema type
+_TYPES = {"integer": (int, float), "number": (int, float), "string": (str,), "array": (list,),
+          "object": (dict,)}
 
-    command.main(args=args)
+
+class _Violation(Exception):
+    """A config's first departure from CONFIG_SCHEMA.
+
+    Its args are draft-07's phrase, then the keys from the offending value
+    out to the config, which `_conforms` adds only as it unwinds.
+    """
 
 
 def _conforms(value, schema):
-    """value as draft-07 reads it under schema, or None if it does not conform.
+    """value as draft-07 reads it under schema; raises _Violation if it does not conform.
 
     schema is CONFIG_SCHEMA or one of its subschemas.  Interprets the
     keywords CONFIG_SCHEMA uses, with jsonschema's draft-07 types: a bool
     is no number, and an integral float is an integer, returned as an int
-    where the schema says integer.  A value of a type json.load does not
-    make, or a schema type not handled here, conforms to nothing, so
-    jsonschema decides it.
+    where the schema says integer.  A violation is worded as jsonschema
+    words its keyword's error.
     """
-    kind, cls = schema.get("type"), type(value)
+    kind, cls = schema["type"], type(value)
+    if cls not in _TYPES[kind] or kind == "integer" and cls is float and not value.is_integer():
+        raise _Violation("%r is not of type %r" % (value, kind))
     if kind in ("integer", "number"):
-        if cls is not int and cls is not float:
-            return None
-        if kind == "integer" and cls is float:
-            if not value.is_integer():
-                return None
-            value = int(value)
-        if ("minimum" in schema and value < schema["minimum"]
-                or "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]
-                or "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]):
-            return None
-        return value
+        if "minimum" in schema and value < schema["minimum"]:
+            raise _Violation("%r is less than the minimum of %r" % (value, schema["minimum"]))
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            raise _Violation("%r is less than or equal to the minimum of %r"
+                             % (value, schema["exclusiveMinimum"]))
+        if "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]:
+            raise _Violation("%r is greater than or equal to the maximum of %r"
+                             % (value, schema["exclusiveMaximum"]))
+        return int(value) if kind == "integer" else value
     if kind == "string":
-        return value if cls is str and ("enum" not in schema or value in schema["enum"]) else None
+        if "enum" in schema and value not in schema["enum"]:
+            raise _Violation("%r is not one of %r" % (value, schema["enum"]))
+        return value
     if kind == "array":
-        if cls is not list or not (schema.get("minItems", 0) <= len(value)
-                                   <= schema.get("maxItems", len(value))):
-            return None
-        items = [_conforms(item, schema["items"]) for item in value] if "items" in schema else value
-        return None if any(item is None for item in items) else items
-    if kind == "object":
-        if cls is not dict or not all(key in value for key in schema.get("required", ())):
-            return None
-        properties = schema.get("properties", {})
-        if schema.get("additionalProperties") is False and not value.keys() <= properties.keys():
-            return None
-        out = {key: _conforms(item, properties[key]) if key in properties else item
-               for key, item in value.items()}
-        return None if any(item is None for item in out.values()) else out
-    return None
-
-
-@functools.lru_cache(maxsize=None)
-def _config_validator():
-    """The CONFIG_SCHEMA validator, its schema checked once per process."""
-    import jsonschema
-
-    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-    cls.check_schema(CONFIG_SCHEMA)
-    return cls(CONFIG_SCHEMA)
+        least = schema.get("minItems", 0)
+        if len(value) < least:
+            raise _Violation("%r %s" % (value, "should be non-empty" if least == 1
+                                        else "is too short"))
+        if len(value) > schema.get("maxItems", len(value)):
+            raise _Violation("%r is too long" % (value,))
+        out = []
+        try:
+            for item in value:
+                out.append(_conforms(item, schema["items"]))
+        except _Violation as exc:
+            exc.args += (len(out),)
+            raise
+        return out
+    for key in schema.get("required", ()):
+        if key not in value:
+            raise _Violation("%r is a required property" % (key,))
+    properties = schema["properties"]
+    if not value.keys() <= properties.keys():  # every object sets additionalProperties false
+        extras = sorted(value.keys() - properties.keys())
+        raise _Violation("Additional properties are not allowed (%s %s unexpected)" % (
+            ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"))
+    out = {}
+    try:
+        for key, item in value.items():
+            out[key] = _conforms(item, properties[key])
+    except _Violation as exc:
+        exc.args += (key,)
+        raise
+    return out
 
 
 def _reject_constant(literal):
@@ -249,16 +260,12 @@ def run(config_path, out_dir):
             raw = json.load(fh, parse_constant=_reject_constant)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError("config is not valid JSON: %s" % exc) from exc
-    # jsonschema words a rejection, and a config it finds no error in runs
-    checked = _conforms(raw, CONFIG_SCHEMA)
-    if checked is None:
-        from jsonschema.exceptions import best_match
-
-        error = best_match(_config_validator().iter_errors(raw))
-        if error is not None:
-            raise ValidationError("config rejected: %s" % error.message)
-        checked = raw
-
+    try:
+        checked = _conforms(raw, CONFIG_SCHEMA)
+    except _Violation as exc:
+        phrase, *keys = exc.args
+        path = "".join("[%d]" % key if type(key) is int else "." + key for key in reversed(keys))
+        raise ValidationError("config rejected: config%s: %s" % (path, phrase)) from None
     config = dict(DEFAULTS)
     config.update(checked)
 
@@ -277,8 +284,6 @@ def _require(config, *fields):
 
 
 def _load_state(spec):
-    import numpy as np
-
     from .errors import ValidationError
     from .operators import DensityMatrix
     from .serialize import matrix_from_json
@@ -289,24 +294,12 @@ def _load_state(spec):
         return DensityMatrix.from_matrix(matrix_from_json(spec["matrix"]))
     if "eigenvalues" not in spec:
         raise ValidationError("state needs eigenvalues or a matrix")
-    rotation = None
-    if "rotation" in spec:
-        rotation = matrix_from_json(spec["rotation"])
-    return DensityMatrix.from_eigenvalues(
-        np.asarray(spec["eigenvalues"], dtype=float), rotation=rotation
-    )
+    rotation = matrix_from_json(spec["rotation"]) if "rotation" in spec else None
+    return DensityMatrix.from_eigenvalues(spec["eigenvalues"], rotation=rotation)
 
 
-def _pauli():
-    import numpy as np
-
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    return sx, sy, sz
-
-
-def _load_kernel(spec, state):
+def _load_kernel(config, state):
+    """The config's kernel; a preset is checked against dim_budget before it is built."""
     import numpy as np
 
     from .apps import goodness_kernel, homogeneity_kernel
@@ -314,6 +307,7 @@ def _load_kernel(spec, state):
     from .operators import Kernel, hermitize, symmetrize_kernel
     from .serialize import matrix_from_json
 
+    spec, budget = config["kernel"], config.get("dim_budget")
     if "preset" in spec and "matrix" in spec:
         raise ValidationError("kernel: give either preset or matrix")
     if "matrix" in spec:
@@ -324,7 +318,8 @@ def _load_kernel(spec, state):
     if "preset" not in spec:
         raise ValidationError("kernel needs a preset or a matrix")
     name = spec["preset"]
-    sx, sy, sz = _pauli()
+    sx, sy, sz = (np.array(m, dtype=complex)
+                  for m in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
     if name == "pauli-xy":
         return symmetrize_kernel([sx, sy])
     if name == "pauli-xx-yy":
@@ -332,37 +327,24 @@ def _load_kernel(spec, state):
     if name == "sigma-zz":
         return Kernel(2, 2, hermitize(np.kron(sz, sz)))
     if name == "goodness":
-        if state is None:
-            raise ValidationError("the goodness preset needs a state")
-        return goodness_kernel(state)
-    if name == "homogeneity":
-        if "d" not in spec:
-            raise ValidationError("the homogeneity preset needs d")
-        return homogeneity_kernel(spec["d"])
-    raise ValidationError("unknown kernel preset %r" % name)
+        return goodness_kernel(state, budget)
+    # CONFIG_SCHEMA admits no other preset
+    if "d" not in spec:
+        raise ValidationError("the homogeneity preset needs d")
+    return homogeneity_kernel(spec["d"], budget)
 
 
 def _scaling(config, report):
     """Resolve the moment scaling to (exponent_for_csv, factor_fn)."""
     from .errors import ValidationError
 
-    spec = config.get("scaling", {"mode": "power"})
-    mode = spec["mode"]
     c = report.c
-    if mode == "order2":
+    if config.get("scaling", {"mode": "power"})["mode"] == "order2":
         if c != 2:
-            raise ValidationError(
-                "order2 scaling needs a kernel of degeneracy order 2, got %r" % c
-            )
+            raise ValidationError("order2 scaling needs a kernel of degeneracy order 2, got %r" % c)
         return 2, lambda n: float(n - 1)
     # `_limit_setup` has rejected a fully degenerate kernel, so c is an order
-    exponent = spec.get("exponent", c)
-    if exponent != c:
-        raise ValidationError(
-            "scaling exponent %d does not match the degeneracy order %d"
-            % (exponent, c)
-        )
-    return exponent, lambda n: float(n) ** (exponent / 2.0)
+    return c, lambda n: float(n) ** (c / 2.0)
 
 
 def _cmd_decompose(config):
@@ -370,7 +352,7 @@ def _cmd_decompose(config):
 
     _require(config, "state", "kernel")
     state = _load_state(config["state"])
-    kernel = _load_kernel(config["kernel"], state)
+    kernel = _load_kernel(config, state)
     result = kernel_components(kernel, state).to_json()
     return result, {"components": (["l", "norm_sq"], result["components"])}
 
@@ -403,7 +385,7 @@ def _moments(config, variance=False):
 
     _require(config, "state", "kernel", "n_list", "p_list")
     state = _load_state(config["state"])
-    kernel = _load_kernel(config["kernel"], state)
+    kernel = _load_kernel(config, state)
     report, basis, limit = _limit_setup(state, kernel)
     exponent, factor_fn = _scaling(config, report)
     budget = config.get("dim_budget")
@@ -444,7 +426,7 @@ def _cmd_limit(config):
 
     _require(config, "state", "kernel", "p_list")
     state = _load_state(config["state"])
-    kernel = _load_kernel(config["kernel"], state)
+    kernel = _load_kernel(config, state)
     report, basis, limit = _limit_setup(state, kernel)
     routes = _route_moments(limit, basis, sorted(set(config["p_list"])), ("wick", "fock"))
     moments = [{"p": p, "wick": r["wick"], "fock": r["fock"], "abs_gap": abs(r["wick"] - r["fock"])}
@@ -524,7 +506,7 @@ def _cmd_metrology(config):
 
     _require(config, "state", "kernel", "n_list", "t", "g1", "g2")
     state = _load_state(config["state"])
-    kernel = _load_kernel(config["kernel"], state)
+    kernel = _load_kernel(config, state)
     overlaps = metrology_overlap(
         kernel, state, config["t"], config["g1"], config["g2"],
         sorted(set(config["n_list"])), budget=config.get("dim_budget"),

@@ -129,7 +129,7 @@ class DensityMatrix:
         m = 0.5 * (m + m.conj().T)
         tr = m.trace()
         if abs(tr - 1.0) > cls.TRACE_TOL:
-            raise ValidationError("density matrix trace %r is not 1" % tr)
+            raise ValidationError("density matrix trace %r is not 1" % complex(tr))
         if not (m - np.diag(np.diag(m))).any():  # diagonal: no eigensolver
             vals, vecs = m.diagonal().real, np.eye(len(m), dtype=complex)
         else:
@@ -152,6 +152,9 @@ class DensityMatrix:
         m = np.diag(vals).astype(complex)
         if rotation is not None:
             u = np.asarray(rotation, dtype=complex)
+            if u.shape != m.shape:
+                raise ValidationError("rotation of shape %r does not match the state's %r"
+                                      % (u.shape, m.shape))
             if frobenius(u.conj().T @ u - np.eye(len(vals))) > 1e-10:
                 raise ValidationError("rotation is not unitary")
             m = u @ m @ u.conj().T

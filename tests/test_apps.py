@@ -12,6 +12,7 @@ import pytest
 
 import qustat
 from qustat import (
+    BudgetError,
     DensityMatrix,
     Kernel,
     LimitPolynomial,
@@ -65,6 +66,26 @@ def test_goodness_kernel_needs_diagonal_reference():
     rho = DensityMatrix.from_matrix(u @ np.diag([0.75, 0.25]) @ u.T)
     with pytest.raises(ValidationError):
         goodness_kernel(rho)
+
+
+@pytest.mark.parametrize("d", [12, 100])
+def test_homogeneity_kernel_checks_its_budget_before_it_allocates(monkeypatch, d):
+    # its d^4 x d^4 matrix would take 6.9 GB at d = 12; any use of numpy
+    # in apps, such as allocating it, fails the test
+    monkeypatch.setattr(qustat.apps, "np", None)
+    with pytest.raises(BudgetError, match="matrix dimension %d exceeds budget" % d ** 4):
+        homogeneity_kernel(d)
+    with pytest.raises(BudgetError):
+        homogeneity_kernel(2, budget=15)
+
+
+def test_goodness_kernel_checks_its_budget_before_it_allocates(monkeypatch):
+    rho = DensityMatrix.from_eigenvalues(np.full(129, 1.0 / 129))
+    monkeypatch.setattr(qustat.apps, "np", None)
+    with pytest.raises(BudgetError, match="matrix dimension 16641 exceeds budget"):
+        goodness_kernel(rho)
+    with pytest.raises(BudgetError):
+        goodness_kernel(DensityMatrix.from_eigenvalues([0.75, 0.25]), budget=3)
 
 
 def test_homogeneity_kernel_mean_is_squared_distance():

@@ -199,7 +199,9 @@ def test_fock_rep_thermal_weights():
 
 def test_oscillator_form_matches_dense_ladder_operators():
     # a reference on two more levels than kept sees every level a product
-    # of two quadratures passes through, so its leading block is the exact operator
+    # of two quadratures passes through, so its leading block is the exact
+    # operator; taking level l as e^{-il phi/2} |l>, phi = arg(f_qq - f_pp -
+    # 2i f_qp), makes it real
     levels = 12
     a = np.diag(np.sqrt(np.arange(1.0, levels + 2)), 1)
     quad = {"q": (a + a.T) / np.sqrt(2.0), "p": (a - a.T) / (1j * np.sqrt(2.0))}
@@ -208,11 +210,14 @@ def test_oscillator_form_matches_dense_ladder_operators():
         forms = {"q^2": ((1.0, 0.0, 0.0), q @ q), "p^2": ((0.0, 1.0, 0.0), p @ p),
                  "qp + pq": ((0.0, 0.0, 1.0), q @ p + p @ q)}
         forms["their sum"] = ((1.0, 1.0, 1.0), sum(dense for _, dense in forms.values()))
-        for name, (coeffs, dense) in forms.items():
-            np.testing.assert_allclose(
-                _oscillator_form(*coeffs, sigma_sq, levels), dense[:levels, :levels], atol=ATOL,
-                err_msg="%s at sigma^2 = %g" % (name, sigma_sq),
-            )
+        forms["anisotropic"] = ((1.0, 0.5, 0.4), q @ q + 0.5 * p @ p + 0.4 * (q @ p + p @ q))
+        for name, ((f_qq, f_pp, f_qp), dense) in forms.items():
+            phase = np.exp(-0.5j * np.angle(f_qq - f_pp - 2j * f_qp) * np.arange(levels + 2))
+            rephased = (phase.conj()[:, None] * dense * phase[None, :])[:levels, :levels]
+            built = _oscillator_form(f_qq, f_pp, f_qp, sigma_sq, levels)
+            assert built.dtype == np.float64
+            np.testing.assert_allclose(built, rephased, atol=ATOL,
+                                       err_msg="%s at sigma^2 = %g" % (name, sigma_sq))
 
 
 def test_thermal_levels_hold_the_tail_bound_at_the_least_truncation():

@@ -77,6 +77,18 @@ def test_density_matrix_validation():
         DensityMatrix.from_eigenvalues([0.6, 0.4], rotation=np.ones((2, 2)))
 
 
+def test_a_trace_other_than_one_is_worded_in_plain_numbers():
+    with pytest.raises(ValidationError) as exc:
+        DensityMatrix.from_eigenvalues([0.7, 0.7])
+    assert str(exc.value) == "density matrix trace (1.4+0j) is not 1"
+    assert "np." not in str(exc.value)
+
+
+def test_a_rotation_of_another_dimension_is_rejected():
+    with pytest.raises(ValidationError, match=r"rotation of shape \(3, 3\) does not match"):
+        DensityMatrix.from_eigenvalues([0.6, 0.4], rotation=np.eye(3))
+
+
 def test_density_matrix_eigenvalues_descend_with_matching_vectors():
     u = random_unitary(3)
     vals = np.array([0.2, 0.5, 0.3])
