@@ -42,6 +42,7 @@ from .operators import (
     DEFAULT_DIM_BUDGET,
     _covariance_parts,
     _pauli_pair_probes,
+    _tensordot,
     binom,
     frobenius,
     rotate_sites,
@@ -260,7 +261,8 @@ def kernel_to_limit(kernel, report, basis):
         axes += [s, c + s]
     t = np.ascontiguousarray(t.transpose(axes)).reshape((d * d,) * c)
     for axis in range(c):
-        t = np.moveaxis(np.tensordot(m_inv, t, axes=([1], [axis])), 0, axis)
+        t = _tensordot(m_inv, t, [1], [axis])
+        t = t.transpose(*range(1, axis + 1), 0, *range(axis + 1, c))  # the new axis back in place
 
     tol = CENTERED_RESIDUE_RTOL * max(1.0, float(np.abs(t).max()))
     nsym = basis.n_symbols

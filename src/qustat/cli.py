@@ -17,7 +17,8 @@ argparse.  Importing this module loads neither numpy nor hashlib; each
 is loaded by the function that first uses it, so `main` sets `--threads`
 before numpy loads.
 
-Exit codes: 1 invalid input, 2 budget exceeded, 3 tolerance violation.
+Exit codes: 1 invalid input, 2 budget exceeded (a failed allocation
+included), 3 tolerance violation.
 """
 
 import json
@@ -140,7 +141,7 @@ def main(args=None):
     """Run one experiment from the command line; args default to sys.argv[1:]."""
     import argparse
 
-    from .errors import QuStatError, ValidationError
+    from .errors import BudgetError, QuStatError, ValidationError
 
     class Parser(argparse.ArgumentParser):
         def error(self, message):  # a usage error exits like any other invalid input
@@ -170,6 +171,8 @@ def main(args=None):
         run(opts.config, opts.out_dir)
     except QuStatError as exc:
         _fail(exc)
+    except MemoryError as exc:  # the machine's memory is a budget too
+        _fail(BudgetError("out of memory: %s" % (str(exc) or "allocation failed")))
     sys.exit(0)
 
 

@@ -30,6 +30,7 @@ from .operators import (
     _reduce_to_sites,
     _site_subset,
     _state_trace,
+    _tensordot,
     binom,
     check_dim_budget,
     hermitize,
@@ -126,11 +127,12 @@ def _remove_site_mean(matrix, n, d, s, rho):
     on it.
     """
     t = matrix.reshape((d,) * (2 * n))
-    mean = np.tensordot(t, rho.entries, axes=([s, n + s], [1, 0]))
+    mean = _tensordot(t, rho.entries, [s, n + s], [1, 0])
     out = t.copy()
     # out with the row and column axes of site s last: its diagonal in
     # them is where the identity on s puts the mean
-    site_last = np.moveaxis(out, (s, n + s), (-2, -1))
+    rest = [i for i in range(2 * n) if i not in (s, n + s)]
+    site_last = out.transpose(*rest, s, n + s)
     for a in range(d):
         site_last[..., a, a] -= mean
     return out.reshape(d ** n, d ** n)

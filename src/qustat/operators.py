@@ -3,6 +3,12 @@
 Everything acts on (C^d)^{\\otimes n} stored as dense complex matrices in
 row-major multi-index order, so site 1 is the slowest index.  Sites are
 1-based in the public interface and 0-based internally.
+
+Every site contraction, against rho in `_reduce_to_sites` and
+`hoeffding`, or by a one-site matrix in `rotate_sites` and
+`ccr.kernel_to_limit`, is `_tensordot`: np.tensordot's own transpose,
+reshape and np.dot, so the floats are tensordot's, without the argument
+checks that cost more than the product at these sizes.
 """
 
 import functools
@@ -234,7 +240,7 @@ def _reduce_to_sites(matrix, n, d, keep, rho):
         pos = sites.index(s)
         k = len(sites)
         # sum_{a,b} T[.., a at row pos, .., b at col pos, ..] rho[b, a]
-        t = np.tensordot(t, rho.entries, axes=([pos, k + pos], [1, 0]))
+        t = _tensordot(t, rho.entries, [pos, k + pos], [1, 0])
         sites.pop(pos)
     k = len(keep)
     return np.ascontiguousarray(t).reshape(d ** k, d ** k)
@@ -334,7 +340,10 @@ def _distinct_plan(t):
     r = t.ndim // 2
     if r == 0:
         return complex(t)
-    slices = np.moveaxis(t, r, 1)
+    if r == 1:  # the leaves: one Python complex per nonzero entry
+        rows = t.tolist()
+        return [(a, b, rows[a][b]) for a in range(2) for b in range(2) if rows[a][b]], []
+    slices = t.transpose(0, r, *range(1, r), *range(r + 1, 2 * r))
     terms = [
         (a, b, _distinct_plan(slices[a, b]))
         for a in range(2)
@@ -357,13 +366,27 @@ def rotate_sites(matrix, n, d, u):
     """Apply u^dagger (.) u on every site of an operator on n sites."""
     t = matrix.reshape((d,) * (2 * n))
     uc = np.conj(u)
-    for s in range(n):
-        # row index: (u^dagger O)_{i..} = sum_a conj(u[a, i]) O_{a..}
-        t = np.moveaxis(np.tensordot(uc, t, axes=([0], [s])), 0, s)
-    for s in range(n):
-        # column index: (O u)_{..j} = sum_b O_{..b} u[b, j]
-        t = np.moveaxis(np.tensordot(u, t, axes=([0], [n + s])), 0, n + s)
+    for s in range(2 * n):
+        # row index: (u^dagger O)_{i..} = sum_a conj(u[a, i]) O_{a..};
+        # column index: (O u)_{..j} = sum_b O_{..b} u[b, j]; the new
+        # axis goes back to place s
+        t = _tensordot(uc if s < n else u, t, [0], [s])
+        t = t.transpose(*range(1, s + 1), 0, *range(s + 1, 2 * n))
     return np.ascontiguousarray(t).reshape(d ** n, d ** n)
+
+
+def _tensordot(a, b, a_axes, b_axes):
+    """np.tensordot(a, b, (a_axes, b_axes)) for arrays and axis lists known to fit.
+
+    It takes tensordot's own steps, the contracted axes of a moved last
+    and those of b first, a reshape of each to a matrix and one np.dot,
+    so every float is tensordot's, without its argument checks.
+    """
+    a = a.transpose([i for i in range(a.ndim) if i not in a_axes] + a_axes)
+    b = b.transpose(b_axes + [i for i in range(b.ndim) if i not in b_axes])
+    outer, inner = a.shape[: a.ndim - len(a_axes)], math.prod(b.shape[: len(b_axes)])
+    product = np.dot(a.reshape(-1, inner), b.reshape(inner, -1))
+    return product.reshape(outer + b.shape[len(b_axes) :])
 
 
 def _site_subset(beta, n):

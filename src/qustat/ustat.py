@@ -14,7 +14,11 @@ plan, which is built once per kernel.  `centered_moments` takes the band
 powers once and reads every n and moment order off them, and
 `finite_law` makes the blocks dense only for their eigendecomposition,
 one stack of equal blocks at a time, so blocks of one dimension share
-one `eigh` call whichever n they belong to.
+one `eigh` call whichever n they belong to.  Each stack is one gather
+from the band stack, at offsets found once per block dimension, and its
+Born weights one gather from the state weights; the laws of every n are
+then checked in one pass.  These paths add no float operation to the
+one-block-at-a-time route: every atom and probability has its bits.
 """
 
 import itertools
@@ -124,35 +128,52 @@ def finite_law(kernel, weights, n_list, budget=None):
     (atoms, [probabilities per state]) pair per n: the eigenvalues of U_n,
     unsorted and possibly repeated, and the Born probability of each atom
     under each state.  Atoms of blocks that no state weighs are left out.
-    Qubit blocks of one dimension, of any n, are made dense and
-    diagonalized as one stack of at most _STACK_ENTRIES entries (or one
-    larger block); each atom keeps its level on the band stack.
+    Qubit blocks of one dimension, of any n, are gathered dense from the
+    band stack and diagonalized as one stack of at most _STACK_ENTRIES
+    entries (or one larger block); each atom keeps its level on the band
+    stack.
     """
     if kernel.d != 2:
         laws = []
         for n in n_list:
             atoms, probs = _eigen_born(assemble_direct(kernel, n, budget).op.entries,
                                        np.array([tensor_weights(w, n) for w in weights]))
-            laws.append((atoms, [_checked_probabilities(p) for p in probs]))
+            laws.append((atoms, _checked_probabilities(probs, [0, len(atoms)])[0]))
         return laws
     bands, stack_weights, edges = _spin_stack(kernel, weights, n_list, budget)
-    stack_weights = np.array(stack_weights)
-    atoms, probs = np.empty(bands.shape[1]), np.empty(stack_weights.shape)
-    starts = np.concatenate([e[:-1] for e in edges])
-    sizes = np.diff(np.append(starts, edges[-1][-1]))
-    for size in sorted(set(sizes.tolist())):
-        group = starts[sizes == size]
+    width, total = kernel.r, bands.shape[1]
+    atoms, probs = np.empty(total), np.empty(stack_weights.size)
+    groups = {}
+    for e in edges:
+        for lo, hi in zip(e[:-1], e[1:]):
+            groups.setdefault(hi - lo, []).append(lo)
+    # flat offsets of the states' rows, for one gather of all their weights,
+    # and of the band rows: band entry (width + s, c) of a block at level 0
+    # is its dense entry (c + s, c), and every other dense entry stays 0
+    rows = np.arange(len(stack_weights))[:, None] * total
+    diagonal = np.arange(-width, width + 1)[:, None]
+    band_rows = (diagonal + width) * total
+    for size in sorted(groups):
+        group = np.array(groups[size])
+        level = np.arange(size)
+        row = level + diagonal
+        inside = ((row >= 0) & (row < size)).ravel()
+        dense_at = (row * size + level).ravel()[inside]
+        band_at = (band_rows + level).ravel()[inside]
+        # each block's weights in C order, as one block alone has them,
+        # so that BLAS forms the Born product in the same order
+        spread = rows + level
         step = max(1, _STACK_ENTRIES // size ** 2)
         for lo in range(0, len(group), step):
-            levels = group[lo : lo + step, None] + np.arange(size)
-            # each block's weights in C order, as one block alone has them,
-            # so that BLAS forms the Born product in the same order
-            atoms[levels], born = _eigen_born(
-                _densify(bands[:, levels].transpose(1, 0, 2), size),
-                np.ascontiguousarray(stack_weights[:, levels].transpose(1, 0, 2)))
-            probs[:, levels] = born.transpose(1, 0, 2)
-    return [(atoms[e[0] : e[-1]], [_checked_probabilities(p[e[0] : e[-1]]) for p in probs])
-            for e in edges]
+            starts = group[lo : lo + step, None]
+            dense = np.zeros((len(starts), size * size), dtype=complex)
+            dense[:, dense_at] = bands.ravel()[starts + band_at]
+            at = starts[:, None] + spread
+            atoms[starts + level], probs[at] = _eigen_born(dense.reshape(-1, size, size),
+                                                           stack_weights.ravel()[at])
+    return list(zip((atoms[e[0] : e[-1]] for e in edges),
+                    _checked_probabilities(probs.reshape(stack_weights.shape),
+                                           [e[0] for e in edges] + [total])))
 
 
 def _eigen_born(blocks, weights):
@@ -162,16 +183,31 @@ def _eigen_born(blocks, weights):
     return atoms, weights @ np.square(born, out=born)
 
 
-def _checked_probabilities(probs):
-    """Born probabilities that must sum to 1: checked, clipped at 0, renormalized."""
-    deficit = abs(1.0 - probs.sum())
-    if deficit > PROB_DEFICIT_TOL or probs.min() < -PROB_DEFICIT_TOL:
-        raise ToleranceError(
-            "measurement probabilities deficient by %.3e (min %.3e)"
-            % (deficit, probs.min())
-        )
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+def _checked_probabilities(probs, bounds):
+    """Born probabilities that must sum to 1: checked, clipped at 0, renormalized.
+
+    probs holds one row per state, cut into segments at `bounds`: segment
+    m of a row is row[bounds[m] : bounds[m + 1]], one law each.  Returns
+    [[segment of each state] per segment].  Each segment is summed on its
+    own, and only a segment with a negative entry is clipped.
+    """
+    lows = np.minimum.reduceat(probs, bounds[:-1], axis=1).T.tolist()
+    laws = []
+    for lo, hi, low in zip(bounds[:-1], bounds[1:], lows):
+        law = []
+        for p, least in zip(probs[:, lo:hi], low):
+            total = p.sum()
+            deficit = abs(1.0 - total)
+            if deficit > PROB_DEFICIT_TOL or least < -PROB_DEFICIT_TOL:
+                raise ToleranceError(
+                    "measurement probabilities deficient by %.3e (min %.3e)" % (deficit, least)
+                )
+            if least < 0:
+                p = np.clip(p, 0.0, None)
+                total = p.sum()
+            law.append(p / total)
+        laws.append(law)
+    return laws
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +227,9 @@ def _checked_probabilities(probs):
 def _spin_levels(n_list, weights):
     """The levels of the spin blocks of each n of n_list, block after block, and the weights on them.
 
-    Returns (m, k, i, [m_j pi_j(rho) per level, for each state]), with the
-    levels of n = n_list[m] after those of n_list[m - 1].  Block
+    Returns (m, k, i, weights), with the levels of n = n_list[m] after
+    those of n_list[m - 1] and one row of weights m_j pi_j(rho) per level
+    for each state.  Block
     k = 0..floor(n/2) is j = n/2 - k, of n + 1 - 2k levels; its level i is
     the S_z eigenvalue j - i, whose vectors have n - k - i sites in state
     0 and k + i in state 1.  Each state is given as w1 = (lam_0, lam_1),
@@ -201,24 +238,23 @@ def _spin_levels(n_list, weights):
     range long before n = 1000; m_j is an exact integer, so its log is
     rounded once.
     """
-    log_mult = []
-    for n in n_list:
+    blocks, sizes, log_mult, first = [], [], [], 0
+    for m, n in enumerate(n_list):
         comb, previous = 1, 0
         for k in range(n // 2 + 1):
+            blocks += m, n, k, first
+            sizes.append(n + 1 - 2 * k)
+            first += sizes[-1]
             log_mult.append(math.log(comb - previous))
             previous, comb = comb, comb * (n - k) // (k + 1)
-    counts = np.array([n // 2 + 1 for n in n_list])
-    m = np.repeat(np.arange(len(counts)), counts)
-    k = np.arange(len(m)) - np.repeat(np.cumsum(counts) - counts, counts)
-    n = np.asarray(n_list)[m]
-    sizes = n + 1 - 2 * k
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    level = np.arange(len(block)) - (np.cumsum(sizes) - sizes)[block]
-    n, k = n[block], k[block]
+    # (m, n, k, first level of the block) on every level
+    m, n, k, first = np.array(blocks).reshape(-1, 4).T.repeat(sizes, axis=1)
+    level = np.arange(first.size) - first
     ones = k + level
-    log_mult = np.array(log_mult)[block]
-    return m[block], k, level, [np.exp(log_mult + _xlogy(n - ones, w[0]) + _xlogy(ones, w[1]))
-                                for w in weights]
+    zeros = n - ones
+    log_mult = np.array(log_mult).repeat(sizes)
+    return m, k, level, np.exp([log_mult + _xlogy(zeros, w[0]) + _xlogy(ones, w[1])
+                                for w in weights])
 
 
 def _xlogy(count, lam):
@@ -252,31 +288,19 @@ def _ladder(band, coupling, step):
     return band
 
 
-def _densify(band, levels):
-    """The levels x levels matrix of a band kept as band[..., w + s, k] = <k + s| M |k>.
-
-    Leading axes of `band` are batch axes, one matrix each.
-    """
-    width = band.shape[-2] // 2
-    row = np.arange(levels) + np.arange(-width, width + 1)[:, None]
-    kept = (row >= 0) & (row < levels)
-    out = np.zeros(band.shape[:-2] + (levels, levels), dtype=complex)
-    out[..., row[kept], np.nonzero(kept)[1]] = band[..., kept]
-    return out
-
-
 def _spin_stack(kernel, weights, n_list, budget=None):
     """The spin blocks A_j of U_n that some state weighs, for every n of n_list, as one band stack.
 
-    Returns (bands, [weights of each state on the stack], edges).  The
+    Returns (bands, weights, edges), with one row of weights per state.  The
     kept blocks follow one another on one level axis with no padding, n
     after n in n_list order and j descending within an n; the stack is
     kept as its 2r + 1 diagonals, bands[r + s, i] = <i + s| A |i> (the
     layout of `_ladder`), and its entries across a block
     edge are 0.  The weights are those of `_spin_levels` on the kept levels,
-    and edges[m] holds the first level of every kept block of n_list[m],
-    then the end of its last.  The kernel's `_distinct_plan` is evaluated
-    once on the whole stack.
+    and the list edges[m] holds the first level of every kept block of
+    n_list[m], then the end of its last.  Where every block is kept, the
+    level arrays are used as they are.  The kernel's `_distinct_plan` is
+    evaluated once on the whole stack.
     """
     r = kernel.r
     if not len(n_list):
@@ -286,21 +310,26 @@ def _spin_stack(kernel, weights, n_list, budget=None):
             raise ValidationError("need n >= r, got n=%d for order %d" % (n, r))
         check_dim_budget(n + 1, budget)
     m, k, level, spin_weights = _spin_levels(n_list, weights)
-    top = level == 0
-    weighed = np.logical_or.reduceat(np.any([w != 0 for w in spin_weights], axis=0),
-                                     np.flatnonzero(top))
-    kept = weighed[np.cumsum(top) - 1]
-    m, k, level = m[kept], k[kept], level[kept]
+    sizes = [n + 1 - 2 * j for n in n_list for j in range(n // 2 + 1)]
+    starts = list(itertools.accumulate(sizes[:-1], initial=0))
+    weighed = np.logical_or.reduceat(spin_weights != 0, starts, axis=1).any(axis=0).tolist()
     # edges[m]: the kept block starts of n_list[m], then the end of its levels
-    ends = np.searchsorted(m, np.arange(1, len(n_list) + 1))
-    starts = np.flatnonzero(level == 0)
-    edges = [np.append(s, end) for s, end in
-             zip(np.split(starts, np.searchsorted(starts, ends[:-1])), ends)]
+    edges, end, blocks = [], 0, zip(sizes, weighed)
+    for n in n_list:
+        edge = []
+        for size, kept in itertools.islice(blocks, n // 2 + 1):
+            if kept:
+                edge.append(end)
+                end += size
+        edges.append(edge + [end])
+    if end < len(level):
+        keep = np.repeat(weighed, sizes)
+        m, k, level, spin_weights = m[keep], k[keep], level[keep], spin_weights[:, keep]
     norm = np.array([float(math.factorial(r) * binom(n, r)) for n in n_list])[m]
     eye = _band_identity(r, len(m))
     bands = _distinct_bands(kernel._plan, _level_factors(np.asarray(n_list)[m], k, level, r), eye)
     bands /= norm
-    return bands, [w[kept] for w in spin_weights], edges
+    return bands, spin_weights, edges
 
 
 def _level_factors(n, k, level, r):

@@ -2,8 +2,11 @@
 
 None of these is part of the package: the Monte Carlo samplers draw
 seeded random numbers, which no command does, the dense helpers form
-matrices the package itself never needs, `per_block_law` is the
-one-block-at-a-time route that `finite_law` stacks by dimension, and
+matrices the package itself never needs (`_densify` makes a band
+dense), `tensor_distinct_plan` is the plan recursion with no Python-list
+leaves, `per_block_law` is the one-block-at-a-time route that
+`finite_law` stacks by dimension, checking each law on its own
+(`checked_probabilities`), and
 `poly_power` is the plain expansion of L^p that the moment passes of
 `qustat.ccr` never form.
 """
@@ -14,8 +17,9 @@ from collections import Counter
 
 import numpy as np
 
-from qustat import DensityMatrix, HermitianOperator, ValidationError
-from qustat.ustat import _checked_probabilities, _densify, _spin_stack
+from qustat import DensityMatrix, HermitianOperator, ToleranceError, ValidationError
+from qustat.operators import _merge_first
+from qustat.ustat import PROB_DEFICIT_TOL, _spin_stack
 
 
 def tensor_power_state(rho, n):
@@ -45,6 +49,50 @@ def site_permute(matrix, n, d, perm):
     return np.ascontiguousarray(t.transpose(axes)).reshape(d ** n, d ** n)
 
 
+def _densify(band, levels):
+    """The levels x levels matrix of a band kept as band[..., w + s, k] = <k + s| M |k>.
+
+    Leading axes of `band` are batch axes, one matrix each.
+    """
+    width = band.shape[-2] // 2
+    row = np.arange(levels) + np.arange(-width, width + 1)[:, None]
+    kept = (row >= 0) & (row < levels)
+    out = np.zeros(band.shape[:-2] + (levels, levels), dtype=complex)
+    out[..., row[kept], np.nonzero(kept)[1]] = band[..., kept]
+    return out
+
+
+def tensor_distinct_plan(t):
+    """`operators._distinct_plan` as a recursion on the tensor down to r = 0.
+
+    Every level, r = 1 included, slices t with np.moveaxis and tests each
+    slice with ndarray.any(); each leaf is complex() of a 0-d slice.
+    """
+    r = t.ndim // 2
+    if r == 0:
+        return complex(t)
+    slices = np.moveaxis(t, r, 1)
+    terms = [
+        (a, b, tensor_distinct_plan(slices[a, b]))
+        for a in range(2)
+        for b in range(2)
+        if slices[a, b].any()
+    ]
+    merged = [_merge_first(t, k) for k in range(1, r)]
+    return terms, [tensor_distinct_plan(x) for x in merged if x.any()]
+
+
+def checked_probabilities(probs):
+    """Born probabilities that must sum to 1, one array at a time: checked, clipped at 0, renormalized."""
+    deficit = abs(1.0 - probs.sum())
+    if deficit > PROB_DEFICIT_TOL or probs.min() < -PROB_DEFICIT_TOL:
+        raise ToleranceError(
+            "measurement probabilities deficient by %.3e (min %.3e)" % (deficit, probs.min())
+        )
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
+
+
 def per_block_law(kernel, weights, n_list):
     """`finite_law` for qubits, one spin block at a time: densify, eigh, Born product."""
     bands, stack_weights, edges = _spin_stack(kernel, weights, n_list)
@@ -56,7 +104,7 @@ def per_block_law(kernel, weights, n_list):
             atoms.append(vals)
             probs.append(np.array([w[lo:hi] for w in stack_weights]) @ np.abs(vecs) ** 2)
         laws.append((np.concatenate(atoms),
-                     [_checked_probabilities(p) for p in np.hstack(probs)]))
+                     [checked_probabilities(p) for p in np.hstack(probs)]))
     return laws
 
 
@@ -88,7 +136,7 @@ def simulate_measurement(op, state, replicates, seed):
     else:
         probs = np.real(np.einsum("ik,ij,jk->k", vecs.conj(), sw, vecs))
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(vals), size=int(replicates), p=_checked_probabilities(probs))
+    idx = rng.choice(len(vals), size=int(replicates), p=checked_probabilities(probs))
     return vals[idx]
 
 

@@ -1143,6 +1143,31 @@ def test_main_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_main_reports_a_failed_allocation_as_a_budget_error(tmp_path, capsys, monkeypatch):
+    """An allocation numpy cannot make exits 2 with one JSON error line, not a traceback."""
+    import qustat.ustat
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.49 TiB for an array with shape (10001, 10001)")
+
+    monkeypatch.setattr(qustat.ustat, "centered_moments", exhausted)
+    cfg = _write_config(tmp_path, {"command": "moments", "state": STATE_75,
+                                   "kernel": {"preset": "pauli-xy"}, "n_list": [10000],
+                                   "p_list": [2]})
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", cfg, "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == {
+        "kind": "BudgetError",
+        "message": "out of memory: Unable to allocate 1.49 TiB for an array with shape "
+                   "(10001, 10001)",
+        "exit_code": 2,
+    }
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

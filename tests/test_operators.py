@@ -22,12 +22,13 @@ from qustat import (
 )
 from qustat.operators import (
     _state_trace,
+    _tensordot,
     rotate_sites,
     tensor_weights,
 )
-from qustat.ustat import _densify, _ladder, _level_factors, _spin_levels
+from qustat.ustat import _ladder, _level_factors, _spin_levels
 
-from oracles import dense_power_trace, site_permute, tensor_power_state
+from oracles import _densify, dense_power_trace, site_permute, tensor_power_state
 
 ATOL = 1e-12
 RNG = np.random.default_rng(20240817)
@@ -247,6 +248,32 @@ def test_rotate_sites_matches_global_conjugation():
     np.testing.assert_allclose(
         rotate_sites(m, n, d, u), big.conj().T @ m @ big, atol=1e-11
     )
+
+
+def test_tensordot_gives_the_bits_of_np_tensordot():
+    """The site contraction is np.tensordot bit for bit on every axis pattern the package uses."""
+    rng = np.random.default_rng(47)
+
+    def random_complex(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for d in (2, 3):
+        for n in (1, 2, 3):
+            t = random_complex(*(d,) * (2 * n))
+            mat = random_complex(d, d)
+            # `_reduce_to_sites` and `hoeffding._remove_site_mean`: one site against rho
+            cases = [(t, mat, [s, n + s], [1, 0]) for s in range(n)]
+            # `rotate_sites`: one row or column index, also of a transposed operator
+            transposed = t.transpose(rng.permutation(2 * n))
+            cases += [(mat, x, [0], [s]) for x in (t, transposed) for s in range(2 * n)]
+            # `ccr.kernel_to_limit`: one (row, column) pair of a site in the symbol basis
+            paired = random_complex(*(d * d,) * n)
+            cases += [(random_complex(d * d, d * d), paired, [1], [s]) for s in range(n)]
+            for a, b, a_axes, b_axes in cases:
+                got = _tensordot(a, b, a_axes, b_axes)
+                want = np.tensordot(a, b, (a_axes, b_axes))
+                assert np.array_equal(got, want)
+                assert got.tobytes() == want.tobytes(), (d, n, a_axes, b_axes)
 
 
 def test_state_trace_matches_dense_power():

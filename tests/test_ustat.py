@@ -11,6 +11,7 @@ import qustat.ustat
 from qustat import (
     DensityMatrix,
     Kernel,
+    ToleranceError,
     ValidationError,
     assemble_direct,
     assemble_fluctuation,
@@ -29,13 +30,16 @@ from qustat.operators import (
     site_transpose,
     tensor_weights,
 )
-from qustat.ustat import _densify, _spin_levels, _spin_stack
+from qustat.ustat import _checked_probabilities, _spin_levels, _spin_stack
 
 from oracles import (
+    _densify,
+    checked_probabilities,
     classical_mc_oracle,
     dense_power_trace,
     per_block_law,
     site_permute,
+    tensor_distinct_plan,
     tensor_power_state,
 )
 
@@ -263,6 +267,38 @@ def test_distinct_plan_gives_the_bits_of_the_tensor_recursion(paulis):
         assert k._plan == _distinct_plan(t)
 
 
+def _sparse_symmetric_kernel(rng, r, keep):
+    """A random symmetric qubit kernel with each entry kept with probability `keep`, else exactly 0.
+
+    An entry is dropped together with its images under every site
+    permutation and the adjoint, so the kernel stays symmetric and hermitian.
+    """
+    t = _random_symmetric_kernel(rng, r).op.entries.reshape((2,) * (2 * r)).copy()
+    drop = rng.random(t.shape) > keep
+    adjoint = [*range(r, 2 * r), *range(r)]
+    closed = np.zeros_like(drop)
+    for perm in itertools.permutations(range(r)):
+        image = drop.transpose([*perm, *(r + p for p in perm)])
+        closed |= image | image.transpose(adjoint)
+    t[closed] = 0.0
+    return Kernel(2, r, hermitize(t.reshape(2 ** r, 2 ** r)))
+
+
+def test_distinct_plan_equals_the_numpy_recursion(paulis):
+    """Leaves read from Python lists give the plan of the numpy recursion, zero entries included."""
+    sx, sy, sz = paulis
+    rng = np.random.default_rng(43)
+    kernels = [symmetrize_kernel([sx, sy]), symmetrize_kernel([sz, sx]),
+               goodness_kernel(DensityMatrix.from_eigenvalues([0.75, 0.25]))]
+    kernels += [_sparse_symmetric_kernel(rng, r, keep)
+                for r in (1, 2, 3, 4) for keep in (1.0, 0.5, 0.2)]
+    assert any(not k.op.entries.all() for k in kernels)
+    for k in kernels:
+        t = k.op.entries.reshape((2,) * (2 * k.r))
+        assert _distinct_plan(t) == tensor_distinct_plan(t), k.r
+        assert k._plan == tensor_distinct_plan(t)
+
+
 def test_spin_block_weights_stay_finite_at_large_n():
     # C(1100, 550) overflows a double, and 0.25^1100 underflows one
     for w1 in ([0.75, 0.25], [1.0, 0.0]):
@@ -317,6 +353,65 @@ def test_p4_moment_peaks_under_seven_band_arrays(rho_75, paulis):
         tracemalloc.stop()
     band_array = 16 * (2 * k.r + 1) * 101 ** 2
     assert peak <= 7 * band_array, peak / band_array
+
+
+def test_finite_law_keeps_its_dense_memory_within_one_chunk(monkeypatch, rho_75):
+    """n = 200, two states, stacks of at most 2^14 entries: the peak is far below all blocks at once.
+
+    The blocks of n = 200 (201, 199, .., 1 levels) hold 1.37e6 complex
+    entries, 21 MB dense; one stack of 2^14 entries is 0.25 MB.
+    """
+    k = goodness_kernel(rho_75)
+    weights = [np.array([0.75, 0.25]), np.array([0.6, 0.4])]
+    finite_law(k, weights, [4])  # builds the kernel's plan
+    monkeypatch.setattr(qustat.ustat, "_STACK_ENTRIES", 2 ** 14)
+    tracemalloc.start()
+    try:
+        finite_law(k, weights, [200])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak / 2 ** 20
+
+
+def test_one_pass_probability_check_gives_the_bits_of_one_law_at_a_time():
+    """Every segment of every state, checked in one pass, equals the per-array check.
+
+    Segments with exact zeros, with entries just below 0 (clipped), and
+    with a deficit or an entry beyond the tolerance (the same error) are
+    all compared bit for bit.
+    """
+    rng = np.random.default_rng(53)
+    raised = 0
+    for case in range(300):
+        sizes = rng.integers(1, 12, size=int(rng.integers(1, 6)))
+        bounds = [0, *np.cumsum(sizes).tolist()]
+        probs = rng.random((int(rng.integers(1, 4)), bounds[-1]))
+        zero = rng.random(probs.shape) < 0.2
+        zero[:, bounds[:-1]] = False  # no segment is all zeros
+        probs[zero] = 0.0
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            probs[:, lo:hi] /= probs[:, lo:hi].sum(axis=1, keepdims=True)
+        negative = zero & (rng.random(probs.shape) < 0.5)
+        probs[negative] = -1e-12 * rng.random(int(negative.sum()))
+        if case % 10 == 0:
+            probs[0, bounds[-2]:] *= 1.0 + 1e-9
+        if case % 10 == 5:
+            probs[-1, 0] = -1e-9
+        want = []
+        try:
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                want.append([checked_probabilities(p[lo:hi]) for p in probs])
+        except ToleranceError as exc:
+            with pytest.raises(ToleranceError) as got:
+                _checked_probabilities(probs, bounds)
+            assert str(got.value) == str(exc)
+            raised += 1
+            continue
+        got = _checked_probabilities(probs, bounds)
+        assert [[p.tobytes() for p in law] for law in got] == [
+            [p.tobytes() for p in law] for law in want]
+    assert raised == 60
 
 
 def _dense_law(kernel, rho, n):
