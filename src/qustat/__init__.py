@@ -11,10 +11,7 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "apps": (
-        "OverlapResult", "TestResult", "TestSpec", "goodness_kernel",
-        "homogeneity_kernel", "metrology_overlap", "run_test",
-    ),
+    "apps": ("goodness_kernel", "homogeneity_kernel", "metrology_overlap", "run_test"),
     "ccr": (
         "CCRBasis", "LimitPolynomial", "build_ccr_basis", "fock_moments",
         "hermite_orthogonality_check", "kernel_to_limit", "limit_moment",

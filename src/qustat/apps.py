@@ -20,7 +20,6 @@ too.
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,69 +107,6 @@ def homogeneity_kernel(d, budget=None):
     return Kernel(d * d, 2, hermitize(acc))
 
 
-@dataclass(frozen=True)
-class TestSpec:
-    """Configuration of one goodness-of-fit test over several sample sizes.
-
-    `n_list` holds the sample sizes n (each at least 2) at which the test
-    is evaluated.  A caller-given `interval` (a, b) is a two-sided
-    acceptance interval: the test rejects when n U_n < a or n U_n > b.
-    Without it `run_test` rejects in the upper tail of the limit law.
-    """
-
-    __test__ = False  # not a test case, despite the name
-
-    null_state: DensityMatrix
-    alpha: float
-    n_list: tuple
-    interval: tuple = None
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError("alpha must be in (0, 1)")
-        n_list = tuple(int(n) for n in self.n_list)
-        if not n_list or min(n_list) < 2:
-            raise ValidationError("need a non-empty n_list with every n >= 2")
-        object.__setattr__(self, "n_list", n_list)
-        if self.interval is not None:
-            a, b = self.interval
-            if not a < b:
-                raise ValidationError("interval must satisfy a < b")
-            object.__setattr__(self, "interval", (float(a), float(b)))
-
-
-@dataclass(frozen=True)
-class TestResult:
-    """Exact level and power of the test at one sample size n.
-
-    The rates are exact Born sums, so the standard errors written by
-    `to_json` are 0 (None for the power when there is no alternative).
-    """
-
-    __test__ = False  # not a test case, despite the name
-
-    n: int
-    alpha: float
-    interval: tuple
-    alpha_hat: float
-    beta_hat: object  # float or None
-    theta_true: object
-    limit_moments: dict
-
-    def to_json(self):
-        return {
-            "n": int(self.n),
-            "alpha": float(self.alpha),
-            "interval": [float(self.interval[0]), float(self.interval[1])],
-            "alpha_hat": float(self.alpha_hat),
-            "alpha_se": 0.0,
-            "beta_hat": None if self.beta_hat is None else float(self.beta_hat),
-            "beta_se": None if self.beta_hat is None else 0.0,
-            "theta_true": None if self.theta_true is None else float(self.theta_true),
-            "limit_moments": {k: float(v) for k, v in self.limit_moments.items()},
-        }
-
-
 def _limit_law(limit, basis, budget=None):
     """Exact law of an order-2 limit polynomial that is additive across blocks.
 
@@ -194,7 +130,7 @@ def _limit_law(limit, basis, budget=None):
     the dropped atoms are the deficit 1 - sum(probs).
     """
     const, form = 0.0, np.zeros((basis.n_symbols, basis.n_symbols))
-    for mon, coeff in limit_to_poly(limit, basis).items():
+    for mon, coeff in limit_to_poly(limit).items():
         if not mon:
             const += coeff
         elif len(mon) == 2:
@@ -365,18 +301,23 @@ def _law_quantile(atoms, probs, mu, level):
     return 0.5 * (lo + hi)
 
 
-def run_test(spec, alternative=None, budget=None):
-    """Exact level and power of the goodness-of-fit test at each n of spec.n_list.
+def run_test(null_state, alpha, n_list, interval=None, alternative=None, budget=None):
+    """Exact level and power of the goodness-of-fit test of null_state at each n of n_list.
 
-    The null limit law is built once per call.  Without spec.interval the
-    test rejects when n * U_n exceeds the (1 - spec.alpha) quantile q of
-    that law, read from its exact CDF (`_limit_law`, `_law_quantile`);
-    the reported interval is (smallest atom of n * U_n, q), its lower end
-    for information only.  At each n the rejection rate under the null
-    and, when an alternative state is given, the acceptance rate under it
-    are exact Born sums over the law of n * U_n from `finite_law`, one
-    call for every n.  Nothing is drawn at random.  Returns one
-    TestResult per n, in spec.n_list order.
+    alpha lies in (0, 1) and every n is at least 2.  A given interval
+    (a, b), a < b, is a two-sided acceptance interval: the test rejects
+    when n U_n < a or n U_n > b.  Without it the test rejects when n U_n
+    exceeds the (1 - alpha) quantile q of the null limit law, built once
+    per call and read from its exact CDF (`_limit_law`, `_law_quantile`);
+    the reported interval is then (smallest atom of n U_n, q), its lower
+    end for information only.  At each n the rejection rate under the
+    null and, when an alternative state is given, the acceptance rate
+    under it are exact Born sums over the law of n U_n from `finite_law`,
+    one call for every n.  Nothing is drawn at random, so the standard
+    errors are 0 (None for the power without an alternative).  Returns
+    one record per n, in n_list order, as `result.json` holds it: n,
+    alpha, interval, alpha_hat, alpha_se, beta_hat, beta_se, theta_true
+    (None without an alternative) and limit_moments.
 
     The test is biased against purer alternatives at small n.  At null
     diag(0.75, 0.25) and alpha = 0.05, diag(0.9, 0.1) is accepted more
@@ -385,59 +326,50 @@ def run_test(spec, alternative=None, budget=None):
     0.9397 at n = 18, 0.0012 at n = 200).  diag(0.6, 0.4) is accepted less
     often than the null at every n from 2 to 200.
     """
-    rho = spec.null_state
-    if alternative is not None and alternative.d != rho.d:
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError("alpha must be in (0, 1)")
+    n_list = [int(n) for n in n_list]
+    if not n_list or min(n_list) < 2:
+        raise ValidationError("need a non-empty n_list with every n >= 2")
+    if interval is not None and not interval[0] < interval[1]:
+        raise ValidationError("interval must satisfy a < b")
+    if alternative is not None and alternative.d != null_state.d:
         raise ValidationError(
-            "alternative state has dimension %d, the null state %d" % (alternative.d, rho.d)
+            "alternative state has dimension %d, the null state %d" % (alternative.d, null_state.d)
         )
     if alternative is not None and not alternative.is_diagonal:
         raise ValidationError("alternative state must be diagonal too")
-    kernel = goodness_kernel(rho, budget)
-    basis = build_ccr_basis(rho)
-    limit = kernel_to_limit(kernel, kernel_components(kernel, rho), basis)
+    kernel = goodness_kernel(null_state, budget)
+    basis = build_ccr_basis(null_state)
+    limit = kernel_to_limit(kernel, kernel_components(kernel, null_state), basis)
     kernel_second = limit_moment(limit, basis, 2, method="wick")
-    if spec.interval is None:
-        quantile = _law_quantile(*_limit_law(limit, basis, budget), 1.0 - spec.alpha)
-    weights = [np.real(np.diag(rho.entries))]
+    if interval is None:
+        quantile = _law_quantile(*_limit_law(limit, basis, budget), 1.0 - alpha)
+    weights = [np.real(np.diag(null_state.entries))]
     theta_true = None
     if alternative is not None:
-        theta_true = float(np.real(np.sum(np.abs(alternative.entries - rho.entries) ** 2)))
+        theta_true = float(np.real(np.sum(np.abs(alternative.entries - null_state.entries) ** 2)))
         weights.append(np.real(np.diag(alternative.entries)))
 
-    results = []
-    for n, (atoms, probs) in zip(spec.n_list, finite_law(kernel, weights, spec.n_list, budget)):
+    records = []
+    for n, (atoms, probs) in zip(n_list, finite_law(kernel, weights, n_list, budget)):
         scaled = n * atoms
-        interval = spec.interval or (float(scaled.min()), quantile)
-        accept = scaled <= interval[1]
-        if spec.interval is not None:
-            accept &= scaled >= interval[0]
-        alpha_hat = float(probs[0][~accept].sum())
-        beta_hat = None if alternative is None else float(probs[1][accept].sum())
-        results.append(TestResult(
-            n=n,
-            alpha=spec.alpha,
-            interval=interval,
-            alpha_hat=alpha_hat,
-            beta_hat=beta_hat,
-            theta_true=theta_true,
-            limit_moments={"kernel_second_moment": kernel_second},
-        ))
-    return results
-
-
-@dataclass(frozen=True)
-class OverlapResult:
-    n: int
-    overlap: complex
-    limit: float
-
-    def to_json(self):
-        return {
-            "n": int(self.n),
-            "overlap_re": float(self.overlap.real),
-            "overlap_im": float(self.overlap.imag),
-            "limit": float(self.limit),
-        }
+        lo, hi = interval or (scaled.min(), quantile)
+        accept = scaled <= hi
+        if interval is not None:
+            accept &= scaled >= lo
+        records.append({
+            "n": n,
+            "alpha": float(alpha),
+            "interval": [float(lo), float(hi)],
+            "alpha_hat": float(probs[0][~accept].sum()),
+            "alpha_se": 0.0,
+            "beta_hat": None if alternative is None else float(probs[1][accept].sum()),
+            "beta_se": None if alternative is None else 0.0,
+            "theta_true": theta_true,
+            "limit_moments": {"kernel_second_moment": kernel_second},
+        })
+    return records
 
 
 def metrology_overlap(kernel, rho0, t, g1, g2, n_list, budget=None):
@@ -450,8 +382,10 @@ def metrology_overlap(kernel, rho0, t, g1, g2, n_list, budget=None):
     and the kernel in the reference's eigenframe (rotated by
     `DensityMatrix.frame` unless that is None) are formed once per call;
     in that frame the reference is the first basis vector.  Returns one
-    OverlapResult per n, in n_list order, with the exact overlap read
-    from one `finite_law` call (one spin block per n for qubits).
+    record per n, in n_list order, as `result.json` holds it: n,
+    overlap_re, overlap_im and limit, the exact overlap read from one
+    `finite_law` call (one spin block per n for qubits).  Phases that
+    are not finite raise ValidationError.
     """
     vals = rho0.eigenvalues
     if abs(vals[0] - 1.0) > 1e-10:
@@ -464,16 +398,25 @@ def metrology_overlap(kernel, rho0, t, g1, g2, n_list, budget=None):
     if xi1 <= 1e-12:
         raise ValidationError("kernel is degenerate at the reference state")
     dg = float(g1) - float(g2)
-    limit = math.exp(-(t * dg) ** 2 * xi1 / (2.0 * math.factorial(r - 1) ** 2))
+    try:
+        limit = math.exp(-(t * dg) ** 2 * xi1 / (2.0 * math.factorial(r - 1) ** 2))
+    except OverflowError:  # (t (g1 - g2))^2 is past the float range: the limit is 0
+        limit = 0.0
     if t == 0.0 or dg == 0.0:
-        return [OverlapResult(n=n, overlap=1.0 + 0.0j, limit=1.0) for n in n_list]
+        return [{"n": int(n), "overlap_re": 1.0, "overlap_im": 0.0, "limit": 1.0} for n in n_list]
     # In its eigenframe the reference is the first basis vector, of the
     # largest eigenvalue; exact 0/1 weights keep every other block out.
     u = rho0.frame
     k = kernel if u is None else kernel.rotated(u)
     reference = [np.eye(rho0.d)[0]]
-    results = []
+    records = []
     for n, (atoms, (probs,)) in zip(n_list, finite_law(k, reference, n_list, budget)):
-        phases = np.exp(1j * t * dg * float(n) ** (0.5 - r) * binom(n, r) * atoms)
-        results.append(OverlapResult(n=n, overlap=complex(np.dot(probs, phases)), limit=limit))
-    return results
+        scale = t * dg * float(n) ** (0.5 - r) * binom(n, r)
+        top = abs(scale) * float(np.abs(atoms).max())
+        if not math.isfinite(top):
+            raise ValidationError("metrology phases are not finite at n=%d: the largest, |t (g1 - "
+                                  "g2)| n^(1/2 - r) C(n, r) max|atom|, is %r" % (n, top))
+        overlap = complex(np.dot(probs, np.exp(1j * scale * atoms)))
+        records.append({"n": int(n), "overlap_re": overlap.real, "overlap_im": overlap.imag,
+                        "limit": limit})
+    return records

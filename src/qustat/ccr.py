@@ -26,6 +26,7 @@ limit diagonalizes each oscillator's quadratic form, in closed form
 (`_oscillator_form`), on the levels `thermal_levels` keeps.
 """
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -317,7 +318,7 @@ def _monic_hermite_coeffs(n):
     return out
 
 
-def limit_to_poly(limit, basis):
+def limit_to_poly(limit):
     """Expand a LimitPolynomial into S-ordered monomials over the symbols.
 
     Returns a dict mapping ordered symbol-index tuples to real
@@ -574,8 +575,9 @@ def fock_moments(poly, basis, max_p):
         mode = sym.name if sym.kind == "classical" else sym.pair_id
         if mode not in modes:
             at = base ** (1 + 2 * len(modes))
+            # a balanced b^dagger^j b^j of at most spread factors has j <= spread // 2
             eps, means = ((0.0, _classical_moments(spread)) if sym.kind == "classical"
-                          else _thermal_ladder(sym.sigma_sq, spread))
+                          else _thermal_ladder(sym.sigma_sq, spread // 2))
             modes[mode] = (at, eps, means, _symbol_factors(at, spread, eps))
         factors[s] = modes[mode][3][sym.kind]
     start = spread * sum(at for at, *_ in modes.values())
@@ -623,31 +625,37 @@ def limit_moment(limit, basis, p, method="wick"):
 
 
 def _route_moments(limit, basis, ps, methods):
-    """{p: {method: E[L^p]}} for the orders ps, all from one pass per route; two routes must agree."""
+    """{p: {method: E[L^p]}} for the orders ps, all from one pass per route; two routes must agree.
+
+    Each route's moments are checked as soon as its pass ends: one that is
+    not finite, or not real, raises ToleranceError.
+    """
     if min(ps) < 0:
         raise ValidationError("moment order must be >= 0")
     routes = {"wick": wick_moments, "fock": fock_moments}
     for name in methods:
         if name not in routes:
             raise ValidationError("unknown method %r" % name)
-    poly = limit_to_poly(limit, basis)
-    runs = {name: routes[name](poly, basis, max(ps)) for name in methods}
-    out = {}
-    for p in ps:
-        values = {}
-        for name in methods:
+    poly = limit_to_poly(limit)
+    runs = {}
+    for name in methods:
+        runs[name] = routes[name](poly, basis, max(ps))
+        for p in ps:
             val = runs[name][p]
+            if not cmath.isfinite(val):
+                raise ToleranceError("%s moment of order %d is not finite: %r" % (name, p, val))
             if abs(val.imag) > 1e-8 * max(1.0, abs(val)):
                 raise ToleranceError("moment %r of a selfadjoint polynomial is not real"
                                      % complex(val))
-            values[name] = val
-        if len(values) == 2:
-            a, b = values["wick"], values["fock"]
+    out = {}
+    for p in ps:
+        if len(runs) == 2:
+            a, b = runs["wick"][p], runs["fock"][p]
             gap, ref = abs(a - b), max(abs(a), abs(b))
             if not gap <= (ROUTE_AGREEMENT_ATOL if ref < 1e-3 else ROUTE_AGREEMENT_RTOL * ref):
                 raise ToleranceError("wick %r and fock %r disagree (gap %.3e)"
                                      % (complex(a), complex(b), gap))
-        out[p] = {name: float(val.real) for name, val in values.items()}
+        out[p] = {name: float(run[p].real) for name, run in runs.items()}
     return out
 
 

@@ -22,6 +22,7 @@ included), 3 tolerance violation.
 """
 
 import json
+import math
 import os
 import sys
 
@@ -381,9 +382,11 @@ def _moments(config, variance=False):
     One `centered_moments` call serves every n of n_list and every p of
     p_list and, with variance=True, Var(U_n) = E (U_n - theta)^2 as well;
     the variances are left empty otherwise.  The moment of
-    factor(n) (U_n - theta) is factor(n)^p times the centered moment.
+    factor(n) (U_n - theta) is factor(n)^p times the centered moment; one
+    that is not finite raises ToleranceError.
     """
     from .ccr import _route_moments
+    from .errors import ToleranceError
     from .ustat import centered_moments
 
     _require(config, "state", "kernel", "n_list", "p_list")
@@ -400,7 +403,14 @@ def _moments(config, variance=False):
     moments, variances = {}, {}
     for n, by_order in zip(ns, values):
         by_order = dict(zip(orders, by_order))
-        moments.update(((n, p), factor_fn(n) ** p * by_order[p]) for p in ps)
+        for p in ps:
+            try:
+                moments[n, p] = factor_fn(n) ** p * by_order[p]
+            except OverflowError:  # factor(n)^p is past the float range
+                moments[n, p] = math.inf
+            if not math.isfinite(moments[n, p]):
+                raise ToleranceError("exact moment of order %d at n=%d is not finite once "
+                                     "scaled: %r" % (p, n, moments[n, p]))
         if variance:
             variances[n] = by_order[2]
     rows = [
@@ -477,7 +487,7 @@ def _cmd_convergence(config):
 
 
 def _cmd_test_sim(config):
-    from .apps import TestSpec, run_test
+    from .apps import run_test
     from .errors import ValidationError
 
     _require(config, "state", "alpha", "n_list")
@@ -487,16 +497,9 @@ def _cmd_test_sim(config):
     alternative = None
     if "alternative" in config:
         alternative = _load_state(config["alternative"])
-    spec = TestSpec(
-        null_state=state,
-        alpha=config["alpha"],
-        n_list=tuple(sorted(set(config["n_list"]))),
-        interval=tuple(config["interval"]) if "interval" in config else None,
-    )
-    results = [
-        res.to_json()
-        for res in run_test(spec, alternative=alternative, budget=config.get("dim_budget"))
-    ]
+    results = run_test(state, config["alpha"], sorted(set(config["n_list"])),
+                       interval=config.get("interval"), alternative=alternative,
+                       budget=config.get("dim_budget"))
     rows = [dict(r, interval_lo=r["interval"][0], interval_hi=r["interval"][1]) for r in results]
     header = ["n", "alpha_hat", "alpha_se", "beta_hat", "beta_se",
               "interval_lo", "interval_hi"]
@@ -510,13 +513,12 @@ def _cmd_metrology(config):
     _require(config, "state", "kernel", "n_list", "t", "g1", "g2")
     state = _load_state(config["state"])
     kernel = _load_kernel(config, state)
-    overlaps = metrology_overlap(
+    results = metrology_overlap(
         kernel, state, config["t"], config["g1"], config["g2"],
         sorted(set(config["n_list"])), budget=config.get("dim_budget"),
     )
-    results = [res.to_json() for res in overlaps]
-    rows = [dict(doc, abs_gap=abs(res.overlap - res.limit))
-            for res, doc in zip(overlaps, results)]
+    rows = [dict(r, abs_gap=abs(complex(r["overlap_re"], r["overlap_im"]) - r["limit"]))
+            for r in results]
     header = ["n", "overlap_re", "overlap_im", "limit", "abs_gap"]
     result = results[0] if len(results) == 1 else {"results": results}
     return result, {"metrology": (header, rows)}

@@ -16,7 +16,6 @@ import pytest
 from qustat import (
     DensityMatrix,
     Kernel,
-    TestSpec,
     assemble_direct,
     assemble_fluctuation,
     build_ccr_basis,
@@ -381,32 +380,31 @@ def test_criterion_09():
     alpha_hat = None
     exact_betas = []
     ns = (4, 6, 8, 10)
-    spec = TestSpec(null_state=RHO_75, alpha=0.05, n_list=ns)
-    for n, result in zip(ns, run_test(spec, alternative=alternative)):
+    for n, result in zip(ns, run_test(RHO_75, 0.05, ns, alternative=alternative)):
         if n == 10:
-            alpha_hat = result.alpha_hat
+            alpha_hat = result["alpha_hat"]
         # Exact acceptance probability under the alternative: Born weights
         # of sigma^{otimes n} on the eigenvalues of n U_n up to the upper end
         # of the interval, the default region.
-        hi = result.interval[1]
+        hi = result["interval"][1]
         vals, vecs = np.linalg.eigh(n * assemble_direct(kernel, n).op.entries)
         probs = np.einsum(
             "i,ik->k", tensor_weights(np.array([0.6, 0.4]), n), np.abs(vecs) ** 2
         )
         exact = float(probs[vals <= hi].sum())
         exact_betas.append(exact)
-        se = max(result.to_json()["beta_se"], 1e-4)
-        if not abs(result.beta_hat - exact) < 4.0 * se:
+        se = max(result["beta_se"], 1e-4)
+        if not abs(result["beta_hat"] - exact) < 4.0 * se:
             failures.append(
                 "acceptance rate %.4f under diag(0.6, 0.4) at n=%d is more "
                 "than 4 SE (%.1e) from the exact %.4f"
-                % (result.beta_hat, n, se, exact)
+                % (result["beta_hat"], n, se, exact)
             )
-        if not result.beta_hat < 1.0 - result.alpha_hat:
+        if not result["beta_hat"] < 1.0 - result["alpha_hat"]:
             failures.append(
                 "test is biased at n=%d: acceptance %.4f under diag(0.6, 0.4) "
                 "is not below the null acceptance %.4f"
-                % (n, result.beta_hat, 1.0 - result.alpha_hat)
+                % (n, result["beta_hat"], 1.0 - result["alpha_hat"])
             )
     if not 0.02 <= alpha_hat <= 0.12:
         failures.append(
@@ -437,15 +435,14 @@ def test_criterion_10():
     plus = DensityMatrix.from_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
     gaps = []
     for res in metrology_overlap(kernel, plus, 1.0, 0.5, 0.0, (4, 6, 8, 10)):
-        np.testing.assert_allclose(res.limit, np.exp(-0.03125), rtol=1e-12)
-        gaps.append(abs(res.overlap - res.limit))
+        np.testing.assert_allclose(res["limit"], np.exp(-0.03125), rtol=1e-12)
+        gaps.append(abs(complex(res["overlap_re"], res["overlap_im"]) - res["limit"]))
     assert len(gaps) == 4
     assert all(b < a for a, b in zip(gaps, gaps[1:])), (
         "overlap gaps are not strictly decreasing: %r" % (gaps,)
     )
     (same,) = metrology_overlap(kernel, plus, 1.0, 0.3, 0.3, (6,))
-    assert same.overlap == 1.0 + 0.0j
-    assert same.limit == 1.0
+    assert same == {"n": 6, "overlap_re": 1.0, "overlap_im": 0.0, "limit": 1.0}
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0, "criterion 10 runtime %.1f s exceeds 300 s" % elapsed
 

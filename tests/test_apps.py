@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -16,7 +17,6 @@ from qustat import (
     DensityMatrix,
     Kernel,
     LimitPolynomial,
-    TestSpec,
     ToleranceError,
     ValidationError,
     assemble_direct,
@@ -118,24 +118,28 @@ def test_simulate_measurement_distribution(rho_75, paulis):
 
 
 def test_spec_validation(rho_75):
-    with pytest.raises(ValidationError):
-        TestSpec(null_state=rho_75, alpha=1.5, n_list=(4,))
-    with pytest.raises(ValidationError):
-        TestSpec(null_state=rho_75, alpha=0.05, n_list=(4, 1))
-    with pytest.raises(ValidationError):
-        TestSpec(null_state=rho_75, alpha=0.05, n_list=())
-    with pytest.raises(ValidationError):
-        TestSpec(null_state=rho_75, alpha=0.05, n_list=(4,), interval=(2.0, 1.0))
+    # run_test checks its alpha, n_list and interval before anything else,
+    # so a null it would reject later (not diagonal) gets the same messages
+    rotated = DensityMatrix.from_eigenvalues(
+        [0.75, 0.25], rotation=np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+    for alpha, n_list, interval, message in (
+        (1.5, (4,), None, "alpha must be in (0, 1)"),
+        (0.05, (4, 1), None, "need a non-empty n_list with every n >= 2"),
+        (0.05, (), None, "need a non-empty n_list with every n >= 2"),
+        (0.05, (4,), (2.0, 1.0), "interval must satisfy a < b"),
+    ):
+        for state in (rho_75, rotated):
+            with pytest.raises(ValidationError, match="^%s$" % re.escape(message)):
+                run_test(state, alpha, n_list, interval=interval)
 
 
 def test_run_test_trivial_interval_never_rejects(rho_75):
-    spec = TestSpec(null_state=rho_75, alpha=0.05, n_list=(4,), interval=(-1e9, 1e9))
-    (result,) = run_test(spec)
-    assert result.alpha_hat == 0.0
-    assert result.beta_hat is None
-    assert result.limit_moments.keys() == {"kernel_second_moment"}
+    (result,) = run_test(rho_75, 0.05, (4,), interval=(-1e9, 1e9))
+    assert result["alpha_hat"] == 0.0
+    assert result["beta_hat"] is None
+    assert result["limit_moments"].keys() == {"kernel_second_moment"}
     np.testing.assert_allclose(
-        result.limit_moments["kernel_second_moment"], 1.03125, rtol=1e-10
+        result["limit_moments"]["kernel_second_moment"], 1.03125, rtol=1e-10
     )
 
 
@@ -155,21 +159,19 @@ def test_run_test_matches_exact_born_rejection(rho_75):
     n = 6
     interval = (-0.8, 2.0)
     exact, _ = _exact_rates(n, interval)
-    spec = TestSpec(null_state=rho_75, alpha=0.05, n_list=(n,), interval=interval)
-    (result,) = run_test(spec)
-    np.testing.assert_allclose(result.alpha_hat, exact, rtol=0.0, atol=1e-12)
+    (result,) = run_test(rho_75, 0.05, (n,), interval=interval)
+    np.testing.assert_allclose(result["alpha_hat"], exact, rtol=0.0, atol=1e-12)
 
 
 def test_run_test_rates_match_monte_carlo_measurement(rho_75):
     n, replicates = 6, 20000
     alt = DensityMatrix.from_eigenvalues([0.9, 0.1])
-    spec = TestSpec(null_state=rho_75, alpha=0.05, n_list=(n,))
-    (result,) = run_test(spec, alternative=alt)
-    hi = result.interval[1]
+    (result,) = run_test(rho_75, 0.05, (n,), alternative=alt)
+    hi = result["interval"][1]
     scaled = n * assemble_direct(goodness_kernel(rho_75), n).op.entries
     for weights, seed, exact, rejects in (
-        ([0.75, 0.25], 61, result.alpha_hat, True),
-        ([0.9, 0.1], 62, result.beta_hat, False),
+        ([0.75, 0.25], 61, result["alpha_hat"], True),
+        ([0.9, 0.1], 62, result["beta_hat"], False),
     ):
         out = simulate_measurement(
             scaled, tensor_weights(np.array(weights), n), replicates, seed
@@ -182,49 +184,44 @@ def test_run_test_rates_match_monte_carlo_measurement(rho_75):
 
 def test_run_test_default_interval_is_upper_tail(rho_75):
     n, alpha = 10, 0.05
-    spec = TestSpec(null_state=rho_75, alpha=alpha, n_list=(n,))
-    (result,) = run_test(spec)
+    (result,) = run_test(rho_75, alpha, (n,))
     kernel = goodness_kernel(rho_75)
     vals, vecs = np.linalg.eigh(n * assemble_direct(kernel, n).op.entries)
-    np.testing.assert_allclose(result.interval[0], vals[0], rtol=0.0, atol=ATOL)
+    np.testing.assert_allclose(result["interval"][0], vals[0], rtol=0.0, atol=ATOL)
     basis = build_ccr_basis(rho_75)
     limit = kernel_to_limit(kernel, kernel_components(kernel, rho_75), basis)
     np.testing.assert_allclose(
-        result.interval[1], _law_quantile(*_limit_law(limit, basis), 1.0 - alpha),
+        result["interval"][1], _law_quantile(*_limit_law(limit, basis), 1.0 - alpha),
         rtol=0.0, atol=ATOL,
     )
     # No null outcome lies below the lower end: only the upper tail rejects,
     # and its exact null probability is close to alpha.
     w = tensor_weights(np.array([0.75, 0.25]), n)
     probs = np.einsum("i,ik->k", w, np.abs(vecs) ** 2)
-    assert probs[vals < result.interval[0] - ATOL].sum() == 0.0
+    assert probs[vals < result["interval"][0] - ATOL].sum() == 0.0
     np.testing.assert_allclose(
-        probs[vals > result.interval[1]].sum(), 0.0515, atol=5e-5
+        probs[vals > result["interval"][1]].sum(), 0.0515, atol=5e-5
     )
-    np.testing.assert_allclose(result.alpha_hat, 0.0515, atol=5e-5)
-    assert result.to_json()["alpha_se"] == 0.0
+    np.testing.assert_allclose(result["alpha_hat"], 0.0515, atol=5e-5)
+    assert result["alpha_se"] == 0.0
 
 
 def test_run_test_alternative_reports_power(rho_75):
     alt = DensityMatrix.from_matrix(np.diag([0.9, 0.1]))
     interval = (-0.5, 0.5)
-    spec = TestSpec(null_state=rho_75, alpha=0.05, n_list=(4,), interval=interval)
-    (result,) = run_test(spec, alternative=alt)
-    np.testing.assert_allclose(result.theta_true, 0.045, atol=ATOL)
+    (result,) = run_test(rho_75, 0.05, (4,), interval=interval, alternative=alt)
+    np.testing.assert_allclose(result["theta_true"], 0.045, atol=ATOL)
     np.testing.assert_allclose(
-        result.beta_hat, _exact_rates(4, interval)[1], rtol=0.0, atol=1e-12
+        result["beta_hat"], _exact_rates(4, interval)[1], rtol=0.0, atol=1e-12
     )
-    payload = result.to_json()
-    assert payload["theta_true"] == pytest.approx(0.045)
-    assert payload["beta_se"] == 0.0
-    assert isinstance(payload["limit_moments"], dict)
+    assert result["beta_se"] == 0.0
+    assert isinstance(result["limit_moments"], dict)
 
 
 def test_run_test_seeded_runs_are_identical(rho_75):
-    spec = TestSpec(null_state=rho_75, alpha=0.1, n_list=(4, 6))
-    first = run_test(spec)
-    second = run_test(spec)
-    assert [r.n for r in first] == [4, 6]
+    first = run_test(rho_75, 0.1, (4, 6))
+    second = run_test(rho_75, 0.1, (4, 6))
+    assert [r["n"] for r in first] == [4, 6]
     assert first == second
 
 
@@ -465,10 +462,10 @@ def test_run_test_leaves_scipy_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys\n"
-         "from qustat import DensityMatrix, TestSpec, run_test\n"
+         "from qustat import DensityMatrix, run_test\n"
          "rho = DensityMatrix.from_eigenvalues([0.75, 0.25])\n"
-         "(r,) = run_test(TestSpec(null_state=rho, alpha=0.05, n_list=(6,)))\n"
-         "print(round(r.interval[1], 9), 'scipy' in sys.modules)"],
+         "(r,) = run_test(rho, 0.05, (6,))\n"
+         "print(round(r['interval'][1], 9), 'scipy' in sys.modules)"],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -499,19 +496,21 @@ def test_metrology_overlap_values(paulis):
     k = symmetrize_kernel([sz, sx])
     plus = _plus_state()
     (equal,) = metrology_overlap(k, plus, 1.0, 0.7, 0.7, [6])
-    assert equal.overlap == 1.0 + 0.0j
-    assert equal.limit == 1.0
+    assert equal == {"n": 6, "overlap_re": 1.0, "overlap_im": 0.0, "limit": 1.0}
     (frozen,) = metrology_overlap(k, plus, 0.0, 0.5, 0.0, [6])
-    assert frozen.overlap == 1.0 + 0.0j
+    assert frozen == equal
     (result,) = metrology_overlap(k, plus, 1.0, 0.5, 0.0, [8])
-    np.testing.assert_allclose(result.limit, np.exp(-0.03125), rtol=1e-12)
-    assert abs(result.overlap) <= 1.0 + 1e-12
+    assert set(result) == {"n", "overlap_re", "overlap_im", "limit"}
+    np.testing.assert_allclose(result["limit"], np.exp(-0.03125), rtol=1e-12)
+    assert abs(complex(result["overlap_re"], result["overlap_im"])) <= 1.0 + 1e-12
+    # (t (g1 - g2))^2 is past the float range, and the limit 0
+    (far,) = metrology_overlap(k, plus, 1e200, 0.5, 0.0, [8])
+    assert far["limit"] == 0.0
+    with pytest.raises(ValidationError, match="metrology phases are not finite at n=8"):
+        metrology_overlap(k, plus, 1e300, 1e10, -1e10, [8])
     (flipped,) = metrology_overlap(k, plus, 1.0, 0.0, 0.5, [8])
-    np.testing.assert_allclose(
-        flipped.overlap, np.conj(result.overlap), atol=1e-12
-    )
-    payload = result.to_json()
-    assert set(payload) == {"n", "overlap_re", "overlap_im", "limit"}
+    assert flipped["overlap_re"] == pytest.approx(result["overlap_re"], abs=1e-12)
+    assert flipped["overlap_im"] == pytest.approx(-result["overlap_im"], abs=1e-12)
 
 
 def _kron_overlap(kernel_matrix, psi, r, n, c):
@@ -559,10 +558,11 @@ def test_metrology_overlap_matches_kron_oracle(paulis):
     for kernel, psi, n_max in cases:
         rho0 = DensityMatrix.from_matrix(np.outer(psi, psi.conj()))
         results = metrology_overlap(kernel, rho0, t, g1, g2, range(n_max, 1, -1))
-        assert [result.n for result in results] == list(range(n_max, 1, -1))
+        assert [result["n"] for result in results] == list(range(n_max, 1, -1))
         for result in results:
-            n = result.n
+            n = result["n"]
             c = t * (g1 - g2) * float(n) ** (0.5 - 2)
             expected = _kron_overlap(kernel.op.entries, psi, 2, n, c)
-            np.testing.assert_allclose(result.overlap, expected, rtol=0.0, atol=1e-12,
+            overlap = complex(result["overlap_re"], result["overlap_im"])
+            np.testing.assert_allclose(overlap, expected, rtol=0.0, atol=1e-12,
                                        err_msg="d=%d n=%d" % (len(psi), n))

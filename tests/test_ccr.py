@@ -136,7 +136,7 @@ def test_pair_kernel_monomial_expansion(rho_75, paulis):
     report = kernel_components(k, rho_75)
     basis = build_ccr_basis(rho_75)
     lim = kernel_to_limit(k, report, basis)
-    poly = limit_to_poly(lim, basis)
+    poly = limit_to_poly(lim)
     iq, ip = _symbol_indices(basis, "q12", "p12")
     assert set(poly) == {(iq, ip), (ip, iq)}
     np.testing.assert_allclose(poly[(iq, ip)], -0.5, atol=ATOL)
@@ -317,7 +317,7 @@ def test_wick_pass_matches_the_plain_recursion(rho_75, paulis):
     basis = build_ccr_basis(rho_75)
     for kernel in (symmetrize_kernel([sx, sy]), goodness_kernel(rho_75)):
         limit = kernel_to_limit(kernel, kernel_components(kernel, rho_75), basis)
-        poly = limit_to_poly(limit, basis)
+        poly = limit_to_poly(limit)
         moments = wick_moments(poly, basis, 6)
         for p in range(2, 7):
             expected = 0.0 + 0.0j
@@ -358,7 +358,7 @@ def test_fock_pass_matches_the_plain_expansion(paulis, eigenvalues, preset):
     rho = DensityMatrix.from_eigenvalues(eigenvalues)
     basis = build_ccr_basis(rho)
     kernel = symmetrize_kernel([sx, sy]) if preset == "pauli-xy" else goodness_kernel(rho)
-    poly = limit_to_poly(kernel_to_limit(kernel, kernel_components(kernel, rho), basis), basis)
+    poly = limit_to_poly(kernel_to_limit(kernel, kernel_components(kernel, rho), basis))
     moments = fock_moments(poly, basis, 6)
     # the qutrit's expansion of L^6 has over a million monomials; it is checked to t = 5.
     # E[L] = 0, so each bound is relative to max(1, |E[L^t]|).
@@ -379,7 +379,7 @@ def _preset_poly(eigenvalues, preset, paulis):
         # at diag(0.75, 0.25) on one source and diag(0.6, 0.4) on the other
         "homogeneity": lambda: homogeneity_kernel(2),
     }[preset]()
-    poly = limit_to_poly(kernel_to_limit(kernel, kernel_components(kernel, rho), basis), basis)
+    poly = limit_to_poly(kernel_to_limit(kernel, kernel_components(kernel, rho), basis))
     return poly, basis
 
 

@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 
 import qustat
-from qustat import ValidationError, symmetrize_kernel
+from qustat import (
+    DensityMatrix, Kernel, ToleranceError, ValidationError, hermitize, metrology_overlap,
+    run_test, symmetrize_kernel,
+)
 from qustat.cli import main, run
 from qustat.serialize import format_float, matrix_to_json
 
@@ -597,8 +600,8 @@ def _metrology_config(**fields):
     return dict(config, **fields)
 
 
-def test_a_failed_run_leaves_the_previous_outputs_intact(tmp_path):
-    """A run that cannot serialize its result touches no file of the run before it."""
+def test_a_failed_run_leaves_the_previous_outputs_intact(tmp_path, monkeypatch):
+    """A run that fails, in its numerics or in serializing, touches no file of the run before it."""
     out = tmp_path / "out"
     convergence = {
         "command": "convergence",
@@ -611,10 +614,16 @@ def test_a_failed_run_leaves_the_previous_outputs_intact(tmp_path):
     before = _tree_bytes(out)
     assert sorted(before) == ["manifest.json", "result.json", "tables/moments.csv",
                               "tables/variance.csv"]
-    # schema-valid, but the imprint difference overflows to a nan overlap
+    # schema-valid, but the imprint difference overflows the phases
     metrology = _metrology_config(g1=1e308, g2=-1e308)
-    with pytest.raises(ValidationError, match="non-finite value in output"):
+    with pytest.raises(ValidationError, match="metrology phases are not finite"):
         run(_write_config(tmp_path, metrology, "b.json"), str(out))
+    assert _tree_bytes(out) == before
+    # a nan that reaches the serializer fails there, before any file is touched
+    monkeypatch.setattr("qustat.apps.metrology_overlap", lambda *args, **kwargs: [
+        {"n": 4, "overlap_re": float("nan"), "overlap_im": 0.0, "limit": 1.0}])
+    with pytest.raises(ValidationError, match="non-finite value in output"):
+        run(_write_config(tmp_path, _metrology_config(), "c.json"), str(out))
     assert _tree_bytes(out) == before
 
 
@@ -1038,6 +1047,32 @@ def test_decompose_table_rows_are_its_result_records(tmp_path):
         _assert_row_is_record(row, record)
 
 
+@pytest.mark.parametrize("n_list", [[6], [4, 6]], ids=["one-n", "several-n"])
+def test_run_test_and_metrology_overlap_return_the_result_json_records(tmp_path, n_list):
+    """The apps' records are what result.json holds: the record itself for one n."""
+    def written(name, config):
+        (tmp_path / name).mkdir()
+        return _run(tmp_path / name, config)[1]
+
+    def document(records):
+        return records[0] if len(records) == 1 else {"results": records}
+
+    null, alternative = DensityMatrix.from_eigenvalues([0.75, 0.25]), [0.6, 0.4]
+    config = {"command": "test-sim", "state": STATE_75, "alpha": 0.05, "n_list": n_list}
+    records = run_test(null, 0.05, n_list, alternative=DensityMatrix.from_eigenvalues(alternative))
+    assert document(records) == written("test", dict(config, alternative={"eigenvalues": alternative}))
+    records = run_test(null, 0.1, n_list, interval=(-0.5, 1.5))
+    assert document(records) == written("interval", dict(config, alpha=0.1, interval=[-0.5, 1.5]))
+    # S[sz sx] + sz sz on |+> has overlaps off the real axis
+    sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    matrix = symmetrize_kernel([sz, sx]).op.entries + np.kron(sz, sz)
+    config = _metrology_config(kernel={"matrix": matrix_to_json(matrix), "d": 2, "r": 2},
+                               n_list=n_list, t=1.3, g2=-0.2)
+    plus = DensityMatrix.from_matrix(np.full((2, 2), 0.5))
+    records = metrology_overlap(Kernel(2, 2, hermitize(matrix)), plus, 1.3, 0.5, -0.2, n_list)
+    assert document(records) == written("metrology", config)
+
+
 def test_package_names_resolve_lazily():
     for name in qustat.__all__:
         assert getattr(qustat, name) is not None
@@ -1052,9 +1087,8 @@ def test_public_names_are_pinned():
         "BudgetError", "CCRBasis", "DegeneracyReport", "DensityMatrix",
         "ExpansionBudgetError", "FluctuationForm", "FluctuationTerm",
         "HermitianOperator", "HoeffdingComponent", "Kernel", "LimitPolynomial",
-        "OverlapResult", "QuStatError", "SiteSubset", "TestResult", "TestSpec",
-        "ToleranceError", "UStatistic", "ValidationError", "assemble_direct",
-        "assemble_fluctuation", "build_ccr_basis", "centered_moments",
+        "QuStatError", "SiteSubset", "ToleranceError", "UStatistic", "ValidationError",
+        "assemble_direct", "assemble_fluctuation", "build_ccr_basis", "centered_moments",
         "cond_expectation", "embed", "finite_law", "fluctuation_form", "fock_moments",
         "goodness_kernel", "hermite_orthogonality_check", "hermitize",
         "hoeffding_project", "homogeneity_kernel", "kernel_components",
@@ -1426,3 +1460,56 @@ def test_test_sim_accepts_the_goodness_kernel_it_runs(tmp_path):
     _, without, _ = _run(tmp_path, config)
     _, with_kernel, _ = _run(tmp_path, dict(config, kernel={"preset": "goodness"}))
     assert with_kernel == without
+
+
+_PAULI_XY_75 = {"state": STATE_75, "kernel": {"preset": "pauli-xy"}}
+
+
+# (config, exit code, a phrase of the one JSON error line): edge inputs
+# that must either run with nothing on stderr or fail with their code
+@pytest.mark.parametrize("config, code, phrase", [
+    (dict(_PAULI_XY_75, command="moments", n_list=[4], p_list=[200]), 3,
+     "wick moment of order 200 is not finite"),
+    (dict(_PAULI_XY_75, command="limit", p_list=[200]), 3,
+     "wick moment of order 200 is not finite"),
+    (dict(_PAULI_XY_75, command="limit", p_list=[150]), 0, None),
+    (_metrology_config(kernel={"preset": "pauli-xy"}, t=1e300, g1=1e10, g2=-1e10), 1,
+     "metrology phases are not finite at n=4"),
+    (dict(_PAULI_XY_75, command="moments", n_list=[100000], p_list=[2]), 2,
+     "matrix dimension 100001 exceeds budget"),
+    ({"command": "moments", "state": STATE_75, "kernel": {"preset": "sigma-zz"},
+      "n_list": [1], "p_list": [2]}, 1, "need n >= r"),
+    ({"command": "hermite-check", "sigma_sq_list": [0.4]}, 1,
+     "oscillator variance must be a finite number >= 1/2"),
+    # the Ruben series is capped at 10^4 terms, short of this spread of mu
+    ({"command": "test-sim", "state": {"eigenvalues": [0.7, 0.2999, 0.0001]}, "alpha": 0.05,
+      "n_list": [3]}, 3, "limit law error bound"),
+    # the Cholesky whitening of diag(mu) - mu mu^T cancels this close to pure
+    ({"command": "limit", "state": {"eigenvalues": [0.9999999, 1e-7]},
+      "kernel": {"preset": "goodness"}, "p_list": [2]}, 3,
+     "normalized generators are not orthonormal"),
+], ids=["moments-p200", "limit-p200", "limit-p150", "metrology-phase-overflow", "moments-n1e5",
+        "sigma-zz-n1", "hermite-variance-0.4", "qutrit-ruben-cap", "near-pure-goodness-limit"])
+def test_edge_inputs_exit_with_their_code_and_at_most_one_json_line(tmp_path, config, code, phrase):
+    proc = _run_cli(tmp_path, config)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+        return
+    (line,) = proc.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert error["exit_code"] == code
+    assert phrase in error["message"]
+
+
+@pytest.mark.parametrize("n, centered", [(4, 1e308), (10 ** 200, 1.0)], ids=["product", "power"])
+def test_a_scaled_moment_that_is_not_finite_raises_a_tolerance_error(tmp_path, monkeypatch, n,
+                                                                     centered):
+    # n (U_n - theta) scales the centered moment by n^2 at p = 2: the
+    # product overflows, or n^2 itself
+    monkeypatch.setattr("qustat.ustat.centered_moments",
+                        lambda kernel, state, ns, orders, budget=None: [[centered] * len(orders)])
+    config = dict(_PAULI_XY_75, command="moments", n_list=[n], p_list=[2])
+    with pytest.raises(ToleranceError, match=r"^exact moment of order 2 at n=%d is not finite "
+                                             r"once scaled: inf$" % n):
+        run(_write_config(tmp_path, config), str(tmp_path / "out"))
