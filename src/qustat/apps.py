@@ -13,9 +13,9 @@ quadratic form, summed over oscillators) plus an independent weighted
 sum of chi-square(1) variables for the commutative block, whose CDF is
 Ruben's chi-square mixture.  It is built
 once per test run and serves every sample size; the level and power at
-each n are exact Born sums over the law of n U_n from `ustat.finite_law`.
-Nothing is sampled.  The metrology overlap is read from `finite_law`
-too.
+each n are exact Born sums over the law of n U_n, read in closed form
+for qubits (`_qubit_rates`) and from `ustat.finite_law` for d >= 3.
+Nothing is sampled.  The metrology overlap is read from `finite_law`.
 """
 
 import itertools
@@ -41,7 +41,7 @@ from .operators import (
     check_dim_budget,
     hermitize,
 )
-from .ustat import _STACK_ENTRIES, PROB_DEFICIT_TOL, finite_law
+from .ustat import _STACK_ENTRIES, PROB_DEFICIT_TOL, _log_multiplicities, _xlogy, finite_law
 
 # The exact limit law drops its least likely joint oscillator atoms up to
 # _DROPPED_MASS and leaves at most _RUBEN_REMAINDER of the Ruben series
@@ -51,6 +51,9 @@ _DROPPED_MASS = 0.1 * PROB_DEFICIT_TOL
 _RUBEN_REMAINDER = 0.1 * PROB_DEFICIT_TOL
 _MAX_RUBEN_TERMS = 10_000
 _ROOT_RTOL = 1e-12
+# Past 2^53 one ulp of a metrology phase is about a radian, so its
+# exponential is rounding noise.
+_MAX_PHASE = 2.0 ** 53
 
 
 def goodness_kernel(rho, budget=None):
@@ -312,8 +315,10 @@ def run_test(null_state, alpha, n_list, interval=None, alternative=None, budget=
     the reported interval is then (smallest atom of n U_n, q), its lower
     end for information only.  At each n the rejection rate under the
     null and, when an alternative state is given, the acceptance rate
-    under it are exact Born sums over the law of n U_n from `finite_law`,
-    one call for every n.  Nothing is drawn at random, so the standard
+    under it are exact Born sums over the law of n U_n, for every n at
+    once: in closed form for qubits (`_qubit_rates`, no block and no
+    eigensolver), from one `finite_law` call for d >= 3 (`_dense_rates`).
+    Nothing is drawn at random, so the standard
     errors are 0 (None for the power without an alternative).  Returns
     one record per n, in n_list order, as `result.json` holds it: n,
     alpha, interval, alpha_hat, alpha_se, beta_hat, beta_se, theta_true
@@ -350,26 +355,145 @@ def run_test(null_state, alpha, n_list, interval=None, alternative=None, budget=
     if alternative is not None:
         theta_true = float(np.real(np.sum(np.abs(alternative.entries - null_state.entries) ** 2)))
         weights.append(np.real(np.diag(alternative.entries)))
+    lo, hi = interval or (-math.inf, quantile)
+    if null_state.d == 2:
+        lows, accepted, rejected = _qubit_rates(weights, n_list, lo, hi, budget)
+    else:
+        lows, accepted, rejected = _dense_rates(kernel, weights, n_list, lo, hi, budget)
+    return [{
+        "n": n,
+        "alpha": float(alpha),
+        "interval": [float(lows[m] if interval is None else lo), float(hi)],
+        "alpha_hat": float(rejected[0][m]),
+        "alpha_se": 0.0,
+        "beta_hat": None if alternative is None else float(accepted[1][m]),
+        "beta_se": None if alternative is None else 0.0,
+        "theta_true": theta_true,
+        "limit_moments": {"kernel_second_moment": kernel_second},
+    } for m, n in enumerate(n_list)]
 
-    records = []
+
+def _dense_rates(kernel, weights, n_list, lo, hi, budget=None):
+    """The rates of `_qubit_rates`, read off the law of U_n from `finite_law`."""
+    lows, accepted, rejected = [], [], []
     for n, (atoms, probs) in zip(n_list, finite_law(kernel, weights, n_list, budget)):
         scaled = n * atoms
-        lo, hi = interval or (scaled.min(), quantile)
-        accept = scaled <= hi
-        if interval is not None:
-            accept &= scaled >= lo
-        records.append({
-            "n": n,
-            "alpha": float(alpha),
-            "interval": [float(lo), float(hi)],
-            "alpha_hat": float(probs[0][~accept].sum()),
-            "alpha_se": 0.0,
-            "beta_hat": None if alternative is None else float(probs[1][accept].sum()),
-            "beta_se": None if alternative is None else 0.0,
-            "theta_true": theta_true,
-            "limit_moments": {"kernel_second_moment": kernel_second},
-        })
-    return records
+        accept = (scaled >= lo) & (scaled <= hi)
+        lows.append(scaled.min())
+        accepted.append([p[accept].sum() for p in probs])
+        rejected.append([p[~accept].sum() for p in probs])
+    return lows, np.transpose(accepted), np.transpose(rejected)
+
+
+def _qubit_rates(weights, n_list, lo, hi, budget=None):
+    """Exact rates of the qubit goodness test of the null weights[0], from its law in closed form.
+
+    On the spin block k = 0..floor(n/2), the two-row shape (n - k, k),
+    sum_{i<j} SWAP_ij is the content c_k = C(n - k, 2) + C(k, 2) - k
+    (Jucys-Murphy), and on its level i, with k + i sites in state 1,
+    U_n = c_k / C(n, 2) - (2/n) (lam_0 (n - k - i) + lam_1 (k + i)) + Tr rho^2
+    for the null rho = diag(lam).  So n U_n is linear in i, with slope
+    2 (lam_0 - lam_1), and for lo <= hi the levels with
+    lo <= n U_n <= hi are one run of each block, found from the bounds and
+    checked level by level at its ends.  A level weighs
+    m_j w_0^(n-k-i) w_1^(k+i) under the state w (`_spin_levels`), geometric
+    in i, so a run's mass is one geometric sum (`_run_mass`).  Each n's
+    size is checked against `budget` as its spin stack's would be.
+    Returns (lows, accepted, rejected): per n the smallest n U_n on a block
+    that some state weighs, and per state and n the probability of the
+    runs and of the rest, each normalized by the state's total.  A total
+    further than PROB_DEFICIT_TOL from 1 raises ToleranceError.
+    """
+    for n in n_list:
+        check_dim_budget(n + 1, budget)
+    blocks = [n // 2 + 1 for n in n_list]
+    starts = np.cumsum([0] + blocks[:-1])
+    n = np.repeat(n_list, blocks)
+    k = np.arange(n.size) - np.repeat(starts, blocks)
+    log_mult = np.concatenate([_log_multiplicities(m) for m in n_list])
+    last = n - 2 * k
+    lam = weights[0]
+    slope = 2.0 * (lam[0] - lam[1])
+    # n U_n on level i over the common denominator n - 1, which keeps the
+    # content term an exact integer: (base + step i) / (n - 1)
+    denominator = n - 1
+    step = slope * denominator
+    base = ((n * ((1.0 - lam[0]) ** 2 + lam[1] ** 2) + slope * k) * denominator
+            - 2 * k * (n - k + 1))
+
+    def value(i):
+        return (base + step * i) / denominator
+
+    if slope == 0.0:
+        # each block is one atom, in the run or not
+        inside = (value(0) >= lo) & (value(0) <= hi)
+        runs = np.array([np.full_like(k, -1), np.where(inside, last, -1)])
+    else:
+        # sign n U_n rises with the level: the run follows the levels where
+        # it lies below sign near, at most the float before it, and ends at
+        # the last level where it is at most sign far
+        sign = 1.0 if slope > 0.0 else -1.0
+        near, far = (lo, hi) if slope > 0.0 else (hi, lo)
+        bound = np.array([[np.nextafter(sign * near, -math.inf)], [sign * far]])
+        runs = _last_level(np.floor((sign * bound * denominator - base) / step), last,
+                           lambda i: sign * value(i) <= bound)
+    # the last level before each segment of a block: none, then the
+    # levels below the run, the run and the levels above it
+    ends = np.vstack([np.full_like(k, -1), runs, last])
+    accepted, rejected = [], []
+    weighed = np.zeros(n.size, dtype=bool)
+    for w in weights:
+        mass = _run_mass(log_mult, n, k, ends[:-1] + 1, ends[1:], w)
+        weighed |= mass.any(axis=0)
+        below, run, above = np.add.reduceat(mass, starts, axis=1)
+        total = below + run + above
+        deficit = np.abs(1.0 - total)
+        if not deficit.max() <= PROB_DEFICIT_TOL:
+            m = next(m for m, d in enumerate(deficit) if not d <= PROB_DEFICIT_TOL)
+            raise ToleranceError("measurement probabilities deficient by %.3e at n=%d"
+                                 % (deficit[m], n_list[m]))
+        accepted.append(run / total)
+        rejected.append((below + above) / total)
+    lowest = np.minimum(value(0), value(last))
+    lows = np.minimum.reduceat(np.where(weighed, lowest, np.inf), starts)
+    return lows, accepted, rejected
+
+
+def _last_level(guess, last, holds):
+    """The last level i in [-1, last] of each block with holds(i), where holds is true up to it.
+
+    `guess` is the bound read off n U_n, within a level or so of the
+    answer; it is moved one level at a time while holds disagrees.
+    """
+    i = np.clip(guess, -1, last).astype(np.int64)
+    while (up := (i < last) & holds(i + 1)).any():
+        i += up
+    while (down := (i >= 0) & ~holds(i)).any():
+        i -= down
+    return i
+
+
+def _run_mass(log_mult, n, k, first, final, w):
+    """sum_{i=first}^{final} m_j w_0^(n-k-i) w_1^(k+i) on each block, 0 where final = first - 1.
+
+    The terms are geometric with ratio w_1 / w_0, so the sum is the
+    heaviest term, at one end of the run, times
+    expm1(count r) / expm1(r) with r = -|log(w_1 / w_0)|, formed in log
+    space as `_spin_levels` forms each term.
+    """
+    count = final - first + 1
+    # log(w_1 / w_0), infinite where a weight is 0
+    ratio = _xlogy(1, w[1]) - _xlogy(1, w[0])
+    end = first if ratio <= 0.0 else final
+    heaviest = log_mult + _xlogy(n - k - end, w[0]) + _xlogy(k + end, w[1])
+    r = -abs(ratio)
+    if r == 0.0:
+        factor = count
+    elif r == -math.inf:
+        factor = (count > 0).astype(float)
+    else:
+        factor = np.expm1(count * r) / math.expm1(r)
+    return np.exp(np.where(count > 0, heaviest, -np.inf)) * factor
 
 
 def metrology_overlap(kernel, rho0, t, g1, g2, n_list, budget=None):
@@ -385,7 +509,8 @@ def metrology_overlap(kernel, rho0, t, g1, g2, n_list, budget=None):
     record per n, in n_list order, as `result.json` holds it: n,
     overlap_re, overlap_im and limit, the exact overlap read from one
     `finite_law` call (one spin block per n for qubits).  Phases that
-    are not finite raise ValidationError.
+    are not finite, or past 2^53 where one ulp is about a radian, raise
+    ValidationError.
     """
     vals = rho0.eigenvalues
     if abs(vals[0] - 1.0) > 1e-10:
@@ -416,6 +541,9 @@ def metrology_overlap(kernel, rho0, t, g1, g2, n_list, budget=None):
         if not math.isfinite(top):
             raise ValidationError("metrology phases are not finite at n=%d: the largest, |t (g1 - "
                                   "g2)| n^(1/2 - r) C(n, r) max|atom|, is %r" % (n, top))
+        if top > _MAX_PHASE:
+            raise ValidationError("metrology phases at n=%d reach %r, past 2^53, where one ulp of "
+                                  "a phase is about a radian" % (n, top))
         overlap = complex(np.dot(probs, np.exp(1j * scale * atoms)))
         records.append({"n": int(n), "overlap_re": overlap.real, "overlap_im": overlap.imag,
                         "limit": limit})

@@ -15,10 +15,14 @@ powers once and reads every n and moment order off them, and
 `finite_law` makes the blocks dense only for their eigendecomposition,
 one stack of equal blocks at a time, so blocks of one dimension share
 one `eigh` call whichever n they belong to.  Each stack is one gather
-from the band stack, at offsets found once per block dimension, and its
+from the band stack, at offsets ordered once per call so that each block
+dimension takes a prefix of them, and its
 Born weights one gather from the state weights; the laws of every n are
 then checked in one pass.  These paths add no float operation to the
 one-block-at-a-time route: every atom and probability has its bits.
+The goodness test's qubit rates need none of this: `apps._qubit_rates`
+reads that law in closed form from the block multiplicities
+(`_log_multiplicities`) and the weights `_spin_levels` puts on a level.
 """
 
 import itertools
@@ -147,28 +151,34 @@ def finite_law(kernel, weights, n_list, budget=None):
     for e in edges:
         for lo, hi in zip(e[:-1], e[1:]):
             groups.setdefault(hi - lo, []).append(lo)
-    # flat offsets of the states' rows, for one gather of all their weights,
-    # and of the band rows: band entry (width + s, c) of a block at level 0
-    # is its dense entry (c + s, c), and every other dense entry stays 0
-    rows = np.arange(len(stack_weights))[:, None] * total
-    diagonal = np.arange(-width, width + 1)[:, None]
-    band_rows = (diagonal + width) * total
+    # the in-band (row, column) pairs of the largest block, ordered by
+    # max(row, column), so that those of a block of `size` levels come
+    # first; band entry (width + s, c) of a block at level 0 is its dense
+    # entry (c + s, c), and every other dense entry stays 0
+    biggest = max(groups, default=0)
+    column = np.arange(biggest)
+    row = column + np.arange(-width, width + 1)[:, None]
+    inside = (row >= 0) & (row < biggest)
+    row, column = row[inside], np.broadcast_to(column, row.shape)[inside]
+    reach = np.maximum(row, column)
+    order = np.argsort(reach)
+    row, column, reach = row[order], column[order], reach[order]
+    band_at = (row - column + width) * total + column
+    # flat offsets of the states' rows, for one gather of all their weights
+    spread = np.arange(len(stack_weights))[:, None] * total + np.arange(biggest)
     for size in sorted(groups):
         group = np.array(groups[size])
         level = np.arange(size)
-        row = level + diagonal
-        inside = ((row >= 0) & (row < size)).ravel()
-        dense_at = (row * size + level).ravel()[inside]
-        band_at = (band_rows + level).ravel()[inside]
+        pairs = np.searchsorted(reach, size)
+        dense_at = row[:pairs] * size + column[:pairs]
         # each block's weights in C order, as one block alone has them,
         # so that BLAS forms the Born product in the same order
-        spread = rows + level
         step = max(1, _STACK_ENTRIES // size ** 2)
         for lo in range(0, len(group), step):
             starts = group[lo : lo + step, None]
             dense = np.zeros((len(starts), size * size), dtype=complex)
-            dense[:, dense_at] = bands.ravel()[starts + band_at]
-            at = starts[:, None] + spread
+            dense[:, dense_at] = bands.ravel()[starts + band_at[:pairs]]
+            at = starts[:, None] + spread[:, :size]
             atoms[starts + level], probs[at] = _eigen_born(dense.reshape(-1, size, size),
                                                            stack_weights.ravel()[at])
     return list(zip((atoms[e[0] : e[-1]] for e in edges),
@@ -235,18 +245,15 @@ def _spin_levels(n_list, weights):
     0 and k + i in state 1.  Each state is given as w1 = (lam_0, lam_1),
     its eigenvalues in the kernel's frame.  The weights are formed in log
     space, since m_j = C(n, k) - C(n, k - 1) and lam^n leave the double
-    range long before n = 1000; m_j is an exact integer, so its log is
-    rounded once.
+    range long before n = 1000 (`_log_multiplicities`).
     """
     blocks, sizes, log_mult, first = [], [], [], 0
     for m, n in enumerate(n_list):
-        comb, previous = 1, 0
+        log_mult += _log_multiplicities(n)
         for k in range(n // 2 + 1):
             blocks += m, n, k, first
             sizes.append(n + 1 - 2 * k)
             first += sizes[-1]
-            log_mult.append(math.log(comb - previous))
-            previous, comb = comb, comb * (n - k) // (k + 1)
     # (m, n, k, first level of the block) on every level
     m, n, k, first = np.array(blocks).reshape(-1, 4).T.repeat(sizes, axis=1)
     level = np.arange(first.size) - first
@@ -255,6 +262,18 @@ def _spin_levels(n_list, weights):
     log_mult = np.array(log_mult).repeat(sizes)
     return m, k, level, np.exp([log_mult + _xlogy(zeros, w[0]) + _xlogy(ones, w[1])
                                 for w in weights])
+
+
+def _log_multiplicities(n):
+    """[log m_j for the spin blocks k = 0..floor(n/2) of n], m_j = C(n, k) - C(n, k - 1).
+
+    m_j is an exact integer, so its log is rounded once.
+    """
+    out, comb, previous = [], 1, 0
+    for k in range(n // 2 + 1):
+        out.append(math.log(comb - previous))
+        previous, comb = comb, comb * (n - k) // (k + 1)
+    return out
 
 
 def _xlogy(count, lam):

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,9 +32,11 @@ from qustat import (
     symmetrize_kernel,
 )
 import qustat.apps
-from qustat.apps import _law_cdf, _law_quantile, _limit_law
+import qustat.ustat
+from qustat.apps import _last_level, _law_cdf, _law_quantile, _limit_law, _qubit_rates
 from qustat.ccr import thermal_levels
 from qustat.operators import hermitize, tensor_weights
+from qustat.ustat import finite_law
 
 from oracles import simulate_measurement
 
@@ -223,6 +226,152 @@ def test_run_test_seeded_runs_are_identical(rho_75):
     second = run_test(rho_75, 0.1, (4, 6))
     assert [r["n"] for r in first] == [4, 6]
     assert first == second
+
+
+_ALTERNATIVES = [(0.6, 0.4), (0.9, 0.1), (0.5, 0.5), (1.0, 0.0)]
+_GRID_N = [2, 3, 4, 5, 10, 17, 50, 200, 400]
+# an acceptance interval whose ends lie on no atom of n U_n at these n and nulls
+_INTERVAL = (-0.3137, 2.345678)
+
+
+def _finite_law_rates(null, n_list, regions):
+    """Per (lo, hi) of regions, [(smallest n U_n, alpha_hat, [beta_hat per alternative])] per n.
+
+    Read from the atoms of one `finite_law` call.
+    """
+    kernel = goodness_kernel(DensityMatrix.from_eigenvalues(list(null)))
+    weights = [np.array(w) for w in [null] + _ALTERNATIVES]
+    laws = finite_law(kernel, weights, n_list)
+    rates = []
+    for lo, hi in regions:
+        rates.append([])
+        for n, (atoms, probs) in zip(n_list, laws):
+            scaled = n * atoms
+            accept = (scaled >= lo) & (scaled <= hi)
+            rates[-1].append((scaled.min(), probs[0][~accept].sum(),
+                              [p[accept].sum() for p in probs[1:]]))
+    return rates
+
+
+@pytest.mark.parametrize("null", [(0.75, 0.25), (0.25, 0.75), (0.70, 0.30), (0.80, 0.20)])
+def test_qubit_run_test_matches_the_finite_law_oracle(null):
+    # the closed-form rates against the eigenvalues of the dense blocks,
+    # upper tail and two-sided, with pure and uniform alternatives
+    rho = DensityMatrix.from_eigenvalues(list(null))
+    runs = {interval: [run_test(rho, 0.05, _GRID_N, interval=interval,
+                                alternative=DensityMatrix.from_eigenvalues(list(alt)))
+                       for alt in _ALTERNATIVES]
+            for interval in (None, _INTERVAL)}
+    quantile = runs[None][0][0]["interval"][1]
+    regions = {None: (-math.inf, quantile), _INTERVAL: _INTERVAL}
+    oracles = _finite_law_rates(null, _GRID_N, regions.values())
+    for (interval, (lo, hi)), oracle in zip(regions.items(), oracles):
+        for a, records in enumerate(runs[interval]):
+            for record, (low, alpha_hat, betas) in zip(records, oracle):
+                assert record["interval"][1] == hi
+                if interval is None:
+                    assert record["interval"][0] == pytest.approx(low, rel=0.0, abs=ATOL)
+                assert record["alpha_hat"] == pytest.approx(alpha_hat, rel=0.0, abs=ATOL)
+                assert record["beta_hat"] == pytest.approx(betas[a], rel=0.0, abs=ATOL)
+
+
+def test_qubit_rates_match_finite_law_at_the_degenerate_null():
+    # at diag(0.5, 0.5) n U_n does not move within a block: each block is one atom
+    null, n_list = (0.5, 0.5), [2, 3, 4, 5, 10, 17, 50, 200]
+    weights = [np.array(w) for w in [null] + _ALTERNATIVES]
+    regions = [(-math.inf, 1.2345678), _INTERVAL]
+    for (lo, hi), oracle in zip(regions, _finite_law_rates(null, n_list, regions)):
+        lows, accepted, rejected = _qubit_rates(weights, n_list, lo, hi)
+        for m, (low, alpha_hat, betas) in enumerate(oracle):
+            assert lows[m] == pytest.approx(low, rel=0.0, abs=ATOL)
+            assert rejected[0][m] == pytest.approx(alpha_hat, rel=0.0, abs=ATOL)
+            assert [a[m] for a in accepted[1:]] == pytest.approx(betas, rel=0.0, abs=ATOL)
+            assert [a[m] + r[m] for a, r in zip(accepted, rejected)] == pytest.approx(
+                [1.0] * len(weights), rel=0.0, abs=ATOL)
+
+
+def test_qubit_run_test_accepts_the_atoms_on_its_interval_ends(rho_75):
+    # at diag(0.75, 0.25) every n U_n is a fraction over n - 1 that the
+    # closed form reaches exactly, so atoms lie on these ends; the
+    # acceptance interval is closed, as the exact sum over every level shows
+    alt = (Fraction(1, 2), Fraction(1, 2))
+    for n, interval in ((8, (1, 3)), (9, (Fraction(-1, 8), Fraction(41, 8)))):
+        accepted = rejected = Fraction(0)
+        for k in range(n // 2 + 1):
+            mult = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+            for ones in range(k, n - k + 1):
+                # n U_n = n Tr rho^2 + 2 c_k / (n - 1) - 2 (lam_0 (n - ones) + lam_1 ones)
+                value = (Fraction(5 * n, 8) + Fraction(n * (n - 1) - 2 * k * (n - k + 1), n - 1)
+                         - Fraction(3 * (n - ones) + ones, 2))
+                inside = interval[0] <= value <= interval[1]
+                null = mult * Fraction(3, 4) ** (n - ones) * Fraction(1, 4) ** ones
+                rejected += 0 if inside else null
+                accepted += mult * alt[0] ** (n - ones) * alt[1] ** ones if inside else 0
+        (record,) = run_test(rho_75, 0.05, [n], interval=tuple(map(float, interval)),
+                             alternative=DensityMatrix.from_eigenvalues([0.5, 0.5]))
+        assert record["alpha_hat"] == pytest.approx(float(rejected), rel=0.0, abs=ATOL)
+        assert record["beta_hat"] == pytest.approx(float(accepted), rel=0.0, abs=ATOL)
+
+
+def test_qutrit_run_test_rates_are_born_sums_over_the_dense_statistic():
+    null, alt = (0.5, 0.3, 0.2), (0.4, 0.35, 0.25)
+    for interval in (None, _INTERVAL):
+        records = run_test(DensityMatrix.from_eigenvalues(list(null)), 0.05, [3, 4],
+                           interval=interval, alternative=DensityMatrix.from_eigenvalues(list(alt)))
+        for record in records:
+            exact = _exact_rates(record["n"], interval or (-math.inf, record["interval"][1]),
+                                 null, alt)
+            assert [record["alpha_hat"], record["beta_hat"]] == pytest.approx(
+                exact, rel=0.0, abs=ATOL)
+
+
+def test_last_level_moves_a_guess_to_the_last_level_that_holds():
+    rng = np.random.default_rng(7)
+    values = np.sort(rng.integers(0, 6, size=(200, 12)), axis=1)
+    blocks = np.arange(len(values))
+    last = np.full(len(values), values.shape[1] - 1)
+    truth = (values <= 2).sum(axis=1) - 1
+    for offset in (-9.0, -2.0, 0.0, 1.0, 5.0, np.inf, -np.inf):
+        guess = truth + np.where(rng.random(len(values)) < 0.5, offset, 0.0)
+        found = _last_level(guess, last, lambda i: values[blocks, np.clip(i, 0, last)] <= 2)
+        np.testing.assert_array_equal(found, truth)
+
+
+def test_qubit_run_test_forms_no_block_and_calls_no_eigh_outside_the_limit_law(rho_75,
+                                                                               monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("qubit test rates need no finite_law and no band stack")
+
+    for owner, name in ((qustat.ustat, "finite_law"), (qustat.apps, "finite_law"),
+                        (qustat.ustat, "_spin_stack")):
+        monkeypatch.setattr(owner, name, refuse)
+    callers, eigh = [], np.linalg.eigh
+
+    def traced(a, *args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", traced)
+    alt = DensityMatrix.from_eigenvalues([0.6, 0.4])
+    records = run_test(rho_75, 0.05, [2, 10, 400], alternative=alt)
+    assert [r["n"] for r in records] == [2, 10, 400]
+    assert all(0.0 < r["alpha_hat"] < 1.0 and 0.0 < r["beta_hat"] < 1.0 for r in records)
+    assert callers and set(callers) == {"_limit_law"}
+
+
+def test_run_test_bias_against_purer_alternatives_is_the_documented_table(rho_75):
+    n_list = list(range(2, 201))
+    purer, closer = (run_test(rho_75, 0.05, n_list, alternative=DensityMatrix.from_eigenvalues(alt))
+                     for alt in ([0.9, 0.1], [0.6, 0.4]))
+    for p, c in zip(purer, closer):
+        # the null's acceptance rate is 1 - alpha_hat
+        assert (p["beta_hat"] > 1.0 - p["alpha_hat"]) == (p["n"] <= 17), p["n"]
+        assert c["beta_hat"] < 1.0 - c["alpha_hat"], c["n"]
+    by_n = {r["n"]: r for r in purer}
+    for n, beta, null_accepts in ((10, 0.9556, 0.9485), (18, 0.7919, 0.9397)):
+        assert by_n[n]["beta_hat"] == pytest.approx(beta, rel=0.0, abs=5e-5)
+        assert 1.0 - by_n[n]["alpha_hat"] == pytest.approx(null_accepts, rel=0.0, abs=5e-5)
+    assert by_n[200]["beta_hat"] == pytest.approx(0.0012, rel=0.0, abs=5e-5)
 
 
 def _goodness_limit(eigenvalues):
@@ -503,9 +652,9 @@ def test_metrology_overlap_values(paulis):
     assert set(result) == {"n", "overlap_re", "overlap_im", "limit"}
     np.testing.assert_allclose(result["limit"], np.exp(-0.03125), rtol=1e-12)
     assert abs(complex(result["overlap_re"], result["overlap_im"])) <= 1.0 + 1e-12
-    # (t (g1 - g2))^2 is past the float range, and the limit 0
-    (far,) = metrology_overlap(k, plus, 1e200, 0.5, 0.0, [8])
-    assert far["limit"] == 0.0
+    # phases past 2^53 are rounding noise: one ulp of a phase is about a radian
+    with pytest.raises(ValidationError, match="metrology phases at n=8 reach .*, past 2\\^53"):
+        metrology_overlap(k, plus, 1e200, 0.5, 0.0, [8])
     with pytest.raises(ValidationError, match="metrology phases are not finite at n=8"):
         metrology_overlap(k, plus, 1e300, 1e10, -1e10, [8])
     (flipped,) = metrology_overlap(k, plus, 1.0, 0.0, 0.5, [8])

@@ -481,6 +481,27 @@ def test_test_sim_reaches_hundreds_of_sites(tmp_path):
     assert result["beta_hat"] == pytest.approx(0.001229, abs=5e-6)
 
 
+def test_test_sim_writes_the_same_bytes_under_one_and_two_blas_threads(tmp_path):
+    cfg = _write_config(tmp_path, {
+        "command": "test-sim",
+        "state": STATE_75,
+        "alternative": {"eigenvalues": [0.6, 0.4]},
+        "alpha": 0.05,
+        "n_list": [400],
+    })
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("out" + threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qustat.cli", "--config", cfg, "--out-dir", str(out),
+             "--threads", threads],
+            capture_output=True, text=True, env=_subprocess_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes() for name in ("result.json", "tables/test.csv")])
+    assert outputs[0] == outputs[1]
+
+
 def test_metrology_reaches_a_thousand_sites(tmp_path):
     kernel = symmetrize_kernel([np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])])
     config = {
@@ -1475,6 +1496,11 @@ _PAULI_XY_75 = {"state": STATE_75, "kernel": {"preset": "pauli-xy"}}
     (dict(_PAULI_XY_75, command="limit", p_list=[150]), 0, None),
     (_metrology_config(kernel={"preset": "pauli-xy"}, t=1e300, g1=1e10, g2=-1e10), 1,
      "metrology phases are not finite at n=4"),
+    (_metrology_config(t=1e200), 1, "past 2^53, where one ulp of a phase is about a radian"),
+    ({"command": "test-sim", "state": STATE_75, "alternative": {"eigenvalues": [0.6, 0.4]},
+      "alpha": 0.05, "n_list": [10000]}, 0, None),
+    ({"command": "test-sim", "state": STATE_75, "alpha": 0.05, "n_list": [20000]}, 2,
+     "matrix dimension 20001 exceeds budget"),
     (dict(_PAULI_XY_75, command="moments", n_list=[100000], p_list=[2]), 2,
      "matrix dimension 100001 exceeds budget"),
     ({"command": "moments", "state": STATE_75, "kernel": {"preset": "sigma-zz"},
@@ -1488,7 +1514,8 @@ _PAULI_XY_75 = {"state": STATE_75, "kernel": {"preset": "pauli-xy"}}
     ({"command": "limit", "state": {"eigenvalues": [0.9999999, 1e-7]},
       "kernel": {"preset": "goodness"}, "p_list": [2]}, 3,
      "normalized generators are not orthonormal"),
-], ids=["moments-p200", "limit-p200", "limit-p150", "metrology-phase-overflow", "moments-n1e5",
+], ids=["moments-p200", "limit-p200", "limit-p150", "metrology-phase-overflow",
+        "metrology-phase-past-2^53", "test-sim-n1e4", "test-sim-n2e4", "moments-n1e5",
         "sigma-zz-n1", "hermite-variance-0.4", "qutrit-ruben-cap", "near-pure-goodness-limit"])
 def test_edge_inputs_exit_with_their_code_and_at_most_one_json_line(tmp_path, config, code, phrase):
     proc = _run_cli(tmp_path, config)
