@@ -1,4 +1,4 @@
-"""Applications: goodness-of-fit and homogeneity tests, metrology overlap.
+"""Applications: a goodness-of-fit test, goodness and homogeneity kernels, metrology overlap.
 
 The test kernels estimate squared Frobenius distances between states and
 are degenerate of order 2 at their null, so the natural test statistic
@@ -41,7 +41,7 @@ from .operators import (
     check_dim_budget,
     hermitize,
 )
-from .ustat import _STACK_ENTRIES, PROB_DEFICIT_TOL, _log_multiplicities, _xlogy, finite_law
+from .ustat import PROB_DEFICIT_TOL, _log_multiplicities, _xlogy, finite_law
 
 # The exact limit law drops its least likely joint oscillator atoms up to
 # _DROPPED_MASS and leaves at most _RUBEN_REMAINDER of the Ruben series
@@ -51,6 +51,8 @@ _DROPPED_MASS = 0.1 * PROB_DEFICIT_TOL
 _RUBEN_REMAINDER = 0.1 * PROB_DEFICIT_TOL
 _MAX_RUBEN_TERMS = 10_000
 _ROOT_RTOL = 1e-12
+# Entries of the largest (atoms x Ruben terms) array `_law_cdf` forms at once.
+_STACK_ENTRIES = 2 ** 20
 # Past 2^53 one ulp of a metrology phase is about a radian, so its
 # exponential is rounding noise.
 _MAX_PHASE = 2.0 ** 53
@@ -502,13 +504,13 @@ def metrology_overlap(kernel, rho0, t, g1, g2, n_list, budget=None):
     The generator is the subset sum of the kernel; parameters g1, g2
     scale it by t (g1 - g2) n^{1/2 - r}.  Requires a pure reference with
     vanishing kernel mean and a non-degenerate first component; these
-    checks, the Gaussian limit exp(-t^2 (g1-g2)^2 xi_1 / (2 ((r-1)!)^2))
-    and the kernel in the reference's eigenframe (rotated by
+    checks and the kernel in the reference's eigenframe (rotated by
     `DensityMatrix.frame` unless that is None) are formed once per call;
     in that frame the reference is the first basis vector.  Returns one
     record per n, in n_list order, as `result.json` holds it: n,
-    overlap_re, overlap_im and limit, the exact overlap read from one
-    `finite_law` call (one spin block per n for qubits).  Phases that
+    overlap_re and overlap_im, the exact overlap read from one
+    `finite_law` call (one spin block per n for qubits), and limit, the
+    Gaussian exp(-t^2 (g1-g2)^2 xi_1 / (2 ((r-1)!)^2)).  Phases that
     are not finite, or past 2^53 where one ulp is about a radian, raise
     ValidationError.
     """
@@ -523,10 +525,6 @@ def metrology_overlap(kernel, rho0, t, g1, g2, n_list, budget=None):
     if xi1 <= 1e-12:
         raise ValidationError("kernel is degenerate at the reference state")
     dg = float(g1) - float(g2)
-    try:
-        limit = math.exp(-(t * dg) ** 2 * xi1 / (2.0 * math.factorial(r - 1) ** 2))
-    except OverflowError:  # (t (g1 - g2))^2 is past the float range: the limit is 0
-        limit = 0.0
     if t == 0.0 or dg == 0.0:
         return [{"n": int(n), "overlap_re": 1.0, "overlap_im": 0.0, "limit": 1.0} for n in n_list]
     # In its eigenframe the reference is the first basis vector, of the
@@ -544,6 +542,8 @@ def metrology_overlap(kernel, rho0, t, g1, g2, n_list, budget=None):
         if top > _MAX_PHASE:
             raise ValidationError("metrology phases at n=%d reach %r, past 2^53, where one ulp of "
                                   "a phase is about a radian" % (n, top))
+        # top >= |t (g1 - g2)| r^(1 - r) sqrt(xi1), so past the checks the square is finite
+        limit = math.exp(-(t * dg) ** 2 * xi1 / (2.0 * math.factorial(r - 1) ** 2))
         overlap = complex(np.dot(probs, np.exp(1j * scale * atoms)))
         records.append({"n": int(n), "overlap_re": overlap.real, "overlap_im": overlap.imag,
                         "limit": limit})

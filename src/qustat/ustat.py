@@ -12,14 +12,8 @@ follow one another on one level axis, with no padding, as one band
 stack (`_spin_stack`), evaluated once from the kernel's distinct-site
 plan, which is built once per kernel.  `centered_moments` takes the band
 powers once and reads every n and moment order off them, and
-`finite_law` makes the blocks dense only for their eigendecomposition,
-one stack of equal blocks at a time, so blocks of one dimension share
-one `eigh` call whichever n they belong to.  Each stack is one gather
-from the band stack, at offsets ordered once per call so that each block
-dimension takes a prefix of them, and its
-Born weights one gather from the state weights; the laws of every n are
-then checked in one pass.  These paths add no float operation to the
-one-block-at-a-time route: every atom and probability has its bits.
+`finite_law` makes each block dense only for its own eigendecomposition
+and checks the law of each n on its own.
 The goodness test's qubit rates need none of this: `apps._qubit_rates`
 reads that law in closed form from the block multiplicities
 (`_log_multiplicities`) and the weights `_spin_levels` puts on a level.
@@ -49,9 +43,6 @@ from .operators import (
 
 CENTERING_TOL = 1e-10
 PROB_DEFICIT_TOL = 1e-10
-# Complex entries of the largest stack of equal dense blocks `finite_law`
-# forms at once, the chunk size of `apps._law_cdf`.
-_STACK_ENTRIES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -132,91 +123,64 @@ def finite_law(kernel, weights, n_list, budget=None):
     (atoms, [probabilities per state]) pair per n: the eigenvalues of U_n,
     unsorted and possibly repeated, and the Born probability of each atom
     under each state.  Atoms of blocks that no state weighs are left out.
-    Qubit blocks of one dimension, of any n, are gathered dense from the
-    band stack and diagonalized as one stack of at most _STACK_ENTRIES
-    entries (or one larger block); each atom keeps its level on the band
-    stack.
+    Each kept qubit block is made dense from its band rows and
+    diagonalized on its own, so at large n one dense (n + 1)^2 block is
+    formed at a time.
     """
     if kernel.d != 2:
         laws = []
         for n in n_list:
             atoms, probs = _eigen_born(assemble_direct(kernel, n, budget).op.entries,
                                        np.array([tensor_weights(w, n) for w in weights]))
-            laws.append((atoms, _checked_probabilities(probs, [0, len(atoms)])[0]))
+            laws.append((atoms, _checked_probabilities(probs)))
         return laws
     bands, stack_weights, edges = _spin_stack(kernel, weights, n_list, budget)
-    width, total = kernel.r, bands.shape[1]
-    atoms, probs = np.empty(total), np.empty(stack_weights.size)
-    groups = {}
+    laws = []
     for e in edges:
-        for lo, hi in zip(e[:-1], e[1:]):
-            groups.setdefault(hi - lo, []).append(lo)
-    # the in-band (row, column) pairs of the largest block, ordered by
-    # max(row, column), so that those of a block of `size` levels come
-    # first; band entry (width + s, c) of a block at level 0 is its dense
-    # entry (c + s, c), and every other dense entry stays 0
-    biggest = max(groups, default=0)
-    column = np.arange(biggest)
-    row = column + np.arange(-width, width + 1)[:, None]
-    inside = (row >= 0) & (row < biggest)
-    row, column = row[inside], np.broadcast_to(column, row.shape)[inside]
-    reach = np.maximum(row, column)
-    order = np.argsort(reach)
-    row, column, reach = row[order], column[order], reach[order]
-    band_at = (row - column + width) * total + column
-    # flat offsets of the states' rows, for one gather of all their weights
-    spread = np.arange(len(stack_weights))[:, None] * total + np.arange(biggest)
-    for size in sorted(groups):
-        group = np.array(groups[size])
-        level = np.arange(size)
-        pairs = np.searchsorted(reach, size)
-        dense_at = row[:pairs] * size + column[:pairs]
-        # each block's weights in C order, as one block alone has them,
-        # so that BLAS forms the Born product in the same order
-        step = max(1, _STACK_ENTRIES // size ** 2)
-        for lo in range(0, len(group), step):
-            starts = group[lo : lo + step, None]
-            dense = np.zeros((len(starts), size * size), dtype=complex)
-            dense[:, dense_at] = bands.ravel()[starts + band_at[:pairs]]
-            at = starts[:, None] + spread[:, :size]
-            atoms[starts + level], probs[at] = _eigen_born(dense.reshape(-1, size, size),
-                                                           stack_weights.ravel()[at])
-    return list(zip((atoms[e[0] : e[-1]] for e in edges),
-                    _checked_probabilities(probs.reshape(stack_weights.shape),
-                                           [e[0] for e in edges] + [total])))
+        blocks = [_eigen_born(_dense_block(bands[:, lo:hi]), stack_weights[:, lo:hi])
+                  for lo, hi in zip(e[:-1], e[1:])]
+        atoms, probs = zip(*blocks)
+        laws.append((np.concatenate(atoms), _checked_probabilities(np.hstack(probs))))
+    return laws
 
 
-def _eigen_born(blocks, weights):
-    """eigh of dense blocks, stacked or not: (eigenvalues, weights @ |eigenvectors|^2)."""
-    atoms, vecs = np.linalg.eigh(blocks)
+def _dense_block(band):
+    """The dense matrix of a block kept as band[w + s, c] = <c + s| A |c>, as in `_ladder`."""
+    width, size = len(band) // 2, band.shape[1]
+    dense = np.zeros((size, size), dtype=complex)
+    flat = dense.reshape(-1)
+    for s in range(max(-width, 1 - size), min(width, size - 1) + 1):
+        # entry (c + s, c) is flat entry (c + s) size + c
+        lo, hi = max(0, -s), size - max(0, s)
+        flat[(lo + s) * size + lo :: size + 1][: hi - lo] = band[width + s, lo:hi]
+    return dense
+
+
+def _eigen_born(block, weights):
+    """eigh of a dense block: (eigenvalues, weights @ |eigenvectors|^2)."""
+    atoms, vecs = np.linalg.eigh(block)
     born = np.abs(vecs)
     return atoms, weights @ np.square(born, out=born)
 
 
-def _checked_probabilities(probs, bounds):
-    """Born probabilities that must sum to 1: checked, clipped at 0, renormalized.
+def _checked_probabilities(probs):
+    """Born probabilities that must sum to 1, one law per row: checked, clipped at 0, renormalized.
 
-    probs holds one row per state, cut into segments at `bounds`: segment
-    m of a row is row[bounds[m] : bounds[m + 1]], one law each.  Returns
-    [[segment of each state] per segment].  Each segment is summed on its
-    own, and only a segment with a negative entry is clipped.
+    Returns the list of rows.  Each row is summed on its own, and only a
+    row with a negative entry is clipped.
     """
-    lows = np.minimum.reduceat(probs, bounds[:-1], axis=1).T.tolist()
     laws = []
-    for lo, hi, low in zip(bounds[:-1], bounds[1:], lows):
-        law = []
-        for p, least in zip(probs[:, lo:hi], low):
+    for p in probs:
+        total, least = p.sum(), p.min()
+        deficit = abs(1.0 - total)
+        if deficit > PROB_DEFICIT_TOL or least < -PROB_DEFICIT_TOL:
+            raise ToleranceError(
+                "measurement probabilities deficient by %.3e (min %.3e)" % (deficit, least)
+            )
+        if least < 0:
+            p = np.clip(p, 0.0, None)
             total = p.sum()
-            deficit = abs(1.0 - total)
-            if deficit > PROB_DEFICIT_TOL or least < -PROB_DEFICIT_TOL:
-                raise ToleranceError(
-                    "measurement probabilities deficient by %.3e (min %.3e)" % (deficit, least)
-                )
-            if least < 0:
-                p = np.clip(p, 0.0, None)
-                total = p.sum()
-            law.append(p / total)
-        laws.append(law)
+        laws.append(p / total)
     return laws
 
 

@@ -4,8 +4,8 @@ None of these is part of the package: the Monte Carlo samplers draw
 seeded random numbers, which no command does, the dense helpers form
 matrices the package itself never needs (`_densify` makes a band
 dense), `tensor_distinct_plan` is the plan recursion with no Python-list
-leaves, `per_block_law` is the one-block-at-a-time route that
-`finite_law` stacks by dimension, checking each law on its own
+leaves, `per_block_law` is `finite_law`'s one-block-at-a-time route
+with its own densify and Born product, checking each law on its own
 (`checked_probabilities`), and
 `poly_power` is the plain expansion of L^p that the moment passes of
 `qustat.ccr` never form.

@@ -481,14 +481,14 @@ def test_test_sim_reaches_hundreds_of_sites(tmp_path):
     assert result["beta_hat"] == pytest.approx(0.001229, abs=5e-6)
 
 
-def test_test_sim_writes_the_same_bytes_under_one_and_two_blas_threads(tmp_path):
-    cfg = _write_config(tmp_path, {
-        "command": "test-sim",
-        "state": STATE_75,
-        "alternative": {"eigenvalues": [0.6, 0.4]},
-        "alpha": 0.05,
-        "n_list": [400],
-    })
+@pytest.mark.parametrize("command", ["test-sim", "metrology"])
+def test_test_sim_writes_the_same_bytes_under_one_and_two_blas_threads(tmp_path, command):
+    if command == "test-sim":
+        config = {"command": "test-sim", "state": STATE_75,
+                  "alternative": {"eigenvalues": [0.6, 0.4]}, "alpha": 0.05, "n_list": [400]}
+    else:
+        config = _metrology_config(n_list=[4, 6, 8, 10, 50, 200, 400])
+    cfg = _write_config(tmp_path, config)
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / ("out" + threads)
@@ -498,7 +498,9 @@ def test_test_sim_writes_the_same_bytes_under_one_and_two_blas_threads(tmp_path)
             capture_output=True, text=True, env=_subprocess_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        outputs.append([(out / name).read_bytes() for name in ("result.json", "tables/test.csv")])
+        tables = sorted((out / "tables").glob("*.csv"))
+        assert tables
+        outputs.append([(out / "result.json").read_bytes()] + [t.read_bytes() for t in tables])
     assert outputs[0] == outputs[1]
 
 

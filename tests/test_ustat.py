@@ -355,16 +355,15 @@ def test_p4_moment_peaks_under_seven_band_arrays(rho_75, paulis):
     assert peak <= 7 * band_array, peak / band_array
 
 
-def test_finite_law_keeps_its_dense_memory_within_one_chunk(monkeypatch, rho_75):
-    """n = 200, two states, stacks of at most 2^14 entries: the peak is far below all blocks at once.
+def test_finite_law_keeps_its_dense_memory_within_one_chunk(rho_75):
+    """n = 200, two states, one dense block at a time: the peak is far below all blocks at once.
 
     The blocks of n = 200 (201, 199, .., 1 levels) hold 1.37e6 complex
-    entries, 21 MB dense; one stack of 2^14 entries is 0.25 MB.
+    entries, 21 MB dense; the largest alone holds 201^2, 0.65 MB.
     """
     k = goodness_kernel(rho_75)
     weights = [np.array([0.75, 0.25]), np.array([0.6, 0.4])]
     finite_law(k, weights, [4])  # builds the kernel's plan
-    monkeypatch.setattr(qustat.ustat, "_STACK_ENTRIES", 2 ** 14)
     tracemalloc.start()
     try:
         finite_law(k, weights, [200])
@@ -374,12 +373,12 @@ def test_finite_law_keeps_its_dense_memory_within_one_chunk(monkeypatch, rho_75)
     assert peak < 8 * 2 ** 20, peak / 2 ** 20
 
 
-def test_one_pass_probability_check_gives_the_bits_of_one_law_at_a_time():
-    """Every segment of every state, checked in one pass, equals the per-array check.
+def test_probability_check_gives_the_bits_of_the_per_array_check():
+    """Every state's law, checked as one row of the one-law check, equals the per-array check.
 
-    Segments with exact zeros, with entries just below 0 (clipped), and
-    with a deficit or an entry beyond the tolerance (the same error) are
-    all compared bit for bit.
+    Laws with exact zeros, with entries just below 0 (clipped), and with
+    a deficit or an entry beyond the tolerance (the same error) are all
+    compared bit for bit; the laws of a case are cut from one array.
     """
     rng = np.random.default_rng(53)
     raised = 0
@@ -388,7 +387,7 @@ def test_one_pass_probability_check_gives_the_bits_of_one_law_at_a_time():
         bounds = [0, *np.cumsum(sizes).tolist()]
         probs = rng.random((int(rng.integers(1, 4)), bounds[-1]))
         zero = rng.random(probs.shape) < 0.2
-        zero[:, bounds[:-1]] = False  # no segment is all zeros
+        zero[:, bounds[:-1]] = False  # no law is all zeros
         probs[zero] = 0.0
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             probs[:, lo:hi] /= probs[:, lo:hi].sum(axis=1, keepdims=True)
@@ -404,11 +403,12 @@ def test_one_pass_probability_check_gives_the_bits_of_one_law_at_a_time():
                 want.append([checked_probabilities(p[lo:hi]) for p in probs])
         except ToleranceError as exc:
             with pytest.raises(ToleranceError) as got:
-                _checked_probabilities(probs, bounds)
+                for lo, hi in zip(bounds[:-1], bounds[1:]):
+                    _checked_probabilities(probs[:, lo:hi])
             assert str(got.value) == str(exc)
             raised += 1
             continue
-        got = _checked_probabilities(probs, bounds)
+        got = [_checked_probabilities(probs[:, lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
         assert [[p.tobytes() for p in law] for law in got] == [
             [p.tobytes() for p in law] for law in want]
     assert raised == 60
@@ -487,30 +487,22 @@ def _assert_laws_equal(laws, reference, msg):
         assert all(np.array_equal(p, q) for p, q in zip(probs, want_probs)), msg
 
 
-def test_finite_law_stacks_give_the_bits_of_one_block_at_a_time(monkeypatch, paulis):
-    """Blocks stacked by dimension, in one chunk or many, equal the per-block oracle bit for bit."""
+def test_finite_law_stacks_give_the_bits_of_one_block_at_a_time(paulis):
+    """The laws of one call equal the per-block oracle bit for bit."""
     sx, _, sz = paulis
     rng = np.random.default_rng(41)
     kernels = [_random_symmetric_kernel(rng, r) for r in (1, 2, 3)] + [
         symmetrize_kernel([sz, sx])]
     # two diagonal states, which keep every block, and a pure one, which keeps one
     states = [np.array([0.75, 0.25]), np.array([0.9, 0.1]), np.array([0.0, 1.0])]
-    n_lists = [[4, 5, 6, 8, 10, 11], [9, 3, 6, 9]]
     for k in kernels:
-        for ns in n_lists:
+        for ns in ([4, 5, 6, 8, 10, 11], [9, 3, 6, 9]):
             _assert_laws_equal(finite_law(k, states, ns), per_block_law(k, states, ns),
                                "r=%d ns=%r" % (k.r, ns))
-    # a cap of 40 entries stacks two blocks of 4 levels at a time, ten of 2,
-    # and leaves the blocks of 7 levels or more alone
-    monkeypatch.setattr(qustat.ustat, "_STACK_ENTRIES", 40)
-    for k in kernels:
-        for ns in n_lists:
-            _assert_laws_equal(finite_law(k, states, ns), per_block_law(k, states, ns),
-                               "r=%d ns=%r, chunked" % (k.r, ns))
 
 
-def test_finite_law_takes_one_eigh_per_block_dimension(monkeypatch, paulis):
-    """n = 4, 6, 8, 10 have 18 spin blocks of 6 dimensions: 6 stacked eigh calls, not 18."""
+def test_finite_law_takes_one_eigh_per_kept_block(monkeypatch, paulis):
+    """n = 4, 6, 8, 10 have 18 spin blocks: 18 eigh calls, each on one 2-D block."""
     sx, sy, _ = paulis
     k = symmetrize_kernel([sx, sy])
     shapes = []
@@ -521,15 +513,14 @@ def test_finite_law_takes_one_eigh_per_block_dimension(monkeypatch, paulis):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    states, ns = [np.array([0.75, 0.25]), np.array([0.6, 0.4])], [4, 6, 8, 10]
-    finite_law(k, states, ns)
-    assert shapes == [(4, 1, 1), (4, 3, 3), (4, 5, 5), (3, 7, 7), (2, 9, 9), (1, 11, 11)]
-    # a cap of 20 entries splits the stack of 3 levels in two and sends larger blocks alone
+    ns = [4, 6, 8, 10]
+    finite_law(k, [np.array([0.75, 0.25]), np.array([0.6, 0.4])], ns)
+    assert shapes == [(size, size) for n in ns for size in range(n + 1, 0, -2)]
+    assert len(shapes) == 18
+    # a pure state weighs one block of each n
     shapes.clear()
-    monkeypatch.setattr(qustat.ustat, "_STACK_ENTRIES", 20)
-    finite_law(k, states, ns)
-    assert shapes == ([(4, 1, 1), (2, 3, 3), (2, 3, 3)] + [(1, 5, 5)] * 4 + [(1, 7, 7)] * 3
-                      + [(1, 9, 9)] * 2 + [(1, 11, 11)])
+    finite_law(k, [np.array([1.0, 0.0])], ns)
+    assert shapes == [(n + 1, n + 1) for n in ns]
 
 
 def test_second_moment_identity_for_degenerate_pair_kernel(rho_75, paulis):
