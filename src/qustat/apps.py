@@ -36,6 +36,7 @@ from .hoeffding import kernel_components
 from .operators import (
     DensityMatrix,
     Kernel,
+    _kron,
     _pauli_pair_probes,
     binom,
     check_dim_budget,
@@ -74,15 +75,16 @@ def goodness_kernel(rho, budget=None):
         )
     d = rho.d
     check_dim_budget(d * d, budget)
-    lam = np.real(np.diag(rho.entries))
+    lam = rho.entries.diagonal().real
+    eye = np.eye(d, dtype=complex)
     acc = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
-        probe = lam[i] * np.eye(d, dtype=complex)
+        probe = lam[i] * eye
         probe[i, i] -= 1.0
-        acc += np.kron(probe, probe)
+        acc += _kron(probe, probe)
     for j, k in itertools.combinations(range(d), 2):
         sym, skew = _pauli_pair_probes(d, j, k)
-        acc += 0.5 * (np.kron(sym, sym) + np.kron(skew, skew))
+        acc += 0.5 * (_kron(sym, sym) + _kron(skew, skew))
     return Kernel(d, 2, hermitize(acc))
 
 
@@ -107,8 +109,8 @@ def homogeneity_kernel(d, budget=None):
     eye = np.eye(d, dtype=complex)
     acc = np.zeros((d ** 4, d ** 4), dtype=complex)
     for x in probes:
-        y = np.kron(x, eye) - np.kron(eye, x)
-        acc += np.kron(y, y)
+        y = _kron(x, eye) - _kron(eye, x)
+        acc += _kron(y, y)
     return Kernel(d * d, 2, hermitize(acc))
 
 
@@ -134,32 +136,34 @@ def _limit_law(limit, basis, budget=None):
     are dropped up to a total mass _DROPPED_MASS.  The thermal tails and
     the dropped atoms are the deficit 1 - sum(probs).
     """
-    const, form = 0.0, np.zeros((basis.n_symbols, basis.n_symbols))
+    symbols = range(basis.n_symbols)
+    const, form = 0.0, [[0.0 for _ in symbols] for _ in symbols]
     for mon, coeff in limit_to_poly(limit).items():
         if not mon:
             const += coeff
         elif len(mon) == 2:
-            form[mon[0], mon[1]] += 0.5 * coeff
-            form[mon[1], mon[0]] += 0.5 * coeff
+            form[mon[0]][mon[1]] += 0.5 * coeff
+            form[mon[1]][mon[0]] += 0.5 * coeff
         else:
             raise ValidationError(
                 "limit polynomial has a monomial of degree %d, an odd degree or one "
                 "above 2; its exact law needs degree 0 or 2" % len(mon)
             )
     # the block of each symbol: its oscillator, or -1 for the commutative block
-    block = np.array([s.pair_id for s in basis.symbols])
-    if np.any(form[block[:, None] != block[None, :]]):
+    block = [s.pair_id for s in basis.symbols]
+    if any(form[a][b] for a in symbols for b in symbols if block[a] != block[b]):
         raise ValidationError(
             "limit polynomial has a monomial spanning several "
             "independent blocks; its law is not a sum over blocks"
         )
-    classical = block == -1
-    mu = np.linalg.eigvalsh(form[np.ix_(classical, classical)])
-    reached = [pid for pid in range(len(basis.oscillator_pairs)) if np.any(form[block == pid])]
+    members = [[a for a in symbols if block[a] == pid]
+               for pid in range(-1, len(basis.oscillator_pairs))]
+    mu = np.linalg.eigvalsh(np.array(form)[members[0]][:, members[0]])
+    reached = [pid for pid, row in enumerate(members[1:]) if any(any(form[a]) for a in row)]
     atoms, probs = np.array([float(const)]), np.ones(1)
     for pid in reached:
-        q, p = np.flatnonzero(block == pid)
-        f_qq, f_pp, f_qp = form[q, q], form[p, p], form[q, p]
+        q, p = members[pid + 1]
+        f_qq, f_pp, f_qp = form[q][q], form[p][p], form[q][p]
         if f_qq * f_pp <= f_qp * f_qp:
             raise ValidationError(
                 "limit polynomial has a (q, p) form on oscillator %d that is not definite "
@@ -178,15 +182,13 @@ def _limit_law(limit, basis, budget=None):
         # ascending, as one eigh of all levels orders them, so that the
         # joint atoms below are summed in the same order
         vals, born = np.concatenate(vals), np.concatenate(born)
-        order = np.argsort(vals, kind="stable")
+        order = vals.argsort(kind="stable")
         atoms = np.add.outer(atoms, vals[order]).ravel()
         probs = np.multiply.outer(probs, born[order]).ravel()
-        order = np.argsort(probs)
-        dropped = np.searchsorted(
-            np.cumsum(probs[order]), _DROPPED_MASS / len(reached), side="right"
-        )
+        order = probs.argsort()
+        dropped = probs[order].cumsum().searchsorted(_DROPPED_MASS / len(reached), side="right")
         atoms, probs = atoms[order[dropped:]], probs[order[dropped:]]
-    order = np.argsort(atoms)
+    order = atoms.argsort()
     return atoms[order], probs[order], mu
 
 
@@ -207,10 +209,10 @@ def _ruben_weights(mu):
     gamma = 1.0 - beta / mu
     c = np.zeros(_MAX_RUBEN_TERMS)
     g = np.zeros(_MAX_RUBEN_TERMS)  # g[m - 1] = sum_i gamma_i^m
-    c[0] = np.prod(np.sqrt(beta / mu))
+    c[0] = np.sqrt(beta / mu).prod()
     total, j = c[0], 1
     while 1.0 - total > _RUBEN_REMAINDER and j < _MAX_RUBEN_TERMS:
-        g[j - 1] = np.sum(gamma ** j)
+        g[j - 1] = (gamma ** j).sum()
         c[j] = np.dot(g[:j], c[j - 1 :: -1]) / (2.0 * j)
         total += c[j]
         j += 1
@@ -238,24 +240,24 @@ def _law_cdf(atoms, probs, mu):
     # G(y) = sum_j c_j P(k/2 + j, y) = C P(base, y) - sum_l w_l t_l(y) with
     # base = 0 or 1/2, t_l(y) = y^(base + l) exp(-y) / Gamma(base + l + 1)
     # and w_l the weight of the terms whose order lies beyond base + l
-    tails = np.cumsum(c[::-1])[::-1]
-    w = np.concatenate([np.full(k // 2, tails[0]), tails[1:]])
+    tails = c[::-1].cumsum()[::-1]
+    w = np.concatenate([tails[:1].repeat(k // 2), tails[1:]])
     powers = 0.5 * (k % 2) + np.arange(len(w))
-    log_gamma = np.array([math.lgamma(a + 1.0) for a in powers])
+    log_gamma = np.array([math.lgamma(a + 1.0) for a in powers.tolist()])
     chunk = max(1, _STACK_ENTRIES // max(1, len(w)))
 
     def cdf(x):
-        below = np.searchsorted(atoms, x)
+        below = atoms.searchsorted(x)
         y = (x - atoms[:below]) / (2.0 * beta)
         if k % 2:
-            g = tails[0] * np.frompyfunc(math.erf, 1, 1)(np.sqrt(y)).astype(float)
+            g = tails[0] * np.array(list(map(math.erf, np.sqrt(y).tolist())))
         else:
-            g = np.full(below, tails[0])
+            g = tails[:1].repeat(below)
         if len(w):
             log_y = np.log(y)
             for lo in range(0, below, chunk):
                 part = slice(lo, lo + chunk)
-                t = np.exp(np.outer(log_y[part], powers) - y[part, None] - log_gamma)
+                t = np.exp(log_y[part, None] * powers - y[part, None] - log_gamma)
                 g[part] -= t @ w
         return float(probs[:below] @ g)
 
@@ -352,11 +354,11 @@ def run_test(null_state, alpha, n_list, interval=None, alternative=None, budget=
     kernel_second = limit_moment(limit, basis, 2, method="wick")
     if interval is None:
         quantile = _law_quantile(*_limit_law(limit, basis, budget), 1.0 - alpha)
-    weights = [np.real(np.diag(null_state.entries))]
+    weights = [null_state.entries.diagonal().real]
     theta_true = None
     if alternative is not None:
-        theta_true = float(np.real(np.sum(np.abs(alternative.entries - null_state.entries) ** 2)))
-        weights.append(np.real(np.diag(alternative.entries)))
+        theta_true = float((np.abs(alternative.entries - null_state.entries) ** 2).sum())
+        weights.append(alternative.entries.diagonal().real)
     lo, hi = interval or (-math.inf, quantile)
     if null_state.d == 2:
         lows, accepted, rejected = _qubit_rates(weights, n_list, lo, hi, budget)
@@ -408,10 +410,8 @@ def _qubit_rates(weights, n_list, lo, hi, budget=None):
     """
     for n in n_list:
         check_dim_budget(n + 1, budget)
-    blocks = [n // 2 + 1 for n in n_list]
-    starts = np.cumsum([0] + blocks[:-1])
-    n = np.repeat(n_list, blocks)
-    k = np.arange(n.size) - np.repeat(starts, blocks)
+    n, k = np.array([(m, j) for m in n_list for j in range(m // 2 + 1)]).T
+    starts = [0, *itertools.accumulate(m // 2 + 1 for m in n_list[:-1])]
     log_mult = np.concatenate([_log_multiplicities(m) for m in n_list])
     last = n - 2 * k
     lam = weights[0]
@@ -441,7 +441,7 @@ def _qubit_rates(weights, n_list, lo, hi, budget=None):
                            lambda i: sign * value(i) <= bound)
     # the last level before each segment of a block: none, then the
     # levels below the run, the run and the levels above it
-    ends = np.vstack([np.full_like(k, -1), runs, last])
+    ends = np.concatenate([[np.full_like(k, -1)], runs, [last]])
     accepted, rejected = [], []
     weighed = np.zeros(n.size, dtype=bool)
     for w in weights:
@@ -467,7 +467,7 @@ def _last_level(guess, last, holds):
     `guess` is the bound read off n U_n, within a level or so of the
     answer; it is moved one level at a time while holds disagrees.
     """
-    i = np.clip(guess, -1, last).astype(np.int64)
+    i = guess.clip(-1, last).astype(np.int64)
     while (up := (i < last) & holds(i + 1)).any():
         i += up
     while (down := (i >= 0) & ~holds(i)).any():

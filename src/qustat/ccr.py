@@ -115,12 +115,12 @@ def build_ccr_basis(rho):
     d = rho.d
     mu = np.asarray(rho.eigenvalues, dtype=float)
 
-    classical = []
+    classical, eye = [], np.eye(d, dtype=complex)
     for i in range(d - 1):
-        g = -mu[i] * np.eye(d, dtype=complex)
+        g = -mu[i] * eye
         g[i, i] += 1.0
         classical.append(g)
-    cov = np.diag(mu[: d - 1]) - np.outer(mu[: d - 1], mu[: d - 1])
+    cov = np.diag(mu[: d - 1]) - mu[: d - 1, None] * mu[: d - 1]
 
     symbols = []
     if d > 1:
@@ -181,7 +181,7 @@ def _two_point_matrix(symbols, mu):
     d = len(mu)
     rho = np.diag(mu).astype(complex)
     s = np.array([sym.matrix for sym in symbols], dtype=complex).reshape(-1, d, d)
-    t = np.trace((rho @ s)[:, None] @ s[None], axis1=-2, axis2=-1)
+    t = ((rho @ s)[:, None] @ s[None]).trace(axis1=-2, axis2=-1)
     sym, skew = _covariance_parts(t, t.T)
     out = np.empty(t.shape, dtype=complex)
     out.real, out.imag = sym, skew
@@ -193,9 +193,10 @@ def _selfcheck(basis):
     k = len(basis.symbols)
     if frobenius(c.real - np.eye(k)) > BASIS_SELFCHECK_TOL:
         raise ToleranceError("normalized generators are not orthonormal")
+    imag = c.imag.tolist()
     for a, sa in enumerate(basis.symbols):
         for b, sb in enumerate(basis.symbols):
-            im = c[a, b].imag
+            im = imag[a][b]
             if sa.kind == "q" and sb.kind == "p" and sa.pair_id == sb.pair_id:
                 want = 0.5 / sa.sigma_sq
             elif sa.kind == "p" and sb.kind == "q" and sa.pair_id == sb.pair_id:
@@ -252,8 +253,7 @@ def kernel_to_limit(kernel, report, basis):
     # change of basis on each site: columns are vec(identity), vec(symbols)
     cols = [np.eye(d, dtype=complex).reshape(-1)]
     cols += [s.matrix.reshape(-1) for s in basis.symbols]
-    m_mat = np.stack(cols, axis=1)
-    m_inv = np.linalg.inv(m_mat)
+    m_inv = np.linalg.inv(np.array(cols).T)
 
     # pair row/column indices per site, then solve site by site
     t = mat.reshape((d,) * (2 * c))
@@ -268,9 +268,8 @@ def kernel_to_limit(kernel, report, basis):
     tol = CENTERED_RESIDUE_RTOL * max(1.0, float(np.abs(t).max()))
     nsym = basis.n_symbols
     grouped = {}
-    for idx in itertools.product(range(d * d), repeat=c):
-        val = t[idx]
-        if any(i == 0 for i in idx):
+    for idx, val in zip(itertools.product(range(d * d), repeat=c), t.ravel().tolist()):
+        if 0 in idx:
             if abs(val) > tol:
                 raise ToleranceError(
                     "component of order %d is not centered: identity "

@@ -223,6 +223,8 @@ def _conforms(value, schema):
                                         else "is too short"))
         if len(value) > schema.get("maxItems", len(value)):
             raise _Violation("%r is too long" % (value,))
+        if schema["items"] == {"type": "number"} and set(map(type, value)) <= {int, float}:
+            return list(value)  # each item conforms as it is
         out = []
         try:
             for item in value:
@@ -308,7 +310,7 @@ def _load_kernel(config, state):
 
     from .apps import goodness_kernel, homogeneity_kernel
     from .errors import ValidationError
-    from .operators import Kernel, hermitize, symmetrize_kernel
+    from .operators import Kernel, _kron, hermitize, symmetrize_kernel
     from .serialize import matrix_from_json
 
     spec, budget = config["kernel"], config.get("dim_budget")
@@ -327,9 +329,9 @@ def _load_kernel(config, state):
     if name == "pauli-xy":
         return symmetrize_kernel([sx, sy])
     if name == "pauli-xx-yy":
-        return Kernel(2, 2, hermitize(np.kron(sx, sx) + np.kron(sy, sy)))
+        return Kernel(2, 2, hermitize(_kron(sx, sx) + _kron(sy, sy)))
     if name == "sigma-zz":
-        return Kernel(2, 2, hermitize(np.kron(sz, sz)))
+        return Kernel(2, 2, hermitize(_kron(sz, sz)))
     if name == "goodness":
         return goodness_kernel(state, budget)
     # CONFIG_SCHEMA admits no other preset
@@ -587,7 +589,8 @@ def _write_outputs(config, result, tables, out_dir):
     }
     for name, (header, rows) in tables.items():
         texts[os.path.join(tables_dir, name + ".csv")] = dump_csv(header, rows)
-    os.makedirs(tables_dir, exist_ok=True)
+    if not os.path.isdir(tables_dir):
+        os.makedirs(tables_dir, exist_ok=True)
     # tables/ holds only the tables this run's manifest describes
     remove_other_files(tables_dir, ".csv", [name + ".csv" for name in tables])
     for path, text in texts.items():

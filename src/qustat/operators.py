@@ -8,7 +8,10 @@ Every site contraction, against rho in `_reduce_to_sites` and
 `hoeffding`, or by a one-site matrix in `rotate_sites` and
 `ccr.kernel_to_limit`, is `_tensordot`: np.tensordot's own transpose,
 reshape and np.dot, so the floats are tensordot's, without the argument
-checks that cost more than the product at these sizes.
+checks that cost more than the product at these sizes.  Likewise every
+Kronecker product of two matrices is `_kron`, np.kron's one broadcast
+multiply and reshape, and `frobenius` takes np.linalg.norm's two dot
+products and square root.
 """
 
 import functools
@@ -56,7 +59,8 @@ def _as_complex_matrix(matrix):
 
 
 def frobenius(matrix):
-    return float(np.linalg.norm(matrix))
+    x = np.asarray(matrix).ravel(order="K")
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag) if x.dtype.kind == "c" else x.dot(x))
 
 
 @dataclass(frozen=True)
@@ -90,16 +94,26 @@ def hermitize(matrix, check_tol=ASYMMETRY_CHECK_TOL):
     """Project a nearly-hermitian matrix onto its selfadjoint part.
 
     The asymmetry must stay below check_tol (relative to max(1, norm));
-    anything larger signals a real bug upstream, not roundoff.  The
-    input is validated here and the result once more on creation.
+    anything larger signals a real bug upstream, not roundoff.  The input
+    is validated here, and the result 0.5 (m + m^dagger) is hermitian bit
+    for bit, so it is only checked to be finite before it is frozen.
     """
     m = _as_complex_matrix(matrix)
-    gap = frobenius(m - m.conj().T)
-    if gap > check_tol * max(1.0, frobenius(m)):
-        raise ValidationError(
-            "matrix asymmetry %.3e is too large to be roundoff" % gap
-        )
-    return HermitianOperator(m.shape[0], 0.5 * (m + m.conj().T))
+    adjoint = m.conj().T
+    if (m != adjoint).any():  # else the gap is 0
+        gap = frobenius(m - adjoint)
+        if gap > check_tol * max(1.0, frobenius(m)):
+            raise ValidationError(
+                "matrix asymmetry %.3e is too large to be roundoff" % gap
+            )
+    m = 0.5 * (m + adjoint)
+    if not np.isfinite(m).all():  # the sum can overflow
+        raise ValidationError("matrix contains non-finite entries")
+    m.setflags(write=False)
+    op = object.__new__(HermitianOperator)
+    object.__setattr__(op, "dim", m.shape[0])
+    object.__setattr__(op, "entries", m)
+    return op
 
 
 @dataclass(frozen=True)
@@ -129,14 +143,15 @@ class DensityMatrix:
     def from_matrix(cls, matrix):
         """The state of a density matrix; equal eigenvalues keep their order."""
         m = _as_complex_matrix(matrix)
-        gap = np.abs(m - m.conj().T).max()
+        adjoint = m.conj().T
+        gap = np.abs(m - adjoint).max()
         if gap > HERMITICITY_ATOL:
             raise ValidationError("density matrix is not hermitian (gap %.3e)" % gap)
-        m = 0.5 * (m + m.conj().T)
+        m = 0.5 * (m + adjoint)
         tr = m.trace()
         if abs(tr - 1.0) > cls.TRACE_TOL:
             raise ValidationError("density matrix trace %r is not 1" % complex(tr))
-        if not (m - np.diag(np.diag(m))).any():  # diagonal: no eigensolver
+        if np.count_nonzero(m) == np.count_nonzero(m.diagonal()):  # diagonal: no eigensolver
             vals, vecs = m.diagonal().real, np.eye(len(m), dtype=complex)
         else:
             vals, vecs = np.linalg.eigh(m)
@@ -144,10 +159,10 @@ class DensityMatrix:
             raise ValidationError(
                 "density matrix has negative eigenvalue %.3e" % vals.min()
             )
-        order = np.argsort(-vals, kind="stable")
+        order = (-vals).argsort(kind="stable")
         return cls(
             d=m.shape[0],
-            entries=m.copy(),
+            entries=m,
             eigenvalues=vals[order],
             eigenvectors=vecs[:, order],
         )
@@ -175,14 +190,13 @@ class DensityMatrix:
         diag(eigenvalues).  An ascending diagonal state takes a
         permutation frame.
         """
-        if np.array_equal(self.eigenvectors, np.eye(self.d)):
+        if (self.eigenvectors == np.eye(self.d)).all():
             return None
         return self.eigenvectors
 
     @property
     def is_diagonal(self):
-        off = self.entries - np.diag(np.diag(self.entries))
-        return not off.any()
+        return np.count_nonzero(self.entries) == np.count_nonzero(self.entries.diagonal())
 
     def require_positive(self):
         """Check the spectrum is strictly positive with distinct eigenvalues."""
@@ -357,8 +371,7 @@ def _distinct_plan(t):
 def site_transpose(matrix, n, d, i):
     """Conjugate by the transposition of 0-based sites i and i+1."""
     t = matrix.reshape((d,) * (2 * n))
-    t = np.swapaxes(t, i, i + 1)
-    t = np.swapaxes(t, n + i, n + i + 1)
+    t = t.swapaxes(i, i + 1).swapaxes(n + i, n + i + 1)
     return np.ascontiguousarray(t).reshape(d ** n, d ** n)
 
 
@@ -387,6 +400,12 @@ def _tensordot(a, b, a_axes, b_axes):
     outer, inner = a.shape[: a.ndim - len(a_axes)], math.prod(b.shape[: len(b_axes)])
     product = np.dot(a.reshape(-1, inner), b.reshape(inner, -1))
     return product.reshape(outer + b.shape[len(b_axes) :])
+
+
+def _kron(a, b):
+    """np.kron(a, b) of two matrices: its one broadcast multiply and reshape, so its floats."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def _site_subset(beta, n):
@@ -443,7 +462,7 @@ def symmetrize_kernel(ops):
 
     Returns a Kernel of order len(ops) on sites of the first operator's size.
     """
-    mean, d = _ordered_mean(ops, np.kron, "symmetrize_kernel")
+    mean, d = _ordered_mean(ops, _kron, "symmetrize_kernel")
     return Kernel(d, len(ops), mean)
 
 
@@ -469,9 +488,9 @@ def _covariance_parts(ab, ba):
     """
     sym = 0.5 * (ab + ba)
     skew = 0.5j * (ab - ba)
-    if np.any(np.abs(sym.imag) > 1e-10 * np.maximum(1.0, np.abs(sym))) or np.any(
+    if (np.abs(sym.imag) > 1e-10 * np.maximum(1.0, np.abs(sym))).any() or (
         np.abs(skew.imag) > 1e-10 * np.maximum(1.0, np.abs(skew))
-    ):
+    ).any():
         raise ValidationError("state_covariance expects selfadjoint operands")
     return sym.real, skew.real
 

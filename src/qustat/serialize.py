@@ -1,10 +1,12 @@
 """JSON encoding for matrices, deterministic numeric output, and output files.
 
 Matrices travel as {"dim": n, "re": [[...]], "im": [[...]]}.  All floats
-written by the command line tools go through format_float, which prints
-17 significant digits so outputs are byte-stable and round-trip exactly.
+written by the command line tools are printed as format_float prints
+them (dump_json formats a list of finite floats in one pass), with 17
+significant digits so outputs are byte-stable and round-trip exactly.
 dump_json and dump_csv give the text of a result document and a table;
-replace_file writes each output as a new file, so a re-run never
+replace_file writes each output as a new file with os.open (O_EXCL) and
+os.write, below Python's buffered file objects, so a re-run never
 truncates the previous run's file in place (a hard link or symlink to it
 keeps the old bytes) and nothing is fsynced.  remove_other_files
 unlinks the tables an earlier run left that this run does not write.
@@ -96,13 +98,18 @@ def dump_json(obj, indent=0):
                     if not isinstance(key, str):
                         raise ValidationError("JSON object keys must be strings")
                     prefix = keys[key] = _escape(key) + ": "
-                items.append(prefix + encode(obj[key], level + 1))
+                value = obj[key]
+                items.append(prefix + (format_float(value) if type(value) is float
+                                       else encode(value, level + 1)))
             lead, sep, tail = layout(level)
             return "{" + lead + sep.join(items) + tail + "}"
         if isinstance(obj, (list, tuple)):
             if not len(obj):
                 return "[]"
-            items = [encode(item, level + 1) for item in obj]
+            if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+                items = ["%.17g" % x if x else "0" for x in obj]  # format_float of each
+            else:
+                items = [encode(item, level + 1) for item in obj]
             lead, sep, tail = layout(level)
             return "[" + lead + sep.join(items) + tail + "]"
         if obj is None:
@@ -163,14 +170,19 @@ def replace_file(path, text):
     On ext4 (with its default auto_da_alloc) truncating a file that holds
     data starts its writeback at close, and the next truncation waits for
     it; a new file has no such wait.  A hard link or symlink to the old
-    file keeps the old bytes.
+    file keeps the old bytes.  os.write is called until every byte is written.
     """
+    data = memoryview(text.encode("utf-8"))
     try:
         os.unlink(path)
     except FileNotFoundError:
         pass
-    with open(path, "xb") as fh:
-        fh.write(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def remove_other_files(directory, suffix, keep):

@@ -122,7 +122,8 @@ def finite_law(kernel, weights, n_list, budget=None):
     `weights` holds one vector of one-site weights per state.  Returns one
     (atoms, [probabilities per state]) pair per n: the eigenvalues of U_n,
     unsorted and possibly repeated, and the Born probability of each atom
-    under each state.  Atoms of blocks that no state weighs are left out.
+    under each state.  Atoms of blocks that no state weighs are left out;
+    a qubit n whose blocks no state weighs raises ValidationError.
     Each kept qubit block is made dense from its band rows and
     diagonalized on its own, so at large n one dense (n + 1)^2 block is
     formed at a time.
@@ -140,20 +141,21 @@ def finite_law(kernel, weights, n_list, budget=None):
         blocks = [_eigen_born(_dense_block(bands[:, lo:hi]), stack_weights[:, lo:hi])
                   for lo, hi in zip(e[:-1], e[1:])]
         atoms, probs = zip(*blocks)
-        laws.append((np.concatenate(atoms), _checked_probabilities(np.hstack(probs))))
+        laws.append((np.concatenate(atoms), _checked_probabilities(np.concatenate(probs, 1))))
     return laws
 
 
 def _dense_block(band):
-    """The dense matrix of a block kept as band[w + s, c] = <c + s| A |c>, as in `_ladder`."""
+    """The dense matrix of a block kept as band[w + s, c] = <c + s| A |c>, as in `_ladder`.
+
+    Entry (c + s, c) is flat entry (w + s) size + c (size + 1) of the matrix padded by
+    w rows above and below: one strided view takes every band row, spilling into the padding.
+    """
     width, size = len(band) // 2, band.shape[1]
-    dense = np.zeros((size, size), dtype=complex)
-    flat = dense.reshape(-1)
-    for s in range(max(-width, 1 - size), min(width, size - 1) + 1):
-        # entry (c + s, c) is flat entry (c + s) size + c
-        lo, hi = max(0, -s), size - max(0, s)
-        flat[(lo + s) * size + lo :: size + 1][: hi - lo] = band[width + s, lo:hi]
-    return dense
+    padded = np.zeros((size + 2 * width) * size, dtype=complex)
+    item = padded.itemsize
+    np.ndarray(band.shape, complex, padded, 0, (item * size, item * (size + 1)))[...] = band
+    return padded[width * size : (width + size) * size].reshape(size, size)
 
 
 def _eigen_born(block, weights):
@@ -281,7 +283,8 @@ def _spin_stack(kernel, weights, n_list, budget=None):
     layout of `_ladder`), and its entries across a block
     edge are 0.  The weights are those of `_spin_levels` on the kept levels,
     and the list edges[m] holds the first level of every kept block of
-    n_list[m], then the end of its last.  Where every block is kept, the
+    n_list[m], then the end of its last; an n with no kept block raises
+    ValidationError.  Where every block is kept, the
     level arrays are used as they are.  The kernel's `_distinct_plan` is
     evaluated once on the whole stack.
     """
@@ -304,9 +307,12 @@ def _spin_stack(kernel, weights, n_list, budget=None):
             if kept:
                 edge.append(end)
                 end += size
+        if not edge:
+            raise ValidationError("no state weighs a spin block at n=%d: every level weight "
+                                  "is 0" % n)
         edges.append(edge + [end])
     if end < len(level):
-        keep = np.repeat(weighed, sizes)
+        keep = np.array(weighed).repeat(sizes)
         m, k, level, spin_weights = m[keep], k[keep], level[keep], spin_weights[:, keep]
     norm = np.array([float(math.factorial(r) * binom(n, r)) for n in n_list])[m]
     eye = _band_identity(r, len(m))
@@ -318,13 +324,14 @@ def _spin_stack(kernel, weights, n_list, budget=None):
 def _level_factors(n, k, level, r):
     """What J(E_ab) puts on band entry (r + s, i), read on level l = level[i] + s of i's block.
 
-    Returns n per level; J(E_11) = n/2 - S_z = k + l per entry (J(E_00) is
-    n minus it); and <l - 1| S_+ |l> = sqrt(l (2j + 1 - l)) per entry, the
+    Returns J(E_00) = n/2 + S_z = n - k - l and J(E_11) = n/2 - S_z = k + l
+    per entry, and <l - 1| S_+ |l> = sqrt(l (2j + 1 - l)) per entry, the
     `_ladder` coupling of S_+ and S_-, 0 at and past the entry's block edge.
     """
     row = level + np.arange(-r, r + 1)[:, None]
     size = n + 1 - 2 * k
-    return n, k + row, np.sqrt(np.maximum(row * (size - row), 0))
+    ones = k + row
+    return n - ones, ones, np.sqrt(np.maximum(row * (size - row), 0))
 
 
 def _collective(a, b, bands, factors):
@@ -334,10 +341,10 @@ def _collective(a, b, bands, factors):
     descending, S_+ = J(E_01) lowers the level and S_- = J(E_10) raises
     it, the two directions of `_ladder`.
     """
-    n, ones, coupling = factors
+    zeros, ones, coupling = factors
     if a != b:
         return _ladder(bands, coupling, -1 if a == 0 else 1)
-    bands *= n - ones if a == 0 else ones
+    bands *= zeros if a == 0 else ones
     return bands
 
 

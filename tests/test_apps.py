@@ -38,7 +38,7 @@ from qustat.ccr import thermal_levels
 from qustat.operators import hermitize, tensor_weights
 from qustat.ustat import finite_law
 
-from oracles import simulate_measurement
+from oracles import frompyfunc_law_cdf, indexed_limit_terms, simulate_measurement
 
 ATOL = 1e-12
 
@@ -379,6 +379,42 @@ def _goodness_limit(eigenvalues):
     kernel = goodness_kernel(rho)
     basis = build_ccr_basis(rho)
     return kernel_to_limit(kernel, kernel_components(kernel, rho), basis), basis
+
+
+_ROTATION = np.array([[math.cos(0.3), -math.sin(0.3) * np.exp(0.4j)],
+                      [math.sin(0.3), math.cos(0.3) * np.exp(0.4j)]])
+
+
+def _goodness_case(case):
+    """(kernel, state, report, basis) of the goodness test of a diagonal, rotated or qutrit null."""
+    eigenvalues, rotation = {"diagonal": ([0.7, 0.3], None), "rotated": ([0.7, 0.3], _ROTATION),
+                             "qutrit": ([0.5, 0.3, 0.2], None)}[case]
+    kernel = goodness_kernel(DensityMatrix.from_eigenvalues(eigenvalues))
+    state = DensityMatrix.from_eigenvalues(eigenvalues, rotation=rotation)
+    if rotation is not None:  # the same kernel written in the computational basis
+        kernel = kernel.rotated(rotation.conj().T)
+    return kernel, state, kernel_components(kernel, state), build_ccr_basis(state)
+
+
+@pytest.mark.parametrize("case", ["diagonal", "rotated", "qutrit"])
+def test_kernel_to_limit_gives_the_bits_of_the_indexed_reading(case):
+    kernel, state, report, basis = _goodness_case(case)
+    got = kernel_to_limit(kernel, report, basis).terms
+    assert [(m, v.hex()) for m, v in got] == [
+        (m, v.hex()) for m, v in indexed_limit_terms(report, basis)]
+
+
+@pytest.mark.parametrize("case", ["diagonal", "rotated", "qutrit"])
+def test_law_cdf_and_quantile_give_the_bits_of_the_frompyfunc_cdf(case, monkeypatch):
+    kernel, state, report, basis = _goodness_case(case)
+    law = _limit_law(kernel_to_limit(kernel, report, basis), basis)
+    got_cdf, want_cdf = _law_cdf(*law), frompyfunc_law_cdf(*law)
+    for x in np.linspace(law[0][0] - 1.0, law[0][-1] + 5.0, 97).tolist():
+        assert got_cdf(x).hex() == want_cdf(x).hex(), x
+    levels = (0.5, 0.9, 0.95, 0.99)
+    got = [_law_quantile(*law, level) for level in levels]
+    monkeypatch.setattr(qustat.apps, "_law_cdf", frompyfunc_law_cdf)
+    assert [q.hex() for q in got] == [_law_quantile(*law, level).hex() for level in levels]
 
 
 def test_limit_law_cdf_matches_closed_form_at_d2():

@@ -15,8 +15,10 @@ from qustat import (
     DensityMatrix, Kernel, ToleranceError, ValidationError, hermitize, metrology_overlap,
     run_test, symmetrize_kernel,
 )
-from qustat.cli import main, run
+from qustat.cli import _load_kernel, main, run
 from qustat.serialize import format_float, matrix_to_json
+
+from oracles import kron_goodness_entries, kron_homogeneity_entries, kron_symmetrized_entries
 
 STATE_75 = {"eigenvalues": [0.75, 0.25]}
 # The CLI subprocess imports the same qustat package as the tests.
@@ -1542,3 +1544,29 @@ def test_a_scaled_moment_that_is_not_finite_raises_a_tolerance_error(tmp_path, m
     with pytest.raises(ToleranceError, match=r"^exact moment of order 2 at n=%d is not finite "
                                              r"once scaled: inf$" % n):
         run(_write_config(tmp_path, config), str(tmp_path / "out"))
+
+
+_SX, _SY, _SZ = (np.array(m, dtype=complex) for m in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                                                      [[1, 0], [0, -1]]))
+
+
+def _hermitized(m):
+    return 0.5 * (m + m.conj().T)
+
+
+# (kernel spec, state eigenvalues, the kernel's entries from np.kron products)
+@pytest.mark.parametrize("spec, eigenvalues, want", [
+    ({"preset": "pauli-xy"}, [0.75, 0.25], lambda state: kron_symmetrized_entries([_SX, _SY])),
+    ({"preset": "pauli-xx-yy"}, [0.75, 0.25],
+     lambda state: _hermitized(np.kron(_SX, _SX) + np.kron(_SY, _SY))),
+    ({"preset": "sigma-zz"}, [0.75, 0.25], lambda state: _hermitized(np.kron(_SZ, _SZ))),
+    ({"preset": "goodness"}, [0.75, 0.25], kron_goodness_entries),
+    ({"preset": "goodness"}, [0.5, 0.3, 0.2], kron_goodness_entries),
+    ({"preset": "homogeneity", "d": 2}, [0.75, 0.25], lambda state: kron_homogeneity_entries(2)),
+    ({"preset": "homogeneity", "d": 3}, [0.75, 0.25], lambda state: kron_homogeneity_entries(3)),
+], ids=["pauli-xy", "pauli-xx-yy", "sigma-zz", "goodness-qubit", "goodness-qutrit",
+        "homogeneity-2", "homogeneity-3"])
+def test_every_preset_kernel_gives_the_bits_of_its_kron_oracle(spec, eigenvalues, want):
+    state = DensityMatrix.from_eigenvalues(eigenvalues)
+    kernel = _load_kernel({"kernel": spec}, state)
+    assert kernel.op.entries.tobytes() == want(state).tobytes()

@@ -21,14 +21,22 @@ from qustat import (
     symmetrize_kernel,
 )
 from qustat.operators import (
+    _kron,
     _state_trace,
     _tensordot,
+    frobenius,
     rotate_sites,
     tensor_weights,
 )
 from qustat.ustat import _ladder, _level_factors, _spin_levels
 
-from oracles import _densify, dense_power_trace, site_permute, tensor_power_state
+from oracles import (
+    _densify,
+    dense_power_trace,
+    kron_symmetrized_entries,
+    site_permute,
+    tensor_power_state,
+)
 
 ATOL = 1e-12
 RNG = np.random.default_rng(20240817)
@@ -274,6 +282,111 @@ def test_tensordot_gives_the_bits_of_np_tensordot():
                 want = np.tensordot(a, b, (a_axes, b_axes))
                 assert np.array_equal(got, want)
                 assert got.tobytes() == want.tobytes(), (d, n, a_axes, b_axes)
+
+
+def test_kron_gives_the_bits_of_np_kron():
+    """The Kronecker product of two matrices is np.kron bit for bit, signed zeros included."""
+    rng = np.random.default_rng(48)
+    signed = np.array([0.0, -0.0, 1.5, -2.25, 1e-150, -1e150])
+    for (a_rows, a_cols), (b_rows, b_cols) in [((2, 2), (2, 2)), ((3, 3), (3, 3)), ((4, 4), (2, 2)),
+                                               ((2, 3), (3, 1)), ((1, 1), (3, 3))]:
+        a = rng.choice(signed, (a_rows, a_cols)) + 1j * rng.choice(signed, (a_rows, a_cols))
+        b = rng.choice(signed, (b_rows, b_cols)) + 1j * rng.choice(signed, (b_rows, b_cols))
+        for x, y in [(a, b), (b, a), (a.T, b), (a, b.conj().T)]:
+            assert _kron(x, y).tobytes() == np.kron(x, y).tobytes(), (x.shape, y.shape)
+
+
+def test_frobenius_gives_the_bits_of_np_linalg_norm():
+    rng = np.random.default_rng(49)
+    for shape in [(1, 1), (2, 2), (4, 4), (9, 9), (3, 5)]:
+        real = rng.standard_normal(shape)
+        cplx = real + 1j * rng.standard_normal(shape)
+        for m in (real, cplx, real.T, cplx.T, cplx.conj().T, cplx[::2], np.zeros(shape)):
+            got, want = frobenius(m), float(np.linalg.norm(m))
+            assert type(got) is float and got.hex() == want.hex(), (shape, m.dtype)
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_symmetrize_kernel_gives_the_bits_of_its_kron_oracle(paulis, count):
+    rng = np.random.default_rng(50 + count)
+    for ops in (paulis[:count], [random_hermitian(2, rng) for _ in range(count)],
+                [random_hermitian(3, rng) for _ in range(count)]):
+        want = kron_symmetrized_entries([np.asarray(m, dtype=complex) for m in ops])
+        assert symmetrize_kernel(list(ops)).op.entries.tobytes() == want.tobytes()
+
+
+_H = np.array([[1.0, 0.5 + 0.25j], [0.5 - 0.25j, -1.0]])
+
+
+# (constructor call, the exact type and message of the error it raises)
+@pytest.mark.parametrize("make, message", [
+    (lambda: hermitize(np.array([[1.0, np.nan], [np.nan, 1.0]])),
+     "matrix contains non-finite entries"),
+    (lambda: hermitize(np.array([[1.0, 0.0], [0.0, np.inf]])), "matrix contains non-finite entries"),
+    (lambda: hermitize(np.diag([1.5e308, 1.5e308])), "matrix contains non-finite entries"),
+    (lambda: hermitize(np.array([[0.0, 1.0], [0.0, 0.0]])),
+     "matrix asymmetry 1.414e+00 is too large to be roundoff"),
+    (lambda: hermitize(np.array([[1.0, 1e-9], [0.0, 1.0]]), check_tol=1e-12),
+     "matrix asymmetry 1.414e-09 is too large to be roundoff"),
+    (lambda: hermitize(np.zeros((2, 3))), "expected a square matrix, got shape (2, 3)"),
+    (lambda: HermitianOperator(2, np.array([[np.nan, 0.0], [0.0, 1.0]])),
+     "matrix contains non-finite entries"),
+    (lambda: HermitianOperator(2, np.array([[np.inf, 0.0], [0.0, 1.0]])),
+     "matrix contains non-finite entries"),
+    (lambda: HermitianOperator(2, np.array([[0.0, 1.0], [0.0, 0.0]])),
+     "matrix is not hermitian: max asymmetry 1.000e+00 exceeds 1.0e-12"),
+    (lambda: HermitianOperator(3, _H), "dim 3 does not match matrix of shape (2, 2)"),
+    (lambda: Kernel(2, 2, hermitize(np.diag([1.0, 2.0, 3.0, 4.0]))),
+     "kernel is not permutation symmetric: swapping sites 1,2 changes it by 1.414e+00"),
+    (lambda: Kernel(2, 3, hermitize(np.eye(4))), "kernel operator dim 4 != 2^3"),
+    (lambda: DensityMatrix.from_matrix(np.array([[np.nan, 0.0], [0.0, 0.5]])),
+     "matrix contains non-finite entries"),
+    (lambda: DensityMatrix.from_matrix(np.array([[np.inf, 0.0], [0.0, 0.5]])),
+     "matrix contains non-finite entries"),
+    (lambda: DensityMatrix.from_matrix(np.array([[0.5, 0.2], [0.1, 0.5]])),
+     "density matrix is not hermitian (gap 1.000e-01)"),
+    (lambda: DensityMatrix.from_matrix(np.diag([0.9, 0.2])),
+     "density matrix trace (1.1+0j) is not 1"),
+    (lambda: DensityMatrix.from_matrix(np.diag([1.2, -0.2])),
+     "density matrix has negative eigenvalue -2.000e-01"),
+    (lambda: DensityMatrix.from_matrix(np.array([[0.5, 0.7], [0.7, 0.5]])),
+     "density matrix has negative eigenvalue -2.000e-01"),
+    (lambda: DensityMatrix.from_matrix(np.zeros((2, 3))),
+     "expected a square matrix, got shape (2, 3)"),
+    (lambda: DensityMatrix.from_eigenvalues([np.nan, 0.5]), "matrix contains non-finite entries"),
+    (lambda: DensityMatrix.from_eigenvalues([np.inf, 0.5]), "matrix contains non-finite entries"),
+    (lambda: DensityMatrix.from_eigenvalues([0.7, 0.2]),
+     "density matrix trace (0.8999999999999999+0j) is not 1"),
+    (lambda: DensityMatrix.from_eigenvalues([1.2, -0.2]),
+     "density matrix has negative eigenvalue -2.000e-01"),
+    (lambda: DensityMatrix.from_eigenvalues([0.6, 0.4], rotation=np.ones((2, 2))),
+     "rotation is not unitary"),
+])
+def test_validation_raises_the_same_error_on_every_bad_input(make, message):
+    with pytest.raises(ValidationError) as err, np.errstate(all="ignore"):
+        make()
+    assert type(err.value) is ValidationError and str(err.value) == message
+
+
+def test_validated_results_are_read_only(paulis):
+    rotation = random_unitary(2)
+    made = [hermitize(_H).entries, HermitianOperator(2, _H).entries,
+            symmetrize_kernel(paulis[:2]).op.entries, Kernel(2, 1, hermitize(_H)).op.entries]
+    for rho in (DensityMatrix.from_matrix(np.diag([0.75, 0.25])),
+                DensityMatrix.from_eigenvalues([0.6, 0.4], rotation=rotation)):
+        made += [rho.entries, rho.eigenvalues, rho.eigenvectors]
+    for m in made:
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0] = 0.0
+
+
+def test_hermitize_leaves_its_input_alone():
+    m = np.array([[1.0, 2.0 + 1e-13j], [2.0, 3.0]])
+    before = m.copy()
+    h = hermitize(m)
+    assert m.tobytes() == before.tobytes() and m.flags.writeable
+    assert h.entries.tobytes() == (0.5 * (m + m.conj().T)).tobytes()
 
 
 def test_state_trace_matches_dense_power():

@@ -1,6 +1,7 @@
 """Deterministic JSON/CSV serialization helpers."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from qustat import ValidationError, matrix_from_json, matrix_to_json
 from qustat.serialize import dump_csv, dump_json, format_float
+
+from oracles import recursive_dump_json
 
 
 def test_matrix_roundtrip():
@@ -77,6 +80,47 @@ def test_dump_json_layout_matches_the_stdlib(doc):
 def test_dump_json_floats_read_back_exactly(values):
     for indent in (0, 2):
         assert json.loads(dump_json(values, indent)) == values
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+_NUMPY_SCALARS = _FLOATS.map(np.float64) | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+_FLOAT_LISTS = st.lists(_FLOATS, max_size=6)
+# documents with floats everywhere: plain and numpy scalars, float lists (empty,
+# nested, as tuples) and lists that mix floats with other values
+_FLOAT_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT | _FLOATS | _NUMPY_SCALARS | _FLOAT_LISTS
+    | _FLOAT_LISTS.map(tuple),
+    lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+    | st.lists(_FLOAT_LISTS, max_size=4) | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_FLOAT_DOCS)
+def test_dump_json_writes_the_bytes_of_the_recursive_writer(doc):
+    for indent in (0, 2):
+        assert dump_json(doc, indent) == recursive_dump_json(doc, indent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FLOAT_DOCS, st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan)]),
+       st.sampled_from(["list", "float list", "tuple", "nested", "value"]))
+def test_a_non_finite_float_anywhere_is_rejected(doc, bad, where):
+    bad_doc = {
+        "list": [doc, bad],
+        "float list": {"a": doc, "b": [0.5, bad, -0.0]},
+        "tuple": (bad,),
+        "nested": [[1.0], [doc, [2.0, bad]]],
+        "value": {"x": doc, "y": bad},
+    }[where]
+    for indent in (0, 2):
+        with pytest.raises(ValidationError) as got:
+            dump_json(bad_doc, indent)
+        with pytest.raises(ValidationError) as want:
+            recursive_dump_json(bad_doc, indent)
+        assert str(got.value) == str(want.value)
 
 
 def test_dump_csv_cells():

@@ -523,6 +523,17 @@ def test_finite_law_takes_one_eigh_per_kept_block(monkeypatch, paulis):
     assert shapes == [(n + 1, n + 1) for n in ns]
 
 
+def test_finite_law_names_an_n_whose_blocks_no_state_weighs(paulis):
+    sx, _, sz = paulis
+    k = symmetrize_kernel([sz, sx])
+    for weights in ([np.zeros(2)], [np.zeros(2), np.zeros(2)]):
+        with pytest.raises(ValidationError, match=r"^no state weighs a spin block at n=4: "):
+            finite_law(k, weights, [4, 6])
+    # one state that weighs nothing next to one that does: its law is deficient
+    with pytest.raises(ToleranceError, match="measurement probabilities deficient by 1.000e"):
+        finite_law(k, [np.zeros(2), np.array([1.0, 0.0])], [4])
+
+
 def test_second_moment_identity_for_degenerate_pair_kernel(rho_75, paulis):
     sx, sy, _ = paulis
     k = symmetrize_kernel([sx, sy])
